@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStabilizedError, SingularUError, UnsupportedRegimeError
+from .errors import (
+    InvalidGridError,
+    NotStabilizedError,
+    SingularUError,
+    UnsupportedRegimeError,
+)
 from .model import Classification, ModelParams, Regime, tau_length
 from .simulate import CriticalLimitSample, Path
 
@@ -46,7 +51,7 @@ class Normalizer:
 def normalizer(classification: Classification, T: float, params: ModelParams) -> Normalizer:
     """The regime's error scaling Q_T at horizon T."""
     if T <= 0:
-        raise UnsupportedRegimeError("horizon must be positive")
+        raise InvalidGridError("horizon must be positive")
     n = params.n
     L = tau_length(n)
     regime = classification.regime

@@ -46,6 +46,7 @@ import scipy.linalg
 
 from ._matfun import double_exp_integral, expm_integral
 from .errors import (
+    ConfigError,
     DegeneratePathError,
     DimensionMismatchError,
     LogDomainError,
@@ -204,7 +205,7 @@ def _raw_sums(path: Path):
 def design_blocks(path: Path, flavor: str = "discrete") -> DesignBlocks:
     """Accumulate the estimation systems from a path."""
     if flavor not in ("continuous", "discrete"):
-        raise SingularBlocksError(f"unknown design flavor {flavor!r}")
+        raise ConfigError(f"unknown design flavor {flavor!r}")
     if path.n_steps < path.n + 2:
         raise PathTooShortError("path must have at least d+2 points")
     if np.count_nonzero(path.Y[:-1] > 0) < 2:
@@ -272,7 +273,10 @@ def clse_solve(blocks: DesignBlocks) -> Estimate:
 
 def tilde_regression(path: Path) -> TildeParams:
     """Per-step conditional regression: solve Gamma x = phi (no 1/delta)."""
-    blocks = design_blocks(path, flavor="discrete")
+    return _tilde_from_blocks(design_blocks(path, flavor="discrete"))
+
+
+def _tilde_from_blocks(blocks: DesignBlocks) -> TildeParams:
     ab = _equilibrated_solve(blocks.G1, blocks.f1)
     mkth = _equilibrated_solve(blocks.G2, blocks.f2)
     return TildeParams(
@@ -284,12 +288,11 @@ def tilde_regression(path: Path) -> TildeParams:
 def estimate_path(path: Path, flavor: str = "discrete") -> Estimate:
     """Estimate tau from a path with the requested flavor."""
     if flavor not in FLAVORS:
-        raise SingularBlocksError(f"unknown flavor {flavor!r}")
+        raise ConfigError(f"unknown flavor {flavor!r}")
     if flavor in ("continuous", "discrete"):
         return clse_solve(design_blocks(path, flavor))
-    tilde = tilde_regression(path)
-    a, b, m, kappa, theta = g_inverse(tilde, path.delta)
     blocks = design_blocks(path, "discrete")
+    a, b, m, kappa, theta = g_inverse(_tilde_from_blocks(blocks), path.delta)
     return Estimate.from_fields(
         a, b, m, kappa, theta, "exact-conditional",
         blocks.cond1, blocks.cond2, path.horizon, path.delta,

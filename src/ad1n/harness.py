@@ -91,11 +91,11 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
 
 def ks_vs_normal(x: np.ndarray, sigma: float) -> float:
     """One-sample KS statistic of x against the N(0, sigma^2) cdf."""
-    from scipy.stats import norm
+    from scipy.special import ndtr  # not scipy.stats: importing it takes ~0.8 s
 
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
-    cdf = norm.cdf(x / sigma)
+    cdf = ndtr(x / sigma)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(np.max(upper), np.max(lower)))

@@ -197,6 +197,10 @@ def validate(params: ModelParams) -> ValidationReport:
     """Report every violated parameter invariant; empty means admissible."""
     v: list[str] = []
     n, d = params.n, params.d
+    for name in ("a", "b", "m", "kappa", "theta", "rho", "y0", "x0"):
+        value = getattr(params, name)
+        if not callable(value) and not np.all(np.isfinite(value)):
+            v.append(f"{name} must be finite")
     if params.m.shape != (n,):
         v.append(f"m must have shape ({n},), got {params.m.shape}")
     if params.kappa.shape != (n,):
@@ -216,7 +220,7 @@ def validate(params: ModelParams) -> ValidationReport:
         v.append("a must be nonnegative")
     if not callable(params.y0) and params.y0 < 0:
         v.append("y0 must be nonnegative")
-    if params.theta.shape == (n, n):
+    if params.theta.shape == (n, n) and np.all(np.isfinite(params.theta)):
         try:
             _try_real_eig(params.theta)
         except ComplexSpectrumError:

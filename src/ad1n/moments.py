@@ -50,6 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatchError,
     IncompleteTableError,
     HorizonTooShortError,
     MissingInitialMomentError,
@@ -393,7 +394,7 @@ def riccati_cf_batch(
     MU = np.column_stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in mus])  # (n, B)
     B = lams.shape[0]
     if MU.shape[1] != B:
-        raise OrderTooHighError("lams and mus must have equal batch length")
+        raise DimensionMismatchError("lams and mus must have equal batch length")
 
     frame = TildeFrame.from_params(params)
     lam_t = frame.lam

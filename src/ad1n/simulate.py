@@ -32,9 +32,19 @@ dt and the reconstructed increment is exactly conditionally centered; when
 Y_t <= 1e-12 a fresh N(0, dt) increment is substituted.  The remaining
 coordinates dB^2..dB^d are independent N(0, dt).
 
+Y does not depend on X, so a path takes two passes over the grid.  The Y
+pass runs the CIR recursion on Python floats; dB^1, and for n = 1 the whole
+noise term, are then built over the time axis with numpy; the X pass runs the
+X recursion, on Python floats for n = 1 and with per-step matrix products for
+n > 1 (batching those over time changes the last bit).  The float passes walk
+the grid in chunks of ``CHUNK`` steps to bound memory, and every operation
+keeps the operand order of the formulas above.
+
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), so every path index owns an independent substream and
 results are bit-reproducible for fixed (params, horizon, delta, seed).
+A path draws, in order: initial values, CIR blocks (df >= 1), dB^J and fresh
+dB^1 blocks, then per-step CIR variates (df < 1).
 """
 
 from __future__ import annotations
@@ -52,6 +62,10 @@ from .model import ModelParams, validate
 #: Y values at or below this use a fresh normal instead of the reconstructed
 #: Brownian increment.
 RECONSTRUCT_EPS = 1e-12
+
+#: Grid steps per chunk of the Python-float passes.
+CHUNK = 4096
+
 
 def substream(master_seed: int, index: int) -> tuple[int, int]:
     """Key of the Philox substream owned by path ``index``."""
@@ -111,16 +125,6 @@ def _resolve_initials(params: ModelParams, rng: np.random.Generator):
     return y0, x0
 
 
-def _cir_constants(a: float, b: float, sigma1: float, delta: float):
-    if b != 0.0:
-        emb = math.exp(-b * delta)
-        c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
-    else:
-        emb = 1.0
-        c = sigma1 * sigma1 * delta / 4.0
-    return emb, c
-
-
 def _draw_y_slow(rng, df, ncp):
     """Single exact CIR transition draw (unscaled) for df < 1."""
     if df > 0.0:
@@ -142,6 +146,8 @@ def simulate_path(
 
     Deterministic given (params, horizon, delta, seed).  ``seed`` may be a
     plain int or a (master_seed, stream_index) pair from :func:`substream`.
+    ``_force_general`` runs an n = 1 path through the matrix X pass (same
+    output; tests compare the two).
     """
     if delta <= 0:
         raise InvalidGridError("delta must be positive")
@@ -157,13 +163,19 @@ def simulate_path(
     y0, x0 = _resolve_initials(params, rng)
 
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
-    emb, c = _cir_constants(a, b, sigma1, delta)
+    emb = math.exp(-b * delta)  # exactly 1 at b = 0
+    if b != 0.0:  # CIR scale c, and a~ = a * int_0^delta e^{-bu} du
+        c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
+        a_t = a * (1.0 - emb) / b
+    else:
+        c = sigma1 * sigma1 * delta / 4.0
+        a_t = a * delta
     df = 4.0 * a / (sigma1 * sigma1)
     sq_delta = math.sqrt(delta)
 
     # vectorized pre-draws; the slow CIR branch draws per step instead
-    fast = df >= 1.0
-    if fast:
+    chi_part = z_y = None
+    if df >= 1.0:
         chi_part = rng.chisquare(df - 1.0, size=N) if df > 1.0 else np.zeros(N)
         z_y = rng.standard_normal(N)
     dB_J = rng.standard_normal((N, n)) * sq_delta
@@ -173,84 +185,68 @@ def simulate_path(
     states[0, 0] = y0
     states[0, 1:] = x0
 
-    if n == 1 and not _force_general:
-        _loop_scalar(params, states, N, delta, emb, c, df, fast,
-                     chi_part if fast else None, z_y if fast else None,
-                     dB_J, fresh1, rng)
-    else:
-        _loop_general(params, states, N, delta, emb, c, df, fast,
-                      chi_part if fast else None, z_y if fast else None,
-                      dB_J, fresh1, rng)
-
-    if np.any(states[:, 0] < 0):  # exact transitions cannot go negative
+    Y = states[:, 0]
+    _y_pass(Y, emb, c, df, chi_part, z_y, rng)
+    if np.any(Y < 0):  # exact transitions cannot go negative
         raise AssertionError("negative Y produced by exact CIR transition")
+
+    Yl = Y[:-1]
+    sqrt_y = np.sqrt(Yl)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dB1 = np.where(Yl > RECONSTRUCT_EPS,
+                       (Y[1:] - emb * Yl - a_t) / (sigma1 * sqrt_y), fresh1)
+    emth, m_t, k_t = one_step_conditional_mean_coeffs(
+        a, b, params.m, params.kappa, params.theta, delta
+    )
+    if n == 1 and not _force_general:
+        noise = sqrt_y * (float(params.rho_J1[0]) * dB1
+                          + float(params.rho_JJ[0, 0]) * dB_J[:, 0])
+        _x_pass_scalar(states[:, 1], float(emth[0, 0]), float(m_t[0]),
+                       float(k_t[0]) * Yl, noise)
+    else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
+        k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
+        rho_JJ = params.rho_JJ
+        x = states[0, 1:].copy()
+        for k in range(N):
+            x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
+            states[k + 1, 1:] = x
 
     times = np.arange(N + 1) * delta
     return Path(delta=float(delta), times=times, states=states, seed=seed,
                 params_hash=params.digest())
 
 
-def _loop_scalar(params, states, N, delta, emb, c, df, fast,
-                 chi_part, z_y, dB_J, fresh1, rng):
-    """n = 1 specialization on plain floats (identical draws to the
-    general loop, so the two are interchangeable for fixed seed)."""
-    a, b, sigma1 = float(params.a), float(params.b), params.sigma1
-    emth, m_t, k_t = one_step_conditional_mean_coeffs(
-        a, b, params.m, params.kappa, params.theta, delta
-    )
-    eth = float(emth[0, 0])
-    mt0 = float(m_t[0])
-    kt0 = float(k_t[0])
-    a_t = a * (1.0 - emb) / b if b != 0.0 else a * delta
-    rj1 = float(params.rho_J1[0])
-    rjj = float(params.rho_JJ[0, 0])
-    y = states[0, 0]
-    x = states[0, 1]
-    for k in range(N):
-        ncp = y * emb / c
-        if fast:
-            zz = z_y[k] + math.sqrt(ncp)
-            y_new = c * (chi_part[k] + zz * zz)
+def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
+    """Fill Y[1:] by the exact CIR recursion from Y[0], on Python floats."""
+    sqrt = math.sqrt
+    y = float(Y[0])
+    N = Y.shape[0] - 1
+    for k0 in range(0, N, CHUNK):
+        k1 = min(k0 + CHUNK, N)
+        out = []
+        if chi_part is not None:
+            for chi, z in zip(chi_part[k0:k1].tolist(), z_y[k0:k1].tolist()):
+                zz = z + sqrt(y * emb / c)
+                y = c * (chi + zz * zz)
+                out.append(y)
         else:
-            y_new = c * _draw_y_slow(rng, df, ncp)
-        if y > RECONSTRUCT_EPS:
-            dB1 = (y_new - emb * y - a_t) / (sigma1 * math.sqrt(y))
-        else:
-            dB1 = fresh1[k]
-        x = eth * x + mt0 - kt0 * y + math.sqrt(y) * (rj1 * dB1 + rjj * dB_J[k, 0])
-        y = y_new
-        states[k + 1, 0] = y
-        states[k + 1, 1] = x
+            for _ in range(k0, k1):
+                y = c * _draw_y_slow(rng, df, y * emb / c)
+                out.append(y)
+        Y[k0 + 1:k1 + 1] = out
 
 
-def _loop_general(params, states, N, delta, emb, c, df, fast,
-                  chi_part, z_y, dB_J, fresh1, rng):
-    a, b, sigma1 = float(params.a), float(params.b), params.sigma1
-    emth, m_t, k_t = one_step_conditional_mean_coeffs(
-        a, b, params.m, params.kappa, params.theta, delta
-    )
-    a_t = a * (1.0 - emb) / b if b != 0.0 else a * delta
-    rho_J1 = np.array(params.rho_J1)
-    rho_JJ = np.array(params.rho_JJ)
-    y = states[0, 0]
-    x = states[0, 1:].copy()
-    for k in range(N):
-        ncp = y * emb / c
-        if fast:
-            zz = z_y[k] + math.sqrt(ncp)
-            y_new = c * (chi_part[k] + zz * zz)
-        else:
-            y_new = c * _draw_y_slow(rng, df, ncp)
-        if y > RECONSTRUCT_EPS:
-            dB1 = (y_new - emb * y - a_t) / (sigma1 * math.sqrt(y))
-        else:
-            dB1 = fresh1[k]
-        x = emth @ x + m_t - k_t * y + math.sqrt(y) * (
-            rho_J1 * dB1 + rho_JJ @ dB_J[k]
-        )
-        y = y_new
-        states[k + 1, 0] = y
-        states[k + 1, 1:] = x
+def _x_pass_scalar(X, eth, mt0, k_y, noise):
+    """n = 1: fill X[1:] by x <- eth*x + mt0 - k_y[k] + noise[k]."""
+    x = float(X[0])
+    N = X.shape[0] - 1
+    for k0 in range(0, N, CHUNK):
+        k1 = min(k0 + CHUNK, N)
+        out = []
+        for ky, nz in zip(k_y[k0:k1].tolist(), noise[k0:k1].tolist()):
+            x = eth * x + mt0 - ky + nz
+            out.append(x)
+        X[k0 + 1:k1 + 1] = out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ from ad1n import (
     simulate_path,
     substream,
 )
-from ad1n.errors import NotStabilizedError, SingularUError, UnsupportedRegimeError
+from ad1n.errors import (
+    InvalidGridError,
+    NotStabilizedError,
+    SingularUError,
+    UnsupportedRegimeError,
+)
 from ad1n.simulate import CriticalLimitSample
 
 
@@ -46,6 +51,11 @@ class TestNormalizer:
             math.exp((-1.0 + 4.0) / 2.0),
         ]
         assert np.allclose(nz.diag, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_horizon(self, subcritical_params, T):
+        with pytest.raises(InvalidGridError):
+            normalizer(classify(subcritical_params), T, subcritical_params)
 
     def test_supercritical_outside_hypothesis(self):
         # lam_max(theta) > b: the displayed normalization does not apply

@@ -21,6 +21,7 @@ from ad1n import (
 )
 from ad1n.estimate import DesignBlocks, TildeParams
 from ad1n.errors import (
+    ConfigError,
     DegeneratePathError,
     DimensionMismatchError,
     LogDomainError,
@@ -51,6 +52,14 @@ def _stacked_lstsq(path):
     y = np.diff(path.states, axis=0).ravel()
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     return sol
+
+
+def test_unknown_flavor_is_a_config_error():
+    path = _random_path(np.random.default_rng(3), 1, 30)
+    with pytest.raises(ConfigError):
+        design_blocks(path, "exact")
+    with pytest.raises(ConfigError):
+        estimate_path(path, "exact-conditional")
 
 
 class TestDesignBlocks:

@@ -1,0 +1,98 @@
+"""Golden SHA-256 digests of small frozen runs.
+
+The digests were computed before the simulator was rewritten and pin its
+output byte for byte.  Paths are kept short (at most a few thousand steps)
+so that the BLAS reductions in the estimator give the same bits whatever
+the BLAS thread count; this file passes both with OPENBLAS_NUM_THREADS=1 and
+with the default.
+"""
+
+import hashlib
+
+import pytest
+
+from ad1n import experiment_config_from_text, run_experiment, simulate_path, substream
+
+_SUBCRITICAL = """\
+n = 1
+a = 2.0
+b = 1.0
+m = 1.0
+kappa = 0.5
+theta = 2.0
+rho = 1,0; 0.2,0.9
+y0 = 2.0
+x0 = 0.25
+regime = subcritical
+horizons = 20
+delta = 0.02
+replications = 4
+seed = 101
+flavor = exact
+"""
+
+# the limit draws start at Y = 0, which exercises the zero-Y fallback
+_CRITICAL = """\
+n = 1
+a = 2.0
+b = 0.0
+m = 1.0
+kappa = 0.0
+theta = 0.0
+rho = 1,0; 0.2,0.9
+y0 = 1.0
+x0 = 0.0
+regime = critical
+horizons = 10
+delta = 0.02
+replications = 3
+seed = 202
+flavor = discrete
+fine_delta = 0.001
+limit_draws = 4
+"""
+
+# df = 4a / rho_11^2 = 0.6 < 1: per-step noncentral chi-square draws
+_SMALL_DF = """\
+n = 1
+a = 0.15
+b = 1.0
+m = 0.5
+kappa = 0.3
+theta = 1.5
+rho = 1,0; 0.3,0.8
+y0 = 0.5
+x0 = 0.0
+regime = subcritical
+horizons = 20
+delta = 0.02
+replications = 3
+seed = 303
+flavor = discrete
+"""
+
+GOLDEN_CSV = {
+    "subcritical_exact": (_SUBCRITICAL,
+                          "26128e4fd93fbee6cf29c728ef392bb6c0e11a0514662a2063225cf7a77a3512"),
+    "critical_limit_draws": (_CRITICAL,
+                             "008f8568ecbaf82ea29ea32a2383b65d3a5a5df9a9bc72609b2dabce05127e59"),
+    "small_df": (_SMALL_DF,
+                 "4e03906121b712866055e9c48b882c5c01f770767a2139a841dc704ac9c8c707"),
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_experiment_csv_digest(name):
+    text, want = GOLDEN_CSV[name]
+    report = run_experiment(experiment_config_from_text(text), threads=1)
+    assert _sha(report.csv_text().encode()) == want
+
+
+def test_n2_path_digest(subcritical_params_n2):
+    path = simulate_path(subcritical_params_n2, 20.0, 0.02, seed=substream(404, 1))
+    assert _sha(path.states.tobytes()) == (
+        "e47b55bca9048a5ba46bd3f8445447749ab67452045c64609eead5022e7585fc")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,28 @@ class TestStatsHelpers:
         assert excess_kurtosis(x) == pytest.approx(
             scipy.stats.kurtosis(x), abs=1e-12
         )
+
+
+def test_subcritical_run_does_not_import_scipy_stats():
+    # importing scipy.stats would add ~0.8 s and ~40 MB to every run
+    import ad1n
+
+    code = (
+        "import sys, ad1n\n"
+        "text = sys.stdin.read()\n"
+        "report = ad1n.run_experiment(ad1n.experiment_config_from_text(text))\n"
+        "assert 'ks_vs_sandwich_normal' in report.per_horizon[0]\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    text = SUB_CFG.replace("horizons = 40", "horizons = 10").replace(
+        "replications = 24", "replications = 3")
+    out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigParsing:

@@ -7,6 +7,7 @@ from ad1n import (
     classify,
     drift,
     drift_design_row,
+    simulate_path,
     stack_drift_fields,
     stack_tau,
     unstack_tau,
@@ -15,6 +16,7 @@ from ad1n import (
 from ad1n.errors import (
     ComplexSpectrumError,
     DimensionMismatchError,
+    InadmissibleParamsError,
     NonDiagonalizableError,
 )
 
@@ -53,6 +55,26 @@ class TestValidate:
     def test_upper_triangular_rho_entry_is_flagged(self):
         report = validate(_params(rho=[[1.0, 0.2], [0.3, 0.9]]))
         assert any("lower triangular" in v for v in report.violations)
+
+    @pytest.mark.parametrize("field, value", [
+        ("a", float("nan")), ("b", float("inf")), ("m", [float("nan")]),
+        ("kappa", [-float("inf")]), ("theta", [[float("nan")]]),
+        ("rho", [[1.0, 0.0], [float("inf"), 0.9]]),
+        ("y0", float("nan")), ("x0", [float("inf")]),
+    ])
+    def test_non_finite_value_is_rejected(self, field, value):
+        base = dict(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
+                    rho=[[1.0, 0.0], [0.1, 1.0]], y0=1.0, x0=[0.0])
+        p = ModelParams(**{**base, field: value})
+        assert f"{field} must be finite" in validate(p).violations
+        with pytest.raises(InadmissibleParamsError):
+            simulate_path(p, 1.0, 0.1, seed=1)
+
+    def test_callable_initial_values_pass(self):
+        p = ModelParams(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
+                        rho=[[1.0, 0.0], [0.1, 1.0]],
+                        y0=lambda rng: 1.0, x0=lambda rng: [0.0])
+        assert validate(p).ok
 
     def test_sigma_derived_positive(self):
         p = _params()

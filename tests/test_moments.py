@@ -20,6 +20,7 @@ from ad1n import (
     transient_moment,
 )
 from ad1n.errors import (
+    DimensionMismatchError,
     HorizonTooShortError,
     IncompleteTableError,
     MissingInitialMomentError,
@@ -132,6 +133,10 @@ class TestStationaryMoments:
     def test_order_guard(self, subcritical_params):
         with pytest.raises(OrderTooHighError):
             stationary_moment(subcritical_params, 5, [0])
+
+    def test_batch_length_mismatch(self, subcritical_params):
+        with pytest.raises(DimensionMismatchError):
+            riccati_cf_batch(subcritical_params, [0.1, 0.2], [[0.0]])
 
     def test_moment_matrix_psd(self, subcritical_params_n2):
         from ad1n.moments import stationary_x_moments

@@ -32,10 +32,15 @@ class TestDeterminism:
         assert not np.array_equal(p1.states, p2.states)
 
     def test_scalar_and_general_loops_agree(self, subcritical_params):
-        p1 = simulate_path(subcritical_params, 3.0, 0.02, seed=substream(9, 0))
-        p2 = simulate_path(subcritical_params, 3.0, 0.02, seed=substream(9, 0),
-                           _force_general=True)
-        assert np.array_equal(p1.states, p2.states)
+        small_df = ModelParams(n=1, a=0.15, b=1.0, m=[0.5], kappa=[0.3], theta=[[1.5]],
+                               rho=[[1.0, 0.0], [0.3, 0.8]], y0=0.5, x0=0.0)
+        zero_start = ModelParams(n=1, a=2.0, b=0.0, m=[1.0], kappa=[0.0], theta=[[0.0]],
+                                 rho=[[1.0, 0.0], [0.2, 0.9]], y0=0.0, x0=0.0)
+        for params in (subcritical_params, small_df, zero_start):
+            p1 = simulate_path(params, 3.0, 0.02, seed=substream(9, 0))
+            p2 = simulate_path(params, 3.0, 0.02, seed=substream(9, 0),
+                               _force_general=True)
+            assert np.array_equal(p1.states, p2.states)
 
 
 class TestGrid:
