@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -43,14 +45,29 @@ def double_exp_integral(b: float, theta: np.ndarray, h: float) -> np.ndarray:
 def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
     """Coefficients (E_theta, m~, k~) of the exact one-step conditional mean
     E[X_{t+h} | F_t] = E_theta @ X_t + m~ - k~ * Y_t, with
-    E_theta = e^{-theta h}."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    E_theta = e^{-theta h}.
+
+    Kept per value of the arguments and returned read-only: every path of an
+    experiment asks for the same coefficients, and the small ``expm`` calls
+    stall when BLAS threads wait for a busy core.
+    """
+    args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
+    return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))
+
+
+@functools.lru_cache(maxsize=32)
+def _mean_coeffs_of(key):
+    a, b, m, kappa, theta, h = (np.frombuffer(raw).reshape(shape) for shape, raw in key)
+    a, b, h = float(a), float(b), float(h)
+    theta = np.atleast_2d(theta)
+    m = np.atleast_1d(m)
+    kappa = np.atleast_1d(kappa)
     n = theta.shape[0]
     emth = scipy.linalg.expm(-theta * h)
     kappa_t = emth @ expm_integral(theta - b * np.eye(n), h) @ kappa
     m_t = expm_integral(-theta, h) @ m - a * (
         emth @ double_exp_integral(b, theta, h) @ kappa
     )
+    for arr in (emth, m_t, kappa_t):
+        arr.setflags(write=False)
     return emth, m_t, kappa_t

@@ -24,6 +24,7 @@ are reported as unsupported.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -161,10 +162,19 @@ class ValidationReport:
 def _try_real_eig(theta: np.ndarray):
     """Eigendecomposition with reality and diagonalizability checks.
 
-    Returns (eigenvalues ascending, row transform P with P theta P^-1 = D)
-    or raises ComplexSpectrumError / NonDiagonalizableError.
+    Returns (eigenvalues ascending, row transform P with P theta P^-1 = D),
+    both read-only, or raises ComplexSpectrumError / NonDiagonalizableError.
+    Results are kept per value of theta: every path of an experiment
+    validates the same theta, and the small LAPACK calls stall when BLAS
+    threads wait for a busy core.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.ascontiguousarray(theta, dtype=float)
+    return _real_eig_of(theta.shape, theta.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _real_eig_of(shape: tuple, raw: bytes):
+    theta = np.frombuffer(raw).reshape(shape)
     norm2 = float(np.linalg.norm(theta, 2)) if theta.size else 0.0
     w, v = np.linalg.eig(theta)
     imag_tol = IMAG_TOL * max(norm2, 1.0)
@@ -190,6 +200,8 @@ def _try_real_eig(theta: np.ndarray):
             f"theta not diagonalizable within tolerance (residual {resid:.3e})"
         )
     # convention: P X diagonalizes, i.e. P theta P^-1 = D with P = V^-1
+    w.setflags(write=False)
+    vinv.setflags(write=False)
     return w, vinv
 
 

@@ -42,6 +42,24 @@ class TestDeterminism:
                                _force_general=True)
             assert np.array_equal(p1.states, p2.states)
 
+    def test_set_up_kept_per_value(self, subcritical_params_n2):
+        import scipy.linalg
+
+        from ad1n._matfun import one_step_conditional_mean_coeffs as coeffs
+        from ad1n.model import _try_real_eig
+
+        p = subcritical_params_n2
+        kept = coeffs(p.a, p.b, p.m, p.kappa, p.theta, 0.01)
+        assert coeffs(float(p.a), p.b, list(p.m), p.kappa.copy(), p.theta.copy(), 0.01) is kept
+        assert coeffs(p.a, p.b, p.m, p.kappa, p.theta, 0.02) is not kept
+        assert coeffs(p.a, -0.0, p.m, p.kappa, p.theta, 0.01) is not coeffs(
+            p.a, 0.0, p.m, p.kappa, p.theta, 0.01)
+        assert np.array_equal(kept[0], scipy.linalg.expm(-p.theta * 0.01))
+        assert not any(arr.flags.writeable for arr in kept)
+        w, P = _try_real_eig(p.theta)
+        assert _try_real_eig(p.theta.copy())[0] is w
+        assert not (w.flags.writeable or P.flags.writeable)
+
 
 class TestGrid:
     def test_uniform_times(self, subcritical_params):
