@@ -33,9 +33,11 @@ from .estimate import (
     DesignBlocks,
     Estimate,
     TildeParams,
+    block_flavor,
     clse_solve,
     design_blocks,
     error_term,
+    estimate_blocks,
     estimate_path,
     g_inverse,
     g_map,

@@ -23,6 +23,10 @@ sums over a sampled path (left endpoints throughout):
     1/delta scaling, giving the one-step regression coefficients
     (a~, b~, m~, k~, th~), then invert the exact one-step map g (below).
 
+Estimation has two stages: ``design_blocks`` accumulates the sums from a
+path, ``estimate_blocks`` solves them for any flavor (``block_flavor``
+names the blocks a flavor solves from), and ``estimate_path`` runs both.
+
 The map g sends drift fields to one-step conditional-expectation
 coefficients over a step h:
 
@@ -113,7 +117,9 @@ def g_inverse(tilde: TildeParams, h: float):
     on_negative_axis = (eig.real <= 0) & (np.abs(eig.imag) <= 1e-12 * scale)
     if np.any(on_negative_axis):
         raise LogDomainError("I - theta-tilde has an eigenvalue on (-inf, 0]")
-    logA = scipy.linalg.logm(A)
+    # for n = 1 scipy's logm reduces to np.log of the entry, bit for bit;
+    # calling it directly keeps scipy.sparse (logm's first import) out
+    logA = np.log(A) if n == 1 else scipy.linalg.logm(A)
     if np.max(np.abs(np.imag(logA))) > 1e-8 * max(1.0, np.max(np.abs(logA))):
         raise LogDomainError("matrix logarithm left the real branch")
     theta = -np.real(logA) / h
@@ -277,26 +283,40 @@ def tilde_regression(path: Path) -> TildeParams:
 
 
 def _tilde_from_blocks(blocks: DesignBlocks) -> TildeParams:
-    ab = _equilibrated_solve(blocks.G1, blocks.f1)
-    mkth = _equilibrated_solve(blocks.G2, blocks.f2)
+    try:
+        ab = _equilibrated_solve(blocks.G1, blocks.f1)
+        mkth = _equilibrated_solve(blocks.G2, blocks.f2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlocksError("design blocks are singular") from exc
     return TildeParams(
         a=float(ab[0]), b=float(ab[1]),
         m=mkth[0, :].copy(), kappa=mkth[1, :].copy(), theta=mkth[2:, :].T.copy(),
     )
 
 
-def estimate_path(path: Path, flavor: str = "discrete") -> Estimate:
-    """Estimate tau from a path with the requested flavor."""
+def block_flavor(flavor: str) -> str:
+    """The design-block flavor an estimator flavor solves from."""
     if flavor not in FLAVORS:
         raise ConfigError(f"unknown flavor {flavor!r}")
-    if flavor in ("continuous", "discrete"):
-        return clse_solve(design_blocks(path, flavor))
-    blocks = design_blocks(path, "discrete")
-    a, b, m, kappa, theta = g_inverse(_tilde_from_blocks(blocks), path.delta)
+    return "discrete" if flavor == "exact" else flavor
+
+
+def estimate_blocks(blocks: DesignBlocks, flavor: str = "discrete") -> Estimate:
+    """Solve design blocks built with ``block_flavor(flavor)`` for tau."""
+    if blocks.flavor != block_flavor(flavor):
+        raise ConfigError(f"{flavor!r} estimates need {block_flavor(flavor)!r} design blocks")
+    if flavor != "exact":
+        return clse_solve(blocks)
+    a, b, m, kappa, theta = g_inverse(_tilde_from_blocks(blocks), blocks.step)
     return Estimate.from_fields(
         a, b, m, kappa, theta, "exact-conditional",
-        blocks.cond1, blocks.cond2, path.horizon, path.delta,
+        blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
     )
+
+
+def estimate_path(path: Path, flavor: str = "discrete") -> Estimate:
+    """Estimate tau from a path with the requested flavor."""
+    return estimate_blocks(design_blocks(path, block_flavor(flavor)), flavor)
 
 
 def error_term(estimate: Estimate, truth: np.ndarray) -> np.ndarray:

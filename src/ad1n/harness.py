@@ -18,6 +18,16 @@ supercritical  median |b_hat - b| decreasing in the horizon and below 0.05
                contracting (ratio within [0.5, 2]), and the exponentially
                scaled Y tail stabilized in at least 95% of paths.
 
+Each horizon runs in two phases.  The path phase simulates every
+replication's path and keeps only its design blocks (and, in the
+supercritical regime, the Y-tail stabilization flag), so no path outlives
+its replication.  The solve phase then turns each replication's blocks
+into an estimate, one replication after another, once the whole horizon
+has been simulated; running the small dense solves and matrix functions
+back to back keeps them off the cold start that follows each long
+simulation.  A replication whose path or solve raises an ``Ad1nError`` or
+a ``LinAlgError``, or whose estimate is not finite, is recorded as aborted.
+
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
 (seed, len(horizons)*replications + j).  Workers write into per-index
@@ -43,10 +53,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, estimate
 from .asymptotics import critical_limit_functional, normalizer
 from .errors import Ad1nError, ConfigError, RegimeMismatchError
-from .estimate import estimate_path
+from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
 from .simulate import simulate_critical_limit, simulate_path, substream
@@ -278,6 +288,39 @@ def _map_indexed(fn, n_items: int, threads: int):
     return out
 
 
+#: failures that abort one replication instead of the whole run
+REP_FAILURES = (Ad1nError, np.linalg.LinAlgError)
+
+
+def _path_phase(config: ExperimentConfig, h_idx: int, threads: int, keep) -> list:
+    """Simulate every replication of horizon ``h_idx`` and return
+    ``keep(path)`` per replication, or None where it aborted."""
+    T = config.horizons[h_idx]
+    delta = config.delta_for(T)
+    M = config.replications
+
+    def one_rep(r):
+        try:
+            seed = substream(config.seed, h_idx * M + r)
+            return keep(simulate_path(config.params, T, delta, seed=seed))
+        except REP_FAILURES:
+            return None
+
+    return _map_indexed(one_rep, M, threads)
+
+
+def _solve(blocks, flavor: str):
+    """One replication's tau_hat from its design blocks, or None when there
+    are no blocks, the solve fails or the estimate is not finite."""
+    if blocks is None:
+        return None
+    try:
+        tau = estimate.estimate_blocks(blocks, flavor).tau_hat
+    except REP_FAILURES:
+        return None
+    return tau if np.all(np.isfinite(tau)) else None
+
+
 def _y_tail_stabilized(path, b: float) -> bool:
     k0 = int(math.floor((1.0 - STAB_TAIL_FRACTION) * path.n_steps))
     w = np.exp(b * path.times[k0:]) * path.Y[k0:]
@@ -319,27 +362,27 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     if config.regime == Regime.SUBCRITICAL:
         sandwich = asymptotic_covariance(params).sandwich
 
+    blocks_flavor = estimate.block_flavor(config.flavor)
+
+    def keep(path):
+        # looked up on the module, so that a wrapper installed there sees it
+        blocks = estimate.design_blocks(path, blocks_flavor)
+        return blocks, (_y_tail_stabilized(path, b) if is_super else True)
+
     for h_idx, T in enumerate(config.horizons):
         delta = deltas[h_idx]
         norm = normalizer(cls, T, params)
-
-        def one_rep(r, _T=T, _delta=delta, _h=h_idx, _norm=norm):
-            try:
-                path = simulate_path(
-                    params, _T, _delta, seed=substream(config.seed, _h * M + r)
-                )
-                est = estimate_path(path, config.flavor)
-                stab = _y_tail_stabilized(path, b) if is_super else True
-                return est.tau_hat, _norm.apply(est.tau_hat - truth), stab, False
-            except Ad1nError:
-                return None, None, False, True
-
-        results = _map_indexed(one_rep, M, threads)
+        kept = _path_phase(config, h_idx, threads, keep)
         errs = []
-        for r, (tau, err, stab, aborted) in enumerate(results):
-            rows.append(Row("estimate", float(T), r, aborted, stab, tau, err))
-            if not aborted:
-                errs.append((err, stab, tau))
+        for r, rep in enumerate(kept):
+            blocks, stab = rep if rep is not None else (None, False)
+            tau = _solve(blocks, config.flavor)
+            if tau is None:
+                rows.append(Row("estimate", float(T), r, True, False, None, None))
+                continue
+            err = norm.apply(tau - truth)
+            rows.append(Row("estimate", float(T), r, False, stab, tau, err))
+            errs.append((err, stab, tau))
         E = np.array([e for e, _, _ in errs])
         n_ok = len(errs)
         n_abort = M - n_ok
@@ -477,33 +520,24 @@ def discrete_vs_continuous_gap(config: ExperimentConfig, threads: int = 1) -> Ga
     if config.gamma is None:
         raise ConfigError("gap experiment needs the step rule delta(T) = T^-gamma")
     config.validate()
-    params = config.params
-    M = config.replications
     rows = []
     medians = []
     deltas = [config.delta_for(T) for T in config.horizons]
     for h_idx, T in enumerate(config.horizons):
-        delta = deltas[h_idx]
-
-        def one_rep(r, _T=T, _delta=delta, _h=h_idx):
-            try:
-                path = simulate_path(
-                    params, _T, _delta, seed=substream(config.seed, _h * M + r)
-                )
-                disc = estimate_path(path, "discrete")
-                exact = estimate_path(path, "exact")
-                t_n = path.n_steps * path.delta
-                return (
-                    math.sqrt(t_n) * float(np.max(np.abs(disc.tau_hat - exact.tau_hat))),
-                    False,
-                )
-            except Ad1nError:
-                return float("nan"), True
-
-        results = _map_indexed(one_rep, M, threads)
-        gaps = [g for g, aborted in results if not aborted]
-        for r, (g, aborted) in enumerate(results):
-            rows.append((float(T), r, aborted, g))
+        # both flavors solve from the same discrete blocks
+        kept = _path_phase(
+            config, h_idx, threads, lambda path: estimate.design_blocks(path, "discrete")
+        )
+        gaps = []
+        for r, blocks in enumerate(kept):
+            disc = _solve(blocks, "discrete")
+            exact = _solve(blocks, "exact") if disc is not None else None
+            if exact is None:
+                rows.append((float(T), r, True, float("nan")))
+                continue
+            t_n = blocks.n_steps * blocks.step
+            gaps.append(math.sqrt(t_n) * float(np.max(np.abs(disc - exact))))
+            rows.append((float(T), r, False, gaps[-1]))
         medians.append(float(np.median(gaps)))
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     decreasing = all(r < 1.0 for r in ratios)

@@ -10,6 +10,7 @@ from ad1n import (
     clse_solve,
     design_blocks,
     error_term,
+    estimate_blocks,
     estimate_path,
     g_inverse,
     g_map,
@@ -26,6 +27,7 @@ from ad1n.errors import (
     DimensionMismatchError,
     LogDomainError,
     PathTooShortError,
+    SingularBlocksError,
 )
 from ad1n.model import drift_design_row
 
@@ -60,6 +62,25 @@ def test_unknown_flavor_is_a_config_error():
         design_blocks(path, "exact")
     with pytest.raises(ConfigError):
         estimate_path(path, "exact-conditional")
+
+
+class TestEstimateBlocks:
+    def test_blocks_of_another_flavor_are_a_config_error(self):
+        path = _random_path(np.random.default_rng(4), 1, 30)
+        with pytest.raises(ConfigError):
+            estimate_blocks(design_blocks(path, "continuous"), "exact")
+        with pytest.raises(ConfigError):
+            estimate_blocks(design_blocks(path, "discrete"), "continuous")
+
+    @pytest.mark.parametrize("flavor", ["discrete", "exact"])
+    def test_singular_blocks_raise_singular_blocks_error(self, flavor):
+        # equal rows: equilibration leaves an exactly singular matrix
+        blocks = DesignBlocks(
+            G1=np.ones((2, 2)), f1=np.ones(2), G2=np.ones((3, 3)), f2=np.ones((3, 1)),
+            flavor="discrete", horizon=1.0, step=0.1, n_steps=10, cond1=1.0, cond2=1.0,
+        )
+        with pytest.raises(SingularBlocksError):
+            estimate_blocks(blocks, flavor)
 
 
 class TestDesignBlocks:
@@ -263,6 +284,18 @@ class TestGInverse:
                          theta=np.array([[1.5]]))  # I - theta~ = -0.5 < 0
         with pytest.raises(LogDomainError):
             g_inverse(t2, 0.1)
+
+    def test_scalar_log_matches_logm_bit_for_bit(self):
+        # at n = 1 g_inverse takes np.log of the 1x1 matrix in place of logm
+        rng = np.random.default_rng(15)
+        for v in np.exp(rng.uniform(-12.0, 12.0, size=10_000)):
+            A = np.array([[v]])
+            assert np.log(A).tobytes() == scipy.linalg.logm(A).tobytes()
+        for th in rng.uniform(-5.0, 5.0, size=50):
+            t = TildeParams(a=0.1, b=0.05, m=np.array([0.2]), kappa=np.array([0.3]),
+                            theta=np.array([[-math.expm1(-0.1 * th)]]))
+            want = -np.real(scipy.linalg.logm(1.0 - t.theta)) / 0.1
+            assert g_inverse(t, 0.1)[4].tobytes() == want.tobytes()
 
     def test_exact_flavor_converges_to_discrete_as_h_shrinks(self, subcritical_params):
         # same data thinned to steps h = 0.1, 0.05, 0.025; the gap between

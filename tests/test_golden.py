@@ -4,14 +4,21 @@ The digests were computed before the simulator was rewritten and pin its
 output byte for byte.  Paths are kept short (at most a few thousand steps)
 so that the BLAS reductions in the estimator give the same bits whatever
 the BLAS thread count; this file passes both with OPENBLAS_NUM_THREADS=1 and
-with the default.
+with the default.  The gap-study and n = 2 exact-flavor digests were pinned
+before the replications were split into a path phase and a solve phase.
 """
 
 import hashlib
 
 import pytest
 
-from ad1n import experiment_config_from_text, run_experiment, simulate_path, substream
+from ad1n import (
+    discrete_vs_continuous_gap,
+    experiment_config_from_text,
+    run_experiment,
+    simulate_path,
+    substream,
+)
 
 _SUBCRITICAL = """\
 n = 1
@@ -71,6 +78,43 @@ seed = 303
 flavor = discrete
 """
 
+# n = 2 exact flavor: g_inverse goes through the matrix logarithm
+_N2_EXACT = """\
+n = 2
+a = 2.0
+b = 1.5
+m = 2.0, -1.5
+kappa = 0.2, 0.1
+theta = 2.0, 0.3; 0.1, 1.2
+rho = 1,0,0; 0.2,0.8,0; -0.1,0.15,0.7
+y0 = 1.5
+x0 = 0.5, -1.0
+regime = subcritical
+horizons = 20
+delta = 0.02
+replications = 3
+seed = 606
+flavor = exact
+"""
+
+_GAP = """\
+n = 1
+a = 2.0
+b = 1.0
+m = 1.0
+kappa = 0.5
+theta = 2.0
+rho = 1,0; 0.2,0.9
+y0 = 2.0
+x0 = 0.25
+regime = subcritical
+horizons = 10,20
+gamma = 1.1
+replications = 4
+seed = 505
+flavor = exact
+"""
+
 GOLDEN_CSV = {
     "subcritical_exact": (_SUBCRITICAL,
                           "26128e4fd93fbee6cf29c728ef392bb6c0e11a0514662a2063225cf7a77a3512"),
@@ -78,6 +122,8 @@ GOLDEN_CSV = {
                              "008f8568ecbaf82ea29ea32a2383b65d3a5a5df9a9bc72609b2dabce05127e59"),
     "small_df": (_SMALL_DF,
                  "4e03906121b712866055e9c48b882c5c01f770767a2139a841dc704ac9c8c707"),
+    "n2_exact": (_N2_EXACT,
+                 "4cc2d1a16c62734bafb2cb138c50b600c3a682b6a594adf3446417eeb5d0ff4c"),
 }
 
 
@@ -90,6 +136,12 @@ def test_experiment_csv_digest(name):
     text, want = GOLDEN_CSV[name]
     report = run_experiment(experiment_config_from_text(text), threads=1)
     assert _sha(report.csv_text().encode()) == want
+
+
+def test_gap_study_csv_digest():
+    report = discrete_vs_continuous_gap(experiment_config_from_text(_GAP), threads=1)
+    assert _sha(report.csv_text().encode()) == (
+        "adecc76e732a6e0ccf570543038221e4ea599ed054408818a5df009fed11742b")
 
 
 def test_n2_path_digest(subcritical_params_n2):

@@ -70,8 +70,9 @@ class TestStatsHelpers:
         )
 
 
-def test_subcritical_run_does_not_import_scipy_stats():
-    # importing scipy.stats would add ~0.8 s and ~40 MB to every run
+def _modules_after_small_run(*modules):
+    """Run a small n = 1 exact subcritical experiment in a fresh interpreter
+    and report, per module name, whether it ended up imported."""
     import ad1n
 
     code = (
@@ -79,7 +80,8 @@ def test_subcritical_run_does_not_import_scipy_stats():
         "text = sys.stdin.read()\n"
         "report = ad1n.run_experiment(ad1n.experiment_config_from_text(text))\n"
         "assert 'ks_vs_sandwich_normal' in report.per_horizon[0]\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "assert not any(r.aborted for r in report.rows)\n"
+        f"print(*[m in sys.modules for m in {list(modules)!r}])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -89,7 +91,18 @@ def test_subcritical_run_does_not_import_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return dict(zip(modules, (w == "True" for w in out.stdout.split())))
+
+
+def test_subcritical_run_does_not_import_scipy_stats():
+    # importing scipy.stats would add ~0.8 s and ~40 MB to every run
+    assert _modules_after_small_run("scipy.stats") == {"scipy.stats": False}
+
+
+def test_n1_exact_run_does_not_import_scipy_sparse():
+    # at n = 1 the exact flavor's logarithm is np.log; scipy.linalg.logm
+    # imports scipy.sparse.linalg on its first call (~28 ms, ~3.4 MB)
+    assert _modules_after_small_run("scipy.sparse") == {"scipy.sparse": False}
 
 
 class TestConfigParsing:
@@ -273,6 +286,68 @@ limit_draws = 10
         assert kinds == {"estimate", "limit_draw"}
         assert sum(r.kind == "limit_draw" for r in rep.rows) == 10
         assert "ks_vs_limit" in rep.per_horizon[0]
+
+
+def _fail_call(monkeypatch, name, k, fail):
+    """Make call k (0-based) of ad1n.estimate.<name> return
+    fail(original, *args) instead."""
+    import ad1n.estimate
+
+    original = getattr(ad1n.estimate, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == k:
+            return fail(original, *args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ad1n.estimate, name, wrapper)
+
+
+def _raise_linalg(original, *args):
+    raise np.linalg.LinAlgError("injected")
+
+
+def _nan_b(original, tilde, h):
+    a, _, m, kappa, theta = original(tilde, h)
+    return a, float("nan"), m, kappa, theta
+
+
+class TestReplicationFailures:
+    CFG = SUB_CFG.replace("horizons = 40", "horizons = 10").replace(
+        "replications = 24", "replications = 4")
+
+    def _lines(self):
+        rep = run_experiment(experiment_config_from_text(self.CFG))
+        return rep.csv_text().splitlines()
+
+    @pytest.mark.parametrize("name, fail", [
+        ("g_inverse", _raise_linalg),   # solve phase
+        ("g_inverse", _nan_b),          # non-finite estimate
+        ("design_blocks", _raise_linalg),  # path phase
+    ])
+    def test_one_failed_replication_is_one_aborted_row(self, monkeypatch, name, fail):
+        want = self._lines()
+        _fail_call(monkeypatch, name, 2, fail)
+        got = self._lines()
+        assert len(got) == len(want)
+        changed = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert changed == [3]  # header, then replications 0, 1, 2
+        fields = got[3].split(",")
+        assert fields[:5] == ["estimate", "10", "2", "1", "0"]
+        assert all(v == "nan" for v in fields[5:])
+        assert sum(line.split(",")[3] == "1" for line in got[1:]) == 1
+
+    def test_gap_study_records_a_failed_solve(self, monkeypatch):
+        cfg = self.CFG.replace("delta = 0.02", "gamma = 1.1")
+        want = discrete_vs_continuous_gap(experiment_config_from_text(cfg))
+        _fail_call(monkeypatch, "g_inverse", 1, _raise_linalg)
+        got = discrete_vs_continuous_gap(experiment_config_from_text(cfg))
+        assert [r[2] for r in got.rows] == [False, True, False, False]
+        assert [r for i, r in enumerate(got.rows) if i != 1] == \
+            [r for i, r in enumerate(want.rows) if i != 1]
+        assert got.medians == [float(np.median([want.rows[i][3] for i in (0, 2, 3)]))]
 
 
 class TestGapExperiment:
