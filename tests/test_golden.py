@@ -6,10 +6,14 @@ so that the BLAS reductions in the estimator give the same bits whatever
 the BLAS thread count; this file passes both with OPENBLAS_NUM_THREADS=1 and
 with the default.  The gap-study and n = 2 exact-flavor digests were pinned
 before the replications were split into a path phase and a solve phase.
+The supercritical digest (which pins the Y-tail stabilization column) and
+the ``g_map`` digest were pinned before the thread pool, the continuous
+design blocks and the second one-step map were removed.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from ad1n import (
@@ -19,6 +23,7 @@ from ad1n import (
     simulate_path,
     substream,
 )
+from ad1n.estimate import g_map
 
 _SUBCRITICAL = """\
 n = 1
@@ -97,6 +102,25 @@ seed = 606
 flavor = exact
 """
 
+# supercritical: the stabilized column mixes 0 and 1 across the two horizons
+_SUPERCRITICAL = """\
+n = 1
+a = 1.0
+b = -0.5
+m = 0.5
+kappa = -0.2
+theta = -1.0
+rho = 1,0; 0.2,0.9
+y0 = 1.0
+x0 = 0.0
+regime = supercritical
+horizons = 15,25
+delta = 0.02
+replications = 6
+seed = 707
+flavor = discrete
+"""
+
 _GAP = """\
 n = 1
 a = 2.0
@@ -124,7 +148,19 @@ GOLDEN_CSV = {
                  "4e03906121b712866055e9c48b882c5c01f770767a2139a841dc704ac9c8c707"),
     "n2_exact": (_N2_EXACT,
                  "4cc2d1a16c62734bafb2cb138c50b600c3a682b6a594adf3446417eeb5d0ff4c"),
+    "supercritical": (_SUPERCRITICAL,
+                      "a07c83da2c90f629cbf292a3c4964dc5cfb8ecc85cbb88dc6a6f60581582c4e3"),
 }
+
+# (a, b, m, kappa, theta, h): n = 1, n = 1 with b = 0, a supercritical
+# point, n = 2, and n = 2 with b = 0
+G_MAP_POINTS = [
+    (2.0, 1.0, [1.0], [0.5], [[2.0]], 0.02),
+    (2.0, 0.0, [1.0], [0.5], [[2.0]], 0.02),
+    (1.0, -0.5, [0.5], [-0.2], [[-1.0]], 0.1),
+    (2.0, 1.5, [2.0, -1.5], [0.2, 0.1], [[2.0, 0.3], [0.1, 1.2]], 0.05),
+    (1.5, 0.0, [0.3, 0.7], [-0.4, 0.25], [[1.0, 0.2], [-0.1, 0.5]], 0.1),
+]
 
 
 def _sha(data) -> str:
@@ -136,6 +172,16 @@ def test_experiment_csv_digest(name):
     text, want = GOLDEN_CSV[name]
     report = run_experiment(experiment_config_from_text(text), threads=1)
     assert _sha(report.csv_text().encode()) == want
+
+
+def test_g_map_digest():
+    h = hashlib.sha256()
+    for a, b, m, kappa, theta, step in G_MAP_POINTS:
+        t = g_map(a, b, m, kappa, theta, step)
+        for v in (t.a, t.b, t.m, t.kappa, t.theta):
+            h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    assert h.hexdigest() == (
+        "433d261d752f2a785881b30e68a645af4f8dc4c432eb9252495cbb24b38b69a2")
 
 
 def test_gap_study_csv_digest():
