@@ -33,7 +33,6 @@ from .estimate import (
     DesignBlocks,
     Estimate,
     TildeParams,
-    block_flavor,
     clse_solve,
     design_blocks,
     error_term,

@@ -49,7 +49,7 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
 
     Kept per value of the arguments and returned read-only: every path of an
     experiment asks for the same coefficients, and the small ``expm`` calls
-    stall when BLAS threads wait for a busy core.
+    stall when BLAS workers wait for a busy core.
     """
     args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
     return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))

@@ -32,6 +32,10 @@ from .model import Classification, ModelParams, Regime, tau_length
 from .simulate import CriticalLimitSample, Path
 
 U_COND_LIMIT = 1e12
+#: a scaled supercritical tail is stabilized when it changes by at most
+#: TAIL_REL_TOL (relative) over the final TAIL_FRACTION of the horizon
+TAIL_FRACTION = 0.1
+TAIL_REL_TOL = 0.01
 
 
 @dataclass
@@ -90,25 +94,30 @@ class SupercriticalLimits:
     eta_etaT: np.ndarray  # (d^2+1, d^2+1)
 
 
-def _tail_stat(values: np.ndarray, rel_tol: float) -> float:
-    """Mean over the window; raises NotStabilized when the relative change
-    across the window exceeds rel_tol."""
-    end = values[-1]
-    start = values[0]
-    scale = max(abs(end), 1e-300)
-    if abs(end - start) / scale > rel_tol:
-        raise NotStabilizedError(
-            f"scaled tail moved {abs(end - start) / scale:.3%} over the window"
-        )
-    return float(np.mean(values))
+def scaled_tail(path: Path, rate: float, series: np.ndarray, tail_fraction: float = TAIL_FRACTION):
+    """e^{rate t} * series over the final ``tail_fraction`` of the horizon,
+    and its relative change across that window."""
+    k0 = int(math.floor((1.0 - tail_fraction) * path.n_steps))
+    w = np.exp(rate * path.times[k0:]) * series[k0:]
+    return w, abs(w[-1] - w[0]) / max(abs(w[-1]), 1e-300)
+
+
+def _tail_stat(path: Path, rate: float, series: np.ndarray, tail_fraction: float,
+               rel_tol: float) -> float:
+    """Mean of the scaled tail; raises NotStabilized when its relative
+    change across the window exceeds rel_tol."""
+    w, moved = scaled_tail(path, rate, series, tail_fraction)
+    if moved > rel_tol:
+        raise NotStabilizedError(f"scaled tail moved {moved:.3%} over the window")
+    return float(np.mean(w))
 
 
 def extract_supercritical_limits(
     path: Path,
     params: ModelParams,
     classification: Classification,
-    tail_fraction: float = 0.1,
-    rel_tol: float = 0.01,
+    tail_fraction: float = TAIL_FRACTION,
+    rel_tol: float = TAIL_REL_TOL,
 ) -> SupercriticalLimits:
     """Read C1 and C_J from the stabilized tail of a supercritical path and
     assemble the limit matrices V1, V2 and eta*eta^T.
@@ -125,14 +134,9 @@ def extract_supercritical_limits(
     b = float(params.b)
     lam_min = float(classification.eig_theta[0])
     n = params.n
-    k0 = int(math.floor((1.0 - tail_fraction) * path.n_steps))
-    t_tail = path.times[k0:]
-    wy = np.exp(b * t_tail) * path.Y[k0:]
-    c1 = _tail_stat(wy, rel_tol)
-    cj = np.empty(n)
-    for i in range(n):
-        wx = np.exp(lam_min * t_tail) * path.X[k0:, i]
-        cj[i] = _tail_stat(wx, rel_tol)
+    c1 = _tail_stat(path, b, path.Y, tail_fraction, rel_tol)
+    cj = np.array([_tail_stat(path, lam_min, path.X[:, i], tail_fraction, rel_tol)
+                   for i in range(n)])
 
     v1 = np.array([[1.0, c1 / b], [0.0, -c1 * c1 / (2.0 * b)]])
     v2 = np.zeros((n + 2, n + 2))

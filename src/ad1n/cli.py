@@ -10,8 +10,8 @@ experiment   run a Monte Carlo experiment; exit code 0 iff all checks pass
 gap          discrete vs exact-conditional estimator gap across horizons
 
 All subcommands read the flat key = value config format documented in
-:mod:`ad1n.harness`.  ``--seed`` overrides the config seed, ``--threads``
-selects the worker count (0 = auto).
+:mod:`ad1n.harness`; ``--seed`` overrides the config seed.  ``simulate``
+needs an explicit ``delta``.  Replications run one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .errors import Ad1nError
+from .errors import Ad1nError, ConfigError
 from .harness import (
     experiment_config_from_text,
     discrete_vs_continuous_gap,
@@ -69,6 +69,8 @@ def _cmd_simulate(args) -> int:
     raw = _read_config(args.config)
     params = params_from_config(raw)
     horizon = float(raw.get("horizon", raw.get("horizons", "1").split(",")[0]))
+    if "delta" not in raw:
+        raise ConfigError("simulate needs an explicit delta")
     delta = float(raw["delta"])
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     path = simulate_path(params, horizon, delta, seed)
@@ -138,7 +140,7 @@ def _cmd_experiment(args) -> int:
         config = experiment_config_from_text(fh.read())
     if args.seed is not None:
         config.seed = args.seed
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     write_report(report, args.out, stem="experiment")
     for name, ok in report.checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -151,7 +153,7 @@ def _cmd_gap(args) -> int:
         config = experiment_config_from_text(fh.read())
     if args.seed is not None:
         config.seed = args.seed
-    report = discrete_vs_continuous_gap(config, threads=args.threads)
+    report = discrete_vs_continuous_gap(config)
     write_report(report, args.out, stem="gap")
     for T, med in zip(report.horizons, report.medians):
         print(f"T={T:g}  median_gap={med:.6g}")
@@ -169,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", required=True, help="parameter/config file")
         sp.add_argument("--seed", type=int, default=None, help="override master seed")
         sp.add_argument("--out", default="ad1n_out", help="output directory")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto, 1 = sequential)")
 
     sp = sub.add_parser("classify", help="print regime classification")
     sp.add_argument("--config", required=True)
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="estimate tau from a path CSV")
     sp.add_argument("--path", required=True, help="path CSV file")
-    sp.add_argument("--flavor", default="discrete",
-                    choices=["continuous", "discrete", "exact"])
+    sp.add_argument("--flavor", default="discrete", choices=["continuous", "discrete", "exact"],
+                    help="continuous is a second name for discrete")
     sp.set_defaults(func=_cmd_estimate)
 
     sp = sub.add_parser("moments", help="print moments and covariance report")

@@ -1,6 +1,6 @@
 """Conditional least squares estimation of the drift vector tau.
 
-Three estimator flavors are exposed, all computed from the same per-step
+Two estimator flavors are exposed, both computed from the same per-step
 sums over a sampled path (left endpoints throughout):
 
 ``discrete``
@@ -12,11 +12,9 @@ sums over a sampled path (left endpoints throughout):
     where Gamma1 = [[N, -sum Y], [-sum Y, sum Y^2]],
     phi1 = (Y_tN - Y_0, -sum (Y_k - Y_{k-1}) Y_{k-1}), and Gamma2 / phi2
     are the analogous (n+2)-row systems including the X observations.
-
-``continuous``
-    Identical numbers presented as the Riemann/Ito-sum approximation
-    (delta*Gamma, phi) of the continuous-observation systems (G_T, f_T);
-    the solved estimate coincides with the discrete flavor by construction.
+    (delta * Gamma, phi) is also the Riemann/Ito-sum form of the
+    continuous-observation systems (G_T, f_T), so ``continuous`` is
+    accepted as a second name for this flavor.
 
 ``exact``
     The per-step conditional regression: solve Gamma x = phi without the
@@ -24,8 +22,8 @@ sums over a sampled path (left endpoints throughout):
     (a~, b~, m~, k~, th~), then invert the exact one-step map g (below).
 
 Estimation has two stages: ``design_blocks`` accumulates the sums from a
-path, ``estimate_blocks`` solves them for any flavor (``block_flavor``
-names the blocks a flavor solves from), and ``estimate_path`` runs both.
+path, ``estimate_blocks`` solves them for either flavor, and
+``estimate_path`` runs both.
 
 The map g sends drift fields to one-step conditional-expectation
 coefficients over a step h:
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._matfun import double_exp_integral, expm_integral
+from ._matfun import double_exp_integral, expm_integral, one_step_conditional_mean_coeffs
 from .errors import (
     ConfigError,
     DegeneratePathError,
@@ -63,6 +61,7 @@ from .simulate import Path
 #: condition-number guard on the design blocks
 COND_LIMIT = 1e12
 
+#: "continuous" is a second name for "discrete"
 FLAVORS = ("continuous", "discrete", "exact")
 
 
@@ -81,20 +80,16 @@ def g_map(a: float, b: float, m, kappa, theta, h: float) -> TildeParams:
     """Drift fields -> one-step conditional-expectation coefficients."""
     if h <= 0:
         raise DimensionMismatchError("step h must be positive")
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    n = m.shape[0]
-    emth = scipy.linalg.expm(-theta * h)
+    emth, m_t, kappa_t = one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h)
     if b != 0.0:
         a_t = a * (1.0 - math.exp(-b * h)) / b
     else:
         a_t = a * h
     b_t = -math.expm1(-b * h)
-    theta_t = np.eye(n) - emth
-    kappa_t = emth @ expm_integral(theta - b * np.eye(n), h) @ kappa
-    m_t = expm_integral(-theta, h) @ m - a * (emth @ double_exp_integral(b, theta, h) @ kappa)
-    return TildeParams(a=float(a_t), b=float(b_t), m=m_t, kappa=kappa_t, theta=theta_t)
+    theta_t = np.eye(emth.shape[0]) - emth
+    # copies: the cached coefficients are shared and read-only
+    return TildeParams(a=float(a_t), b=float(b_t), m=m_t.copy(), kappa=kappa_t.copy(),
+                       theta=theta_t)
 
 
 def g_inverse(tilde: TildeParams, h: float):
@@ -140,17 +135,14 @@ def g_inverse(tilde: TildeParams, h: float):
 class DesignBlocks:
     """Normal-equation blocks accumulated from a path.
 
-    For the discrete flavor G1/G2 hold the raw per-step sums Gamma; for the
-    continuous flavor they hold delta * Gamma, the Riemann approximation of
-    the continuous-observation design integrals.  f1/f2 are the telescoped
-    increments and left-point Ito sums in both flavors.
+    G1/G2 hold the raw per-step sums Gamma; f1/f2 the telescoped increments
+    and left-point Ito sums.  Both flavors solve from the same blocks.
     """
 
     G1: np.ndarray  # (2, 2)
     f1: np.ndarray  # (2,)
     G2: np.ndarray  # (n+2, n+2)
     f2: np.ndarray  # (n+2, n)
-    flavor: str
     horizon: float
     step: float
     n_steps: int
@@ -208,10 +200,8 @@ def _raw_sums(path: Path):
     return G1, f1, G2, f2
 
 
-def design_blocks(path: Path, flavor: str = "discrete") -> DesignBlocks:
+def design_blocks(path: Path) -> DesignBlocks:
     """Accumulate the estimation systems from a path."""
-    if flavor not in ("continuous", "discrete"):
-        raise ConfigError(f"unknown design flavor {flavor!r}")
     if path.n_steps < path.n + 2:
         raise PathTooShortError("path must have at least d+2 points")
     if np.count_nonzero(path.Y[:-1] > 0) < 2:
@@ -223,11 +213,8 @@ def design_blocks(path: Path, flavor: str = "discrete") -> DesignBlocks:
         raise DegeneratePathError(
             f"design blocks are degenerate (cond {cond1:.3g}, {cond2:.3g})"
         )
-    if flavor == "continuous":
-        G1 = G1 * path.delta
-        G2 = G2 * path.delta
     return DesignBlocks(
-        G1=G1, f1=f1, G2=G2, f2=f2, flavor=flavor,
+        G1=G1, f1=f1, G2=G2, f2=f2,
         horizon=path.horizon, step=path.delta, n_steps=path.n_steps,
         cond1=cond1, cond2=cond2,
     )
@@ -260,26 +247,25 @@ class Estimate:
 
 
 def clse_solve(blocks: DesignBlocks) -> Estimate:
-    """Solve the block systems for the stacked drift estimate."""
-    scale = blocks.step if blocks.flavor == "discrete" else 1.0
+    """Solve the scaled block systems (delta * Gamma) x = phi for the
+    stacked drift estimate (the discrete flavor)."""
     try:
-        ab = _equilibrated_solve(blocks.G1 * scale, blocks.f1)
-        mkth = _equilibrated_solve(blocks.G2 * scale, blocks.f2)
+        ab = _equilibrated_solve(blocks.G1 * blocks.step, blocks.f1)
+        mkth = _equilibrated_solve(blocks.G2 * blocks.step, blocks.f2)
     except np.linalg.LinAlgError as exc:
         raise SingularBlocksError("design blocks are singular") from exc
     m_hat = mkth[0, :]
     kappa_hat = mkth[1, :]
     theta_hat = mkth[2:, :].T  # solved rows are columns of [m k th]^T
-    flavor = "continuous" if blocks.flavor == "continuous" else "discrete"
     return Estimate.from_fields(
         ab[0], ab[1], m_hat, kappa_hat, theta_hat,
-        flavor, blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
+        "discrete", blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
     )
 
 
 def tilde_regression(path: Path) -> TildeParams:
     """Per-step conditional regression: solve Gamma x = phi (no 1/delta)."""
-    return _tilde_from_blocks(design_blocks(path, flavor="discrete"))
+    return _tilde_from_blocks(design_blocks(path))
 
 
 def _tilde_from_blocks(blocks: DesignBlocks) -> TildeParams:
@@ -294,29 +280,22 @@ def _tilde_from_blocks(blocks: DesignBlocks) -> TildeParams:
     )
 
 
-def block_flavor(flavor: str) -> str:
-    """The design-block flavor an estimator flavor solves from."""
+def estimate_blocks(blocks: DesignBlocks, flavor: str = "discrete") -> Estimate:
+    """Solve design blocks for tau with the requested flavor."""
     if flavor not in FLAVORS:
         raise ConfigError(f"unknown flavor {flavor!r}")
-    return "discrete" if flavor == "exact" else flavor
-
-
-def estimate_blocks(blocks: DesignBlocks, flavor: str = "discrete") -> Estimate:
-    """Solve design blocks built with ``block_flavor(flavor)`` for tau."""
-    if blocks.flavor != block_flavor(flavor):
-        raise ConfigError(f"{flavor!r} estimates need {block_flavor(flavor)!r} design blocks")
     if flavor != "exact":
         return clse_solve(blocks)
     a, b, m, kappa, theta = g_inverse(_tilde_from_blocks(blocks), blocks.step)
     return Estimate.from_fields(
-        a, b, m, kappa, theta, "exact-conditional",
+        a, b, m, kappa, theta, "exact",
         blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
     )
 
 
 def estimate_path(path: Path, flavor: str = "discrete") -> Estimate:
     """Estimate tau from a path with the requested flavor."""
-    return estimate_blocks(design_blocks(path, block_flavor(flavor)), flavor)
+    return estimate_blocks(design_blocks(path), flavor)
 
 
 def error_term(estimate: Estimate, truth: np.ndarray) -> np.ndarray:

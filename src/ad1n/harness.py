@@ -30,9 +30,9 @@ a ``LinAlgError``, or whose estimate is not finite, is recorded as aborted.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
-(seed, len(horizons)*replications + j).  Workers write into per-index
-slots, so the merged output is identical for any thread count and reruns
-with the same configuration are byte-identical.
+(seed, len(horizons)*replications + j).  Replications and limit draws run
+one after another in index order, so reruns with the same configuration
+are byte-identical.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
@@ -43,7 +43,6 @@ fine_delta, limit_draws, horizon (single-path commands).
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -54,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, estimate
-from .asymptotics import critical_limit_functional, normalizer
+from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
 from .errors import Ad1nError, ConfigError, RegimeMismatchError
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
@@ -71,8 +70,6 @@ SUPER_B_MEDIAN_TOL = 0.05
 SUPER_IQR_RATIO = (0.5, 2.0)
 SUPER_STAB_MIN = 0.95
 ABORT_RATE_MAX = 0.01
-STAB_TAIL_FRACTION = 0.1
-STAB_REL_TOL = 0.01
 
 
 def skewness(x: np.ndarray) -> float:
@@ -142,10 +139,12 @@ class ExperimentConfig:
     def validate(self) -> Classification:
         if (self.delta is None) == (self.gamma is None):
             raise ConfigError("exactly one of delta / gamma must be set")
-        if self.flavor not in ("continuous", "discrete", "exact"):
+        if self.flavor not in estimate.FLAVORS:
             raise ConfigError(f"unknown flavor {self.flavor!r}")
         if self.replications < 1 or not self.horizons:
             raise ConfigError("need at least one horizon and one replication")
+        if self.limit_draws is not None and self.limit_draws < 1:
+            raise ConfigError("limit_draws must be at least 1")
         cls = classify(self.params)
         if cls.regime != self.regime:
             raise RegimeMismatchError(
@@ -275,24 +274,11 @@ class ExperimentReport:
         }
 
 
-def _map_indexed(fn, n_items: int, threads: int):
-    """Run fn(i) for i in range(n_items), results merged in index order."""
-    if threads == 1 or n_items <= 1:
-        return [fn(i) for i in range(n_items)]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    out = [None] * n_items
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, i): i for i in range(n_items)}
-        for fut in concurrent.futures.as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
-
-
 #: failures that abort one replication instead of the whole run
 REP_FAILURES = (Ad1nError, np.linalg.LinAlgError)
 
 
-def _path_phase(config: ExperimentConfig, h_idx: int, threads: int, keep) -> list:
+def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
     """Simulate every replication of horizon ``h_idx`` and return
     ``keep(path)`` per replication, or None where it aborted."""
     T = config.horizons[h_idx]
@@ -306,7 +292,7 @@ def _path_phase(config: ExperimentConfig, h_idx: int, threads: int, keep) -> lis
         except REP_FAILURES:
             return None
 
-    return _map_indexed(one_rep, M, threads)
+    return [one_rep(r) for r in range(M)]
 
 
 def _solve(blocks, flavor: str):
@@ -321,18 +307,14 @@ def _solve(blocks, flavor: str):
     return tau if np.all(np.isfinite(tau)) else None
 
 
-def _y_tail_stabilized(path, b: float) -> bool:
-    k0 = int(math.floor((1.0 - STAB_TAIL_FRACTION) * path.n_steps))
-    w = np.exp(b * path.times[k0:]) * path.Y[k0:]
-    return bool(abs(w[-1] - w[0]) / max(abs(w[-1]), 1e-300) <= STAB_REL_TOL)
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Simulate, estimate and compare against the regime's limit theory.
 
-    Deterministic given the configuration (including the master seed),
-    independently of ``threads``.
+    Deterministic given the configuration (including the master seed).
     """
+    # runs are sequential; threads=1 is still accepted because bench/worker.py passes it
+    if threads != 1:
+        raise ConfigError("replications run sequentially; only threads=1 is accepted")
     cls = config.validate_for_limit_theorem()
     params = config.params
     truth = stack_tau(params)
@@ -356,23 +338,21 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             )
             return critical_limit_functional(s, params.a, params.m).limit_draw()
 
-        limit_sample = np.array(_map_indexed(one_draw, n_draws, threads))
+        limit_sample = np.array([one_draw(j) for j in range(n_draws)])
 
     sandwich = None
     if config.regime == Regime.SUBCRITICAL:
         sandwich = asymptotic_covariance(params).sandwich
 
-    blocks_flavor = estimate.block_flavor(config.flavor)
-
     def keep(path):
         # looked up on the module, so that a wrapper installed there sees it
-        blocks = estimate.design_blocks(path, blocks_flavor)
-        return blocks, (_y_tail_stabilized(path, b) if is_super else True)
+        blocks = estimate.design_blocks(path)
+        return blocks, (scaled_tail(path, b, path.Y)[1] <= TAIL_REL_TOL if is_super else True)
 
     for h_idx, T in enumerate(config.horizons):
         delta = deltas[h_idx]
         norm = normalizer(cls, T, params)
-        kept = _path_phase(config, h_idx, threads, keep)
+        kept = _path_phase(config, h_idx, keep)
         errs = []
         for r, rep in enumerate(kept):
             blocks, stab = rep if rep is not None else (None, False)
@@ -514,7 +494,7 @@ class GapReport:
         }
 
 
-def discrete_vs_continuous_gap(config: ExperimentConfig, threads: int = 1) -> GapReport:
+def discrete_vs_continuous_gap(config: ExperimentConfig) -> GapReport:
     """Median sqrt(t_N) * max-abs gap between the discrete estimate and the
     exact-conditional (one-step inverse) estimate on the same paths."""
     if config.gamma is None:
@@ -524,10 +504,8 @@ def discrete_vs_continuous_gap(config: ExperimentConfig, threads: int = 1) -> Ga
     medians = []
     deltas = [config.delta_for(T) for T in config.horizons]
     for h_idx, T in enumerate(config.horizons):
-        # both flavors solve from the same discrete blocks
-        kept = _path_phase(
-            config, h_idx, threads, lambda path: estimate.design_blocks(path, "discrete")
-        )
+        # both flavors solve from the same blocks
+        kept = _path_phase(config, h_idx, estimate.design_blocks)
         gaps = []
         for r, blocks in enumerate(kept):
             disc = _solve(blocks, "discrete")

@@ -166,7 +166,7 @@ def _try_real_eig(theta: np.ndarray):
     both read-only, or raises ComplexSpectrumError / NonDiagonalizableError.
     Results are kept per value of theta: every path of an experiment
     validates the same theta, and the small LAPACK calls stall when BLAS
-    threads wait for a busy core.
+    workers wait for a busy core.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     return _real_eig_of(theta.shape, theta.tobytes())

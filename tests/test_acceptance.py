@@ -162,7 +162,7 @@ def test_criterion_1_estimator_oracle_equivalence():
         states = np.column_stack([Y, X])
         path = Path(delta=0.1, times=np.arange(N + 1) * 0.1, states=states,
                     seed=0, params_hash="")
-        est = clse_solve(design_blocks(path, "discrete"))
+        est = clse_solve(design_blocks(path))
         A = np.vstack([
             0.1 * drift_design_row(states[k, 0], states[k, 1:]) for k in range(N)
         ])

@@ -67,7 +67,7 @@ def test_simulate_then_estimate(cfg_file, tmp_path, capsys):
 
     assert main(["estimate", "--path", csv_file, "--flavor", "exact"]) == 0
     est2 = json.loads(capsys.readouterr().out)
-    assert est2["flavor"] == "exact-conditional"
+    assert est2["flavor"] == "exact"
 
 
 def test_simulate_deterministic_given_seed(cfg_file, tmp_path, capsys):
@@ -93,8 +93,7 @@ def test_moments_command(cfg_file, capsys):
 
 def test_experiment_command(exp_file, tmp_path, capsys):
     out_dir = str(tmp_path / "exp_out")
-    code = main(["experiment", "--config", exp_file, "--out", out_dir,
-                 "--threads", "1"])
+    code = main(["experiment", "--config", exp_file, "--out", out_dir])
     output = capsys.readouterr().out
     assert "overall" in output
     assert os.path.exists(os.path.join(out_dir, "experiment.csv"))
@@ -111,6 +110,13 @@ def test_gap_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "median_gap" in out
     assert os.path.exists(os.path.join(out_dir, "gap.json"))
+
+
+def test_simulate_without_delta_is_a_config_error(tmp_path, capsys):
+    f = tmp_path / "gamma.cfg"
+    f.write_text(MODEL_CFG.replace("delta = 0.02", "gamma = 1.1"))
+    assert main(["simulate", "--config", str(f), "--out", str(tmp_path / "sim")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -59,25 +59,16 @@ def _stacked_lstsq(path):
 def test_unknown_flavor_is_a_config_error():
     path = _random_path(np.random.default_rng(3), 1, 30)
     with pytest.raises(ConfigError):
-        design_blocks(path, "exact")
-    with pytest.raises(ConfigError):
         estimate_path(path, "exact-conditional")
 
 
 class TestEstimateBlocks:
-    def test_blocks_of_another_flavor_are_a_config_error(self):
-        path = _random_path(np.random.default_rng(4), 1, 30)
-        with pytest.raises(ConfigError):
-            estimate_blocks(design_blocks(path, "continuous"), "exact")
-        with pytest.raises(ConfigError):
-            estimate_blocks(design_blocks(path, "discrete"), "continuous")
-
     @pytest.mark.parametrize("flavor", ["discrete", "exact"])
     def test_singular_blocks_raise_singular_blocks_error(self, flavor):
         # equal rows: equilibration leaves an exactly singular matrix
         blocks = DesignBlocks(
             G1=np.ones((2, 2)), f1=np.ones(2), G2=np.ones((3, 3)), f2=np.ones((3, 1)),
-            flavor="discrete", horizon=1.0, step=0.1, n_steps=10, cond1=1.0, cond2=1.0,
+            horizon=1.0, step=0.1, n_steps=10, cond1=1.0, cond2=1.0,
         )
         with pytest.raises(SingularBlocksError):
             estimate_blocks(blocks, flavor)
@@ -98,7 +89,7 @@ class TestDesignBlocks:
         # n = 1, N = 3: brute-force every entry of the systems
         states = np.array([[1.0, 0.5], [2.0, -0.5], [0.5, 1.5], [1.5, 1.0]])
         path = _path_from_states(states, delta=0.2)
-        blocks = design_blocks(path, "discrete")
+        blocks = design_blocks(path)
         Y, X = states[:, 0], states[:, 1]
         G2 = np.zeros((3, 3))
         for k in range(1, 4):
@@ -136,13 +127,13 @@ class TestClseSolve:
         # phi built from Gamma times known coefficients exactly
         rng = np.random.default_rng(1)
         path = _random_path(rng, 1, 25)
-        blocks = design_blocks(path, "discrete")
+        blocks = design_blocks(path)
         coeff_ab = np.array([0.4, -0.7])
         coeff_x = np.array([[0.3], [1.1], [-0.6]])
         tweaked = DesignBlocks(
             G1=blocks.G1, f1=blocks.G1 @ coeff_ab * blocks.step,
             G2=blocks.G2, f2=blocks.G2 @ coeff_x * blocks.step,
-            flavor="discrete", horizon=blocks.horizon, step=blocks.step,
+            horizon=blocks.horizon, step=blocks.step,
             n_steps=blocks.n_steps, cond1=blocks.cond1, cond2=blocks.cond2,
         )
         est = clse_solve(tweaked)
@@ -153,16 +144,16 @@ class TestClseSolve:
         rng = np.random.default_rng(2)
         for _ in range(5):
             path = _random_path(rng, 2, 50)
-            est = clse_solve(design_blocks(path, "discrete"))
+            est = clse_solve(design_blocks(path))
             oracle = _stacked_lstsq(path)
             assert np.max(np.abs(est.tau_hat - oracle)) < 1e-9
 
     def test_continuous_flavor_equals_discrete(self):
         rng = np.random.default_rng(3)
         path = _random_path(rng, 1, 40)
-        e1 = clse_solve(design_blocks(path, "discrete"))
-        e2 = clse_solve(design_blocks(path, "continuous"))
-        assert np.allclose(e1.tau_hat, e2.tau_hat, atol=1e-12)
+        e1 = estimate_path(path, "discrete")
+        e2 = estimate_path(path, "continuous")
+        assert e1.tau_hat.tobytes() == e2.tau_hat.tobytes()
 
     def test_mc_consistency_subcritical(self, subcritical_params):
         # threshold 0.35 frozen from the MC oracle: the sandwich gives the
@@ -354,6 +345,6 @@ def test_tilde_regression_vs_scaled_solve():
     rng = np.random.default_rng(14)
     path = _random_path(rng, 1, 60, delta=0.05)
     t = tilde_regression(path)
-    est = clse_solve(design_blocks(path, "discrete"))
+    est = clse_solve(design_blocks(path))
     assert abs(t.a / path.delta - est.a) < 1e-9
     assert abs(t.b / path.delta - est.b) < 1e-9

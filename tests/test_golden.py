@@ -185,7 +185,7 @@ def test_g_map_digest():
 
 
 def test_gap_study_csv_digest():
-    report = discrete_vs_continuous_gap(experiment_config_from_text(_GAP), threads=1)
+    report = discrete_vs_continuous_gap(experiment_config_from_text(_GAP))
     assert _sha(report.csv_text().encode()) == (
         "adecc76e732a6e0ccf570543038221e4ea599ed054408818a5df009fed11742b")
 

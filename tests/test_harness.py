@@ -135,6 +135,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_limit_draws_below_one_rejected(self, draws):
+        cfg = experiment_config_from_text(SUB_CFG + f"limit_draws = {draws}\n")
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):
             experiment_config_from_text(SUB_CFG.replace("subcritical", "weird"))
@@ -232,11 +238,10 @@ class TestRunExperiment:
             rep2.summary(), sort_keys=True
         )
 
-    def test_thread_count_does_not_change_output(self):
+    def test_threads_other_than_one_are_a_config_error(self):
         cfg = experiment_config_from_text(SUB_CFG)
-        rep1 = run_experiment(cfg, threads=1)
-        rep4 = run_experiment(cfg, threads=4)
-        assert rep1.csv_text() == rep4.csv_text()
+        with pytest.raises(ConfigError):
+            run_experiment(cfg, threads=2)
 
     def test_summary_recomputable_from_csv(self):
         cfg = experiment_config_from_text(SUB_CFG)
