@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +41,13 @@ def double_exp_integral(b: float, theta: np.ndarray, h: float) -> np.ndarray:
     return gauss_legendre_matrix_integral(
         lambda u: u * scipy.linalg.expm(theta * u), h, p
     )
+
+
+def cir_mean_coeffs(a: float, b: float, h: float):
+    """Coefficients (e^{-bh}, a~) of the exact one-step conditional mean
+    E[Y_{t+h} | F_t] = e^{-bh} Y_t + a~, with a~ = a * int_0^h e^{-bu} du."""
+    emb = math.exp(-b * h)  # exactly 1 at b = 0
+    return emb, (a * (1.0 - emb) / b if b != 0.0 else a * h)
 
 
 def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):

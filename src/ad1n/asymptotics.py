@@ -28,7 +28,7 @@ from .errors import (
     SingularUError,
     UnsupportedRegimeError,
 )
-from .model import Classification, ModelParams, Regime, tau_length
+from .model import Classification, ModelParams, Regime, gram_blocks, qv_matrix, tau_length
 from .simulate import CriticalLimitSample, Path
 
 U_COND_LIMIT = 1e12
@@ -148,29 +148,11 @@ def extract_supercritical_limits(
     v2[2:, 1] = -c1 * cj / (b + lam_min)
     v2[2:, 2:] = -np.outer(cj, cj) / (2.0 * lam_min)
 
-    C1m = np.array([
-        [-c1 / b, c1 * c1 / (2.0 * b)],
-        [c1 * c1 / (2.0 * b), -c1**3 / (3.0 * b)],
-    ])
-    C2m = np.zeros((2, n + 2))
-    C2m[0] = np.concatenate(([-c1 / b, c1 * c1 / (2.0 * b)], c1 * cj / (b + lam_min)))
-    C2m[1] = np.concatenate(
-        ([c1 * c1 / (2.0 * b), -c1**3 / (3.0 * b)], -c1 * c1 * cj / (2.0 * b + lam_min))
+    C1m, C3m = gram_blocks(
+        -c1 / b, -c1 * c1 / (2.0 * b), -c1**3 / (3.0 * b), -c1 * cj / (b + lam_min),
+        -c1 * c1 * cj / (2.0 * b + lam_min), -c1 * np.outer(cj, cj) / (b + 2.0 * lam_min),
     )
-    C3m = np.zeros((n + 2, n + 2))
-    C3m[:2, :] = C2m
-    C3m[2:, 0] = c1 * cj / (b + lam_min)
-    C3m[2:, 1] = -c1 * c1 * cj / (2.0 * b + lam_min)
-    C3m[2:, 2:] = -c1 * np.outer(cj, cj) / (b + 2.0 * lam_min)
-
-    s1 = params.sigma1
-    rho_t = params.rho_tilde
-    top_right = s1 * np.kron(params.rho_J1[None, :], C2m)
-    eta_etaT = np.block([
-        [s1 * s1 * C1m, top_right],
-        [top_right.T, np.kron(rho_t @ rho_t.T, C3m)],
-    ])
-    eta_etaT = 0.5 * (eta_etaT + eta_etaT.T)
+    eta_etaT = qv_matrix(params, C1m, C3m)
     return SupercriticalLimits(c1=c1, cj=cj, v1=v1, v2=v2, eta_etaT=eta_etaT)
 
 
@@ -202,16 +184,8 @@ def critical_limit_functional(
     """Fill U1, U2, R1, R2 from the functionals of one zero-started draw."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
     n = m.shape[0]
-    u1 = np.array([[1.0, -sample.int_y], [-sample.int_y, sample.int_yy]])
-    u2 = np.zeros((n + 2, n + 2))
-    u2[0, 0] = 1.0
-    u2[0, 1] = u2[1, 0] = -sample.int_y
-    u2[1, 1] = sample.int_yy
-    u2[0, 2:] = -sample.int_x
-    u2[2:, 0] = -sample.int_x
-    u2[1, 2:] = sample.int_yx
-    u2[2:, 1] = sample.int_yx
-    u2[2:, 2:] = sample.int_xx
+    u1, u2 = gram_blocks(1.0, sample.int_y, sample.int_yy, sample.int_x,
+                         sample.int_yx, sample.int_xx)
     r1 = np.array([sample.y1 - a, a * sample.int_y - sample.int_y_dy])
     r2 = np.empty((n + 2, n))
     r2[0, :] = sample.x1 - m

@@ -22,8 +22,9 @@ sums over a sampled path (left endpoints throughout):
     (a~, b~, m~, k~, th~), then invert the exact one-step map g (below).
 
 Estimation has two stages: ``design_blocks`` accumulates the sums from a
-path, ``estimate_blocks`` solves them for either flavor, and
-``estimate_path`` runs both.
+path (:func:`ad1n.simulate.left_point_sums`, laid out as blocks by
+:func:`ad1n.model.gram_blocks`), ``estimate_blocks`` solves them for either
+flavor, and ``estimate_path`` runs both.
 
 The map g sends drift fields to one-step conditional-expectation
 coefficients over a step h:
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._matfun import double_exp_integral, expm_integral, one_step_conditional_mean_coeffs
+from ._matfun import (cir_mean_coeffs, double_exp_integral, expm_integral,
+                      one_step_conditional_mean_coeffs)
 from .errors import (
     ConfigError,
     DegeneratePathError,
@@ -55,8 +57,8 @@ from .errors import (
     PathTooShortError,
     SingularBlocksError,
 )
-from .model import stack_drift_fields
-from .simulate import Path
+from .model import gram_blocks, stack_drift_fields
+from .simulate import Path, left_point_sums
 
 #: condition-number guard on the design blocks
 COND_LIMIT = 1e12
@@ -81,10 +83,7 @@ def g_map(a: float, b: float, m, kappa, theta, h: float) -> TildeParams:
     if h <= 0:
         raise DimensionMismatchError("step h must be positive")
     emth, m_t, kappa_t = one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h)
-    if b != 0.0:
-        a_t = a * (1.0 - math.exp(-b * h)) / b
-    else:
-        a_t = a * h
+    _, a_t = cir_mean_coeffs(a, b, h)
     b_t = -math.expm1(-b * h)
     theta_t = np.eye(emth.shape[0]) - emth
     # copies: the cached coefficients are shared and read-only
@@ -171,42 +170,21 @@ def _equilibrated_solve(G: np.ndarray, F: np.ndarray) -> np.ndarray:
     return Z / d[:, None] if F.ndim == 2 else Z / d
 
 
-def _raw_sums(path: Path):
-    Y, X = path.Y, path.X
-    Yl, Xl = Y[:-1], X[:-1, :]
-    dY, dX = np.diff(Y), np.diff(X, axis=0)
-    N = path.n_steps
-    n = path.n
-    s_y = float(np.sum(Yl))
-    s_yy = float(np.sum(Yl * Yl))
-    s_x = np.sum(Xl, axis=0)
-    s_yx = Yl @ Xl
-    s_xx = Xl.T @ Xl
-    G1 = np.array([[N, -s_y], [-s_y, s_yy]])
-    f1 = np.array([Y[-1] - Y[0], -float(np.sum(dY * Yl))])
-    G2 = np.empty((n + 2, n + 2))
-    G2[0, 0] = N
-    G2[0, 1] = G2[1, 0] = -s_y
-    G2[1, 1] = s_yy
-    G2[0, 2:] = -s_x
-    G2[2:, 0] = -s_x
-    G2[1, 2:] = s_yx
-    G2[2:, 1] = s_yx
-    G2[2:, 2:] = s_xx
-    f2 = np.empty((n + 2, n))
-    f2[0, :] = X[-1] - X[0]
-    f2[1, :] = -(Yl @ dX)
-    f2[2:, :] = -(Xl.T @ dX)
-    return G1, f1, G2, f2
-
-
 def design_blocks(path: Path) -> DesignBlocks:
     """Accumulate the estimation systems from a path."""
     if path.n_steps < path.n + 2:
         raise PathTooShortError("path must have at least d+2 points")
     if np.count_nonzero(path.Y[:-1] > 0) < 2:
         raise PathTooShortError("Y must be strictly positive at two grid points")
-    G1, f1, G2, f2 = _raw_sums(path)
+    Y, X = path.Y, path.X
+    sums = left_point_sums(Y, X)
+    G1, G2 = gram_blocks(*sums[:6])
+    y_dy, y_dx, x_dx = sums[6:]
+    f1 = np.array([Y[-1] - Y[0], -y_dy])
+    f2 = np.empty((path.n + 2, path.n))
+    f2[0, :] = X[-1] - X[0]
+    f2[1, :] = -y_dx
+    f2[2:, :] = -x_dx
     cond1 = _equilibrated_cond(G1)
     cond2 = _equilibrated_cond(G2)
     if not np.isfinite(cond1) or cond1 > COND_LIMIT or not np.isfinite(cond2) or cond2 > COND_LIMIT:
@@ -235,32 +213,23 @@ class Estimate:
     step: float
 
     @classmethod
-    def from_fields(cls, a, b, m, kappa, theta, flavor, cond1, cond2, horizon, step):
+    def from_fields(cls, a, b, m, kappa, theta, flavor: str, blocks: DesignBlocks):
         return cls(
             tau_hat=stack_drift_fields(a, b, m, kappa, theta),
             a=float(a), b=float(b),
             m=np.atleast_1d(np.asarray(m, float)),
             kappa=np.atleast_1d(np.asarray(kappa, float)),
             theta=np.atleast_2d(np.asarray(theta, float)),
-            flavor=flavor, cond1=cond1, cond2=cond2, horizon=horizon, step=step,
+            flavor=flavor, cond1=blocks.cond1, cond2=blocks.cond2,
+            horizon=blocks.horizon, step=blocks.step,
         )
 
 
 def clse_solve(blocks: DesignBlocks) -> Estimate:
     """Solve the scaled block systems (delta * Gamma) x = phi for the
     stacked drift estimate (the discrete flavor)."""
-    try:
-        ab = _equilibrated_solve(blocks.G1 * blocks.step, blocks.f1)
-        mkth = _equilibrated_solve(blocks.G2 * blocks.step, blocks.f2)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlocksError("design blocks are singular") from exc
-    m_hat = mkth[0, :]
-    kappa_hat = mkth[1, :]
-    theta_hat = mkth[2:, :].T  # solved rows are columns of [m k th]^T
-    return Estimate.from_fields(
-        ab[0], ab[1], m_hat, kappa_hat, theta_hat,
-        "discrete", blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
-    )
+    t = _tilde_from_blocks(blocks, scale=blocks.step)
+    return Estimate.from_fields(t.a, t.b, t.m, t.kappa, t.theta, "discrete", blocks)
 
 
 def tilde_regression(path: Path) -> TildeParams:
@@ -268,10 +237,12 @@ def tilde_regression(path: Path) -> TildeParams:
     return _tilde_from_blocks(design_blocks(path))
 
 
-def _tilde_from_blocks(blocks: DesignBlocks) -> TildeParams:
+def _tilde_from_blocks(blocks: DesignBlocks, scale: float = 1.0) -> TildeParams:
+    """Solve (scale * Gamma) x = phi; the solved rows are the columns of
+    [m k th]^T.  scale = 1 is exact, so the exact flavor keeps its bits."""
     try:
-        ab = _equilibrated_solve(blocks.G1, blocks.f1)
-        mkth = _equilibrated_solve(blocks.G2, blocks.f2)
+        ab = _equilibrated_solve(blocks.G1 * scale, blocks.f1)
+        mkth = _equilibrated_solve(blocks.G2 * scale, blocks.f2)
     except np.linalg.LinAlgError as exc:
         raise SingularBlocksError("design blocks are singular") from exc
     return TildeParams(
@@ -286,11 +257,8 @@ def estimate_blocks(blocks: DesignBlocks, flavor: str = "discrete") -> Estimate:
         raise ConfigError(f"unknown flavor {flavor!r}")
     if flavor != "exact":
         return clse_solve(blocks)
-    a, b, m, kappa, theta = g_inverse(_tilde_from_blocks(blocks), blocks.step)
-    return Estimate.from_fields(
-        a, b, m, kappa, theta, "exact",
-        blocks.cond1, blocks.cond2, blocks.horizon, blocks.step,
-    )
+    return Estimate.from_fields(*g_inverse(_tilde_from_blocks(blocks), blocks.step),
+                                "exact", blocks)
 
 
 def estimate_path(path: Path, flavor: str = "discrete") -> Estimate:

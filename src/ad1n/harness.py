@@ -37,8 +37,9 @@ are byte-identical.
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
 Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons, delta or
-gamma (step rule delta(T) = T^-gamma), replications, seed, flavor,
-fine_delta, limit_draws, horizon (single-path commands).
+gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
+replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
+commands).
 """
 
 from __future__ import annotations
@@ -143,6 +144,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown flavor {self.flavor!r}")
         if self.replications < 1 or not self.horizons:
             raise ConfigError("need at least one horizon and one replication")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma = {self.gamma!r} must be finite and positive")
+        for T in self.horizons:
+            if not (T > 0 and 0 < self.delta_for(T) <= T):
+                raise ConfigError(f"the step at horizon {T!r} is not in (0, {T!r}]")
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
         cls = classify(self.params)

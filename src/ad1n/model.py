@@ -349,6 +349,41 @@ def drift_design_row(y: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram_blocks(c, y, yy, x, yx, xx):
+    """The two distinct blocks of sum Lambda(z)^T Lambda(z), from six moments.
+
+    With K = (1, -Y, -X) the (n+2)-row of :func:`drift_design_row`, returns
+    G1 = sum of (1, -Y)(1, -Y)^T (2 x 2) and G2 = sum of K K^T
+    ((n+2) x (n+2)), given c = sum 1, y = sum Y, yy = sum Y^2, x = sum X,
+    yx = sum Y X and xx = sum X X^T.  "Sum" is whatever the caller takes:
+    per-step sums, stationary means, integrals or almost-sure limits, and
+    Y-weighted moments give the blocks of sum Y K K^T.
+    """
+    n = np.shape(x)[0]
+    G1 = np.array([[c, -y], [-y, yy]], dtype=float)
+    G2 = np.empty((n + 2, n + 2))
+    G2[:2, :2] = G1
+    G2[0, 2:] = G2[2:, 0] = -x
+    G2[1, 2:] = G2[2:, 1] = yx
+    G2[2:, 2:] = xx
+    return G1, G2
+
+
+def qv_matrix(params: ModelParams, B1: np.ndarray, B3: np.ndarray) -> np.ndarray:
+    """sum Y Lambda(z)^T rho rho^T Lambda(z), symmetrized, from the Y-weighted
+    Gram blocks (B1, B3) = gram_blocks(sum Y, sum Y^2, sum Y^3, sum Y X,
+    sum Y^2 X, sum Y X X^T): the quadratic variation of the martingale part
+    of the normal equations."""
+    s1 = params.sigma1
+    rho_t = params.rho_tilde
+    top_right = s1 * np.kron(params.rho_J1[None, :], B3[:2])
+    Q = np.block([
+        [s1 * s1 * B1, top_right],
+        [top_right.T, np.kron(rho_t @ rho_t.T, B3)],
+    ])
+    return 0.5 * (Q + Q.T)
+
+
 def drift(params: ModelParams, y: float, x: np.ndarray) -> np.ndarray:
     """Direct drift evaluation (a - b*y, m - kappa*y - theta @ x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -33,7 +33,9 @@ sandwich EG^-1 EH EG^-1, where EG is block diagonal with
 (one G2 block per X coordinate) and EH carries the quadratic variation of
 the martingale error term, assembled from E[Y], E[Y^2], E[Y^3], E[X],
 E[Y X], E[Y^2 X], E[X X^T], E[Y X X^T] with the diffusion loadings
-sigma_1^2, sigma_1 * rho_J1 and rho_tilde rho_tilde^T.
+sigma_1^2, sigma_1 * rho_J1 and rho_tilde rho_tilde^T.  The block layout of
+both is owned by :func:`ad1n.model.gram_blocks` and
+:func:`ad1n.model.qv_matrix`.
 
 The stationary law itself is pinned down by its Fourier-Laplace transform
 E exp(-lam*Y + i mu.X) = exp(a * int_0^inf Ks ds + i mu . theta^-1 m) with
@@ -58,7 +60,8 @@ from .errors import (
     OrderTooHighError,
     SingularEGError,
 )
-from .model import Classification, ModelParams, Regime, _try_real_eig, classify
+from .model import (Classification, ModelParams, Regime, _try_real_eig, classify,
+                    gram_blocks, qv_matrix)
 
 MAX_ORDER = 4
 COND_LIMIT = 1e12
@@ -314,40 +317,10 @@ def stationary_x_moments(params: ModelParams):
 def asymptotic_covariance(params: ModelParams) -> CovarianceReport:
     """Sandwich covariance EG^-1 EH EG^-1 of the normalized error."""
     _require_subcritical(params)
-    n = params.n
     ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = stationary_x_moments(params)
-
-    G1 = np.array([[1.0, -ey], [-ey, ey2]])
-    G2 = np.empty((n + 2, n + 2))
-    G2[0, 0] = 1.0
-    G2[0, 1] = G2[1, 0] = -ey
-    G2[1, 1] = ey2
-    G2[0, 2:] = -ex
-    G2[2:, 0] = -ex
-    G2[1, 2:] = eyx
-    G2[2:, 1] = eyx
-    G2[2:, 2:] = exx
-    EG = scipy.linalg.block_diag(G1, np.kron(np.eye(n), G2))
-
-    H1 = np.array([[ey, -ey2], [-ey2, ey3]])
-    H2 = np.empty((2, n + 2))
-    H2[0] = np.concatenate(([ey, -ey2], -eyx))
-    H2[1] = np.concatenate(([-ey2, ey3], ey2x))
-    H3 = np.empty((n + 2, n + 2))
-    H3[0] = np.concatenate(([ey, -ey2], -eyx))
-    H3[1] = np.concatenate(([-ey2, ey3], ey2x))
-    H3[2:, 0] = -eyx
-    H3[2:, 1] = ey2x
-    H3[2:, 2:] = eyxx
-
-    s1 = params.sigma1
-    rho_t = params.rho_tilde
-    top_right = s1 * np.kron(params.rho_J1[None, :], H2)
-    EH = np.block([
-        [s1 * s1 * H1, top_right],
-        [top_right.T, np.kron(rho_t @ rho_t.T, H3)],
-    ])
-    EH = 0.5 * (EH + EH.T)
+    G1, G2 = gram_blocks(1.0, ey, ey2, ex, eyx, exx)
+    EG = scipy.linalg.block_diag(G1, np.kron(np.eye(params.n), G2))
+    EH = qv_matrix(params, *gram_blocks(ey, ey2, ey3, eyx, ey2x, eyxx))
 
     cond = float(np.linalg.cond(EG))
     if not np.isfinite(cond) or cond > COND_LIMIT:

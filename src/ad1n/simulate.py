@@ -55,7 +55,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._matfun import one_step_conditional_mean_coeffs
+from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
 from .errors import InadmissibleParamsError, InvalidGridError
 from .model import ModelParams, validate
 
@@ -163,13 +163,11 @@ def simulate_path(
     y0, x0 = _resolve_initials(params, rng)
 
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
-    emb = math.exp(-b * delta)  # exactly 1 at b = 0
-    if b != 0.0:  # CIR scale c, and a~ = a * int_0^delta e^{-bu} du
+    emb, a_t = cir_mean_coeffs(a, b, delta)
+    if b != 0.0:  # CIR scale c
         c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
-        a_t = a * (1.0 - emb) / b
     else:
         c = sigma1 * sigma1 * delta / 4.0
-        a_t = a * delta
     df = 4.0 * a / (sigma1 * sigma1)
     sq_delta = math.sqrt(delta)
 
@@ -267,26 +265,37 @@ class CriticalLimitSample:
     int_x_dx: np.ndarray  # (n, n), entry (i, j) = sum X^i d(X^j)
 
 
-def _functionals_from_arrays(times, Y, X, scale_t: float) -> CriticalLimitSample:
-    """Left-point quadrature / Ito sums of the ten limit functionals,
-    with time rescaled by scale_t (state implicitly rescaled by scale_t
-    through the caller)."""
-    delta = float(times[1] - times[0])
-    T = float(times[-1])
-    s = scale_t
+def left_point_sums(Y: np.ndarray, X: np.ndarray):
+    """Left-point sums over a sampled path: N, sum Y, sum Y^2, sum X, Y @ X,
+    X^T X, sum Y dY, Y @ dX and X^T dX, each over the N left endpoints.
+
+    The first six are the moments :func:`ad1n.model.gram_blocks` takes.
+    """
     Yl, Xl = Y[:-1], X[:-1, :]
     dY, dX = np.diff(Y), np.diff(X, axis=0)
+    return (Y.shape[0] - 1, float(np.sum(Yl)), float(np.sum(Yl * Yl)),
+            np.sum(Xl, axis=0), Yl @ Xl, Xl.T @ Xl,
+            float(np.sum(Yl * dY)), Yl @ dX, Xl.T @ dX)
+
+
+def _limit_functionals(path: Path, s: float) -> CriticalLimitSample:
+    """Left-point quadrature / Ito sums of the ten limit functionals of a
+    path, with time rescaled by s (state implicitly rescaled by s through
+    the caller)."""
+    Y, X = path.Y, path.X
+    delta = float(path.times[1] - path.times[0])
+    _, s_y, s_yy, s_x, s_yx, s_xx, s_ydy, s_ydx, s_xdx = left_point_sums(Y, X)
     return CriticalLimitSample(
         y1=float(Y[-1] / s),
         x1=X[-1] / s,
-        int_y=float(np.sum(Yl) * delta / s**2),
-        int_x=np.sum(Xl, axis=0) * delta / s**2,
-        int_yy=float(np.sum(Yl**2) * delta / s**3),
-        int_xx=(Xl.T @ Xl) * delta / s**3,
-        int_yx=(Yl @ Xl) * delta / s**3,
-        int_y_dy=float(np.sum(Yl * dY)) / s**2,
-        int_y_dx=(Yl @ dX) / s**2,
-        int_x_dx=(Xl.T @ dX) / s**2,
+        int_y=s_y * delta / s**2,
+        int_x=s_x * delta / s**2,
+        int_yy=s_yy * delta / s**3,
+        int_xx=s_xx * delta / s**3,
+        int_yx=s_yx * delta / s**3,
+        int_y_dy=s_ydy / s**2,
+        int_y_dx=s_ydx / s**2,
+        int_x_dx=s_xdx / s**2,
     )
 
 
@@ -310,7 +319,7 @@ def simulate_critical_limit(
         x0=np.zeros(params.n),
     )
     path = simulate_path(base, 1.0, fine_delta, seed)
-    return _functionals_from_arrays(path.times, path.Y, path.X, scale_t=1.0)
+    return _limit_functionals(path, 1.0)
 
 
 def scaled_critical_functionals(path: Path) -> CriticalLimitSample:
@@ -321,8 +330,7 @@ def scaled_critical_functionals(path: Path) -> CriticalLimitSample:
     [0, 1] limit functionals when the path is the zero-started critical
     process.
     """
-    return _functionals_from_arrays(path.times, path.Y, path.X,
-                                    scale_t=float(path.times[-1]))
+    return _limit_functionals(path, float(path.times[-1]))
 
 
 def write_path_csv(path: Path, csv_file: str, sidecar: dict | None = None) -> None:

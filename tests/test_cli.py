@@ -124,3 +124,10 @@ def test_error_exit_code(tmp_path, capsys):
     f.write_text(EXP_CFG.replace("regime = subcritical", "regime = critical"))
     assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_nonpositive_delta_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad_delta.cfg"
+    f.write_text(EXP_CFG.replace("delta = 0.02", "delta = -0.02"))
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err

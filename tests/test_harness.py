@@ -141,6 +141,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # each used to pass validation: a bad delta became a run of aborted rows
+    # (or a bare ValueError at nan), a bad gamma nan medians in the gap study
+    @pytest.mark.parametrize("delta", ["-0.02", "0", "50", "nan", "inf"])
+    def test_bad_delta_rejected(self, delta):
+        cfg = experiment_config_from_text(SUB_CFG.replace("delta = 0.02", f"delta = {delta}"))
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("gamma", ["-1.5", "0", "nan", "inf"])
+    def test_bad_gamma_rejected(self, gamma):
+        cfg = experiment_config_from_text(SUB_CFG.replace("delta = 0.02", f"gamma = {gamma}"))
+        with pytest.raises(ConfigError):
+            discrete_vs_continuous_gap(cfg)
+
+    def test_gamma_step_longer_than_horizon_rejected(self):
+        # 0.5^-1.1 > 0.5: every replication of this run used to abort
+        cfg = experiment_config_from_text(
+            SUB_CFG.replace("horizons = 40\ndelta = 0.02", "horizons = 0.5\ngamma = 1.1"))
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    def test_delta_equal_to_smallest_horizon_accepted(self):
+        experiment_config_from_text(SUB_CFG.replace("delta = 0.02", "delta = 40")).validate()
+
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):
             experiment_config_from_text(SUB_CFG.replace("subcritical", "weird"))
