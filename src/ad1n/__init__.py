@@ -25,7 +25,9 @@ from .simulate import (
     read_path_csv,
     scaled_critical_functionals,
     simulate_critical_limit,
+    simulate_critical_limits,
     simulate_path,
+    simulate_paths,
     substream,
     write_path_csv,
 )

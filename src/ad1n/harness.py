@@ -27,12 +27,16 @@ has been simulated; running the small dense solves and matrix functions
 back to back keeps them off the cold start that follows each long
 simulation.  A replication whose path or solve raises an ``Ad1nError`` or
 a ``LinAlgError``, or whose estimate is not finite, is recorded as aborted.
+So is a critical limit draw whose limit functional is singular: its row has
+aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
+the share of such draws.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
-(seed, len(horizons)*replications + j).  Replications and limit draws run
-one after another in index order, so reruns with the same configuration
-are byte-identical.
+(seed, len(horizons)*replications + j).  Replications run one after another
+in index order; the limit draws are simulated side by side in batches
+(``simulate.simulate_paths``), which leaves every draw's bits as they are
+alone.  So reruns with the same configuration are byte-identical.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
@@ -59,7 +63,12 @@ from .errors import Ad1nError, ConfigError, RegimeMismatchError
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
-from .simulate import simulate_critical_limit, simulate_path, substream
+from .simulate import (  # noqa: F401  (bench/spans.py rebinds simulate_critical_limit)
+    simulate_critical_limit,
+    simulate_critical_limits,
+    simulate_path,
+    substream,
+)
 
 # acceptance thresholds
 MEAN_SE_FACTOR = 3.0
@@ -71,6 +80,8 @@ SUPER_B_MEDIAN_TOL = 0.05
 SUPER_IQR_RATIO = (0.5, 2.0)
 SUPER_STAB_MIN = 0.95
 ABORT_RATE_MAX = 0.01
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def skewness(x: np.ndarray) -> float:
@@ -99,11 +110,11 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
 
 def ks_vs_normal(x: np.ndarray, sigma: float) -> float:
     """One-sample KS statistic of x against the N(0, sigma^2) cdf."""
-    from scipy.special import ndtr  # not scipy.stats: importing it takes ~0.8 s
-
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
-    cdf = ndtr(x / sigma)
+    # Phi(v) = erfc(-v / sqrt 2) / 2, within 2.2e-16 of scipy.special.ndtr;
+    # importing scipy.special for ndtr takes ~60 ms of every subcritical run
+    cdf = np.array([0.5 * math.erfc(-v / _SQRT2) for v in (x / sigma).tolist()])
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(np.max(upper), np.max(lower)))
@@ -313,6 +324,15 @@ def _solve(blocks, flavor: str):
     return tau if np.all(np.isfinite(tau)) else None
 
 
+def _limit_draw(sample, params: ModelParams):
+    """One critical limit draw from a sample of the limit functionals, or
+    None when the limit functional is singular or its solve fails."""
+    try:
+        return critical_limit_functional(sample, params.a, params.m).limit_draw()
+    except REP_FAILURES:
+        return None
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Simulate, estimate and compare against the regime's limit theory.
 
@@ -333,18 +353,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     deltas = [config.delta_for(T) for T in config.horizons]
     is_super = config.regime == Regime.SUPERCRITICAL
 
-    limit_sample = None
+    limit_draws = limit_sample = None
     if config.regime == Regime.CRITICAL:
         n_draws = config.limit_draws or M
         base = len(config.horizons) * M
-
-        def one_draw(j):
-            s = simulate_critical_limit(
-                params, seed=substream(config.seed, base + j), fine_delta=config.fine_delta
-            )
-            return critical_limit_functional(s, params.a, params.m).limit_draw()
-
-        limit_sample = np.array([one_draw(j) for j in range(n_draws)])
+        seeds = [substream(config.seed, base + j) for j in range(n_draws)]
+        samples = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
+        limit_draws = [_limit_draw(s, params) for s in samples]
+        limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
 
     sandwich = None
     if config.regime == Regime.SUBCRITICAL:
@@ -411,7 +427,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             checks[f"kurtosis<{KURTOSIS_TOL:g}[{tag}]"] = bool(
                 np.all(np.abs(kurts) < KURTOSIS_TOL)
             )
-        elif config.regime == Regime.CRITICAL and n_ok > 1:
+        elif config.regime == Regime.CRITICAL and n_ok > 1 and limit_sample.size:
             ks = [
                 ks_two_sample(E[:, i], limit_sample[:, i]) for i in range(L)
             ]
@@ -448,9 +464,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             per_horizon[-1]["stabilization_rate"] >= SUPER_STAB_MIN
         )
 
-    if limit_sample is not None:
-        for j in range(limit_sample.shape[0]):
-            rows.append(Row("limit_draw", None, j, False, True, None, limit_sample[j]))
+    if limit_draws is not None:
+        for j, draw in enumerate(limit_draws):
+            ok = draw is not None
+            rows.append(Row("limit_draw", None, j, not ok, ok, None, draw))
+        rate = (len(limit_draws) - limit_sample.shape[0]) / len(limit_draws)
+        checks[f"limit_abort_rate<{ABORT_RATE_MAX:g}"] = rate < ABORT_RATE_MAX
 
     return ExperimentReport(
         config_digest=config.digest(),

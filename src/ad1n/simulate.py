@@ -40,18 +40,33 @@ n > 1 (batching those over time changes the last bit).  The float passes walk
 the grid in chunks of ``CHUNK`` steps to bound memory, and every operation
 keeps the operand order of the formulas above.
 
+:func:`simulate_paths` simulates many seeds at once, in batches of as many
+paths as ``BATCH_BYTES`` holds.  Validation, the step constants, the
+parameter digest and the time grid are computed once per call.  A batch of
+at least ``LOCKSTEP_MIN`` paths advances in lockstep: the Y recursion
+(df >= 1, any n) and the n = 1 X recursion step all its paths at once with
+numpy row operations, in the operand order of the float passes, so every
+path keeps its bits.  The df < 1 Y recursion (one draw per step) and the
+n > 1 X recursion stay per path.  Each path's states are a contiguous
+(N+1, d) block of a (B, N+1, d) array, never a column of a wider one: the
+BLAS kernels behind :func:`left_point_sums` depend on the stride, and with
+it the last bits of the sums.  :func:`simulate_path` is the one-seed call.
+
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), so every path index owns an independent substream and
 results are bit-reproducible for fixed (params, horizon, delta, seed).
 A path draws, in order: initial values, CIR blocks (df >= 1), dB^J and fresh
-dB^1 blocks, then per-step CIR variates (df < 1).
+dB^1 blocks, then per-step CIR variates (df < 1).  A batch keeps this order
+per path: it draws every path's initial values and CIR blocks, runs the Y
+recursion, then draws each path's dB^J and fresh dB^1; as each path has its
+own generator, staging the draws across paths changes no value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,6 +80,15 @@ RECONSTRUCT_EPS = 1e-12
 
 #: Grid steps per chunk of the Python-float passes.
 CHUNK = 4096
+
+#: Bytes a batch of paths may hold in its states and staging buffers; sets
+#: how many paths :func:`simulate_paths` advances side by side (40 limit-draw
+#: paths of 1000 steps at n = 1).
+BATCH_BYTES = 1_310_720  # 1.25 MiB
+
+#: Narrowest batch that advances in lockstep; narrower batches run path by
+#: path on Python floats, which is faster below this width.
+LOCKSTEP_MIN = 24
 
 
 def substream(master_seed: int, index: int) -> tuple[int, int]:
@@ -135,6 +159,116 @@ def _draw_y_slow(rng, df, ncp):
     return rng.chisquare(2 * j) if j > 0 else 0.0
 
 
+def simulate_paths(
+    params: ModelParams,
+    horizon: float,
+    delta: float,
+    seeds: Iterable,
+    _force_general: bool = False,
+) -> Iterator[Path]:
+    """Simulate one path per seed on the grid k*delta, k = 0..floor(horizon/delta).
+
+    Yields the paths in seed order; each is bit-equal to
+    ``simulate_path(params, horizon, delta, seed)``.  Validation and the
+    step constants are computed once for all seeds.  ``_force_general``
+    runs n = 1 paths through the matrix X recursion (same output; tests
+    compare the two).
+    """
+    if delta <= 0:
+        raise InvalidGridError("delta must be positive")
+    if horizon < delta:
+        raise InvalidGridError("horizon must be at least one step")
+    report = validate(params)
+    if not report.ok:
+        raise InadmissibleParamsError("; ".join(report.violations))
+
+    N = int(math.floor(horizon / delta + 1e-9))
+    n, d = params.n, params.d
+    a, b, sigma1 = float(params.a), float(params.b), params.sigma1
+    emb, a_t = cir_mean_coeffs(a, b, delta)
+    if b != 0.0:  # CIR scale c
+        c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
+    else:
+        c = sigma1 * sigma1 * delta / 4.0
+    df = 4.0 * a / (sigma1 * sigma1)
+    sq_delta = math.sqrt(delta)
+    emth, m_t, k_t = one_step_conditional_mean_coeffs(
+        a, b, params.m, params.kappa, params.theta, delta
+    )
+    scalar_x = n == 1 and not _force_general
+    if scalar_x:
+        eth, mt0, kt0 = float(emth[0, 0]), float(m_t[0]), float(k_t[0])
+        rj1, rjj = float(params.rho_J1[0]), float(params.rho_JJ[0, 0])
+    rho_JJ = params.rho_JJ
+    times = np.arange(N + 1) * delta
+    times.flags.writeable = False  # one grid shared by every path
+    params_hash = params.digest()
+
+    def run(batch) -> np.ndarray:
+        """States (B, N+1, d) of a batch of paths."""
+        B = len(batch)
+        lockstep = B >= LOCKSTEP_MIN
+        states = np.empty((B, N + 1, d))
+        # CIR blocks (chi-square, normal) while Y runs, then (noise, k~ Y) for n = 1
+        buf = np.empty((2, B, N))
+        Y = states[:, :, 0]
+        rngs = []
+        for j, seed in enumerate(batch):
+            rng = generator(seed)
+            states[j, 0, 0], states[j, 0, 1:] = _resolve_initials(params, rng)
+            if df >= 1.0:
+                buf[0, j] = rng.chisquare(df - 1.0, size=N) if df > 1.0 else 0.0
+                rng.standard_normal(out=buf[1, j])
+            rngs.append(rng)
+        if df >= 1.0 and lockstep:
+            _y_lockstep(Y, buf[0], buf[1], emb, c)
+        for j, rng in enumerate(rngs):
+            if df >= 1.0 and not lockstep:
+                _y_pass(Y[j], emb, c, df, buf[0, j], buf[1, j], None)
+            dB_J = rng.standard_normal((N, n)) * sq_delta
+            fresh1 = rng.standard_normal(N) * sq_delta
+            if df < 1.0:
+                _y_pass(Y[j], emb, c, df, None, None, rng)
+            if np.any(Y[j] < 0):  # exact transitions cannot go negative
+                raise AssertionError("negative Y produced by exact CIR transition")
+
+            Yl = Y[j, :-1]
+            sqrt_y = np.sqrt(Yl)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dB1 = np.where(Yl > RECONSTRUCT_EPS,
+                               (Y[j, 1:] - emb * Yl - a_t) / (sigma1 * sqrt_y), fresh1)
+            if scalar_x:
+                np.multiply(sqrt_y, rj1 * dB1 + rjj * dB_J[:, 0], out=buf[0, j])
+                np.multiply(kt0, Yl, out=buf[1, j])
+            else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
+                k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
+                x = states[j, 0, 1:].copy()
+                for k in range(N):
+                    x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
+                    states[j, k + 1, 1:] = x
+        if scalar_x and lockstep:
+            _x_lockstep(states[:, :, 1], eth, mt0, buf[1], buf[0])
+        elif scalar_x:
+            for j in range(B):
+                _x_pass_scalar(states[j, :, 1], eth, mt0, buf[1, j], buf[0, j])
+        return states
+
+    seeds = list(seeds)
+    width = batch_width(N, d)
+    for i in range(0, len(seeds), width):
+        batch = seeds[i:i + width]
+        # no loop variable of this frame outlives the batch's states
+        yield from (Path(delta=float(delta), times=times, states=block, seed=seed,
+                         params_hash=params_hash)
+                    for seed, block in zip(batch, run(batch)))
+
+
+def batch_width(n_steps: int, d: int) -> int:
+    """Paths per batch: as many as fit their states and two staging rows of
+    ``n_steps`` floats each into ``BATCH_BYTES``, and at least one."""
+    return max(1, BATCH_BYTES // (8 * ((n_steps + 1) * d + 2 * n_steps)))
+
+
 def simulate_path(
     params: ModelParams,
     horizon: float,
@@ -149,69 +283,7 @@ def simulate_path(
     ``_force_general`` runs an n = 1 path through the matrix X pass (same
     output; tests compare the two).
     """
-    if delta <= 0:
-        raise InvalidGridError("delta must be positive")
-    if horizon < delta:
-        raise InvalidGridError("horizon must be at least one step")
-    report = validate(params)
-    if not report.ok:
-        raise InadmissibleParamsError("; ".join(report.violations))
-
-    N = int(math.floor(horizon / delta + 1e-9))
-    n, d = params.n, params.d
-    rng = generator(seed)
-    y0, x0 = _resolve_initials(params, rng)
-
-    a, b, sigma1 = float(params.a), float(params.b), params.sigma1
-    emb, a_t = cir_mean_coeffs(a, b, delta)
-    if b != 0.0:  # CIR scale c
-        c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
-    else:
-        c = sigma1 * sigma1 * delta / 4.0
-    df = 4.0 * a / (sigma1 * sigma1)
-    sq_delta = math.sqrt(delta)
-
-    # vectorized pre-draws; the slow CIR branch draws per step instead
-    chi_part = z_y = None
-    if df >= 1.0:
-        chi_part = rng.chisquare(df - 1.0, size=N) if df > 1.0 else np.zeros(N)
-        z_y = rng.standard_normal(N)
-    dB_J = rng.standard_normal((N, n)) * sq_delta
-    fresh1 = rng.standard_normal(N) * sq_delta
-
-    states = np.empty((N + 1, d))
-    states[0, 0] = y0
-    states[0, 1:] = x0
-
-    Y = states[:, 0]
-    _y_pass(Y, emb, c, df, chi_part, z_y, rng)
-    if np.any(Y < 0):  # exact transitions cannot go negative
-        raise AssertionError("negative Y produced by exact CIR transition")
-
-    Yl = Y[:-1]
-    sqrt_y = np.sqrt(Yl)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dB1 = np.where(Yl > RECONSTRUCT_EPS,
-                       (Y[1:] - emb * Yl - a_t) / (sigma1 * sqrt_y), fresh1)
-    emth, m_t, k_t = one_step_conditional_mean_coeffs(
-        a, b, params.m, params.kappa, params.theta, delta
-    )
-    if n == 1 and not _force_general:
-        noise = sqrt_y * (float(params.rho_J1[0]) * dB1
-                          + float(params.rho_JJ[0, 0]) * dB_J[:, 0])
-        _x_pass_scalar(states[:, 1], float(emth[0, 0]), float(m_t[0]),
-                       float(k_t[0]) * Yl, noise)
-    else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
-        k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
-        rho_JJ = params.rho_JJ
-        x = states[0, 1:].copy()
-        for k in range(N):
-            x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
-            states[k + 1, 1:] = x
-
-    times = np.arange(N + 1) * delta
-    return Path(delta=float(delta), times=times, states=states, seed=seed,
-                params_hash=params.digest())
+    return next(simulate_paths(params, horizon, delta, [seed], _force_general))
 
 
 def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
@@ -234,6 +306,20 @@ def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
         Y[k0 + 1:k1 + 1] = out
 
 
+def _y_lockstep(Y, chi, z, emb, c):
+    """Fill Y[:, 1:] of a batch (B, N+1) by the recursion of :func:`_y_pass`,
+    all paths one grid step at a time, in the same operand order."""
+    t = np.empty(Y.shape[0])
+    for y0, y1, zk, chik in zip(Y.T[:-1], Y.T[1:], z.T, chi.T):
+        np.multiply(y0, emb, out=t)
+        np.divide(t, c, out=t)
+        np.sqrt(t, out=t)
+        np.add(zk, t, out=t)
+        np.multiply(t, t, out=t)
+        np.add(chik, t, out=t)
+        np.multiply(c, t, out=y1)
+
+
 def _x_pass_scalar(X, eth, mt0, k_y, noise):
     """n = 1: fill X[1:] by x <- eth*x + mt0 - k_y[k] + noise[k]."""
     x = float(X[0])
@@ -245,6 +331,17 @@ def _x_pass_scalar(X, eth, mt0, k_y, noise):
             x = eth * x + mt0 - ky + nz
             out.append(x)
         X[k0 + 1:k1 + 1] = out
+
+
+def _x_lockstep(X, eth, mt0, k_y, noise):
+    """n = 1: fill X[:, 1:] of a batch (B, N+1) by the recursion of
+    :func:`_x_pass_scalar`, all paths one grid step at a time."""
+    t = np.empty(X.shape[0])
+    for x0, x1, ky, nz in zip(X.T[:-1], X.T[1:], k_y.T, noise.T):
+        np.multiply(eth, x0, out=t)
+        np.add(t, mt0, out=t)
+        np.subtract(t, ky, out=t)
+        np.add(t, nz, out=x1)
 
 
 @dataclass(frozen=True)
@@ -278,7 +375,7 @@ def left_point_sums(Y: np.ndarray, X: np.ndarray):
             float(np.sum(Yl * dY)), Yl @ dX, Xl.T @ dX)
 
 
-def _limit_functionals(path: Path, s: float) -> CriticalLimitSample:
+def _limit_functionals(path: Path, s: float = 1.0) -> CriticalLimitSample:
     """Left-point quadrature / Ito sums of the ten limit functionals of a
     path, with time rescaled by s (state implicitly rescaled by s through
     the caller)."""
@@ -299,12 +396,13 @@ def _limit_functionals(path: Path, s: float) -> CriticalLimitSample:
     )
 
 
-def simulate_critical_limit(
-    params: ModelParams, seed, fine_delta: float = 1e-3
-) -> CriticalLimitSample:
-    """Simulate the zero-started limit process on [0, 1] and return its
-    functionals.  Only a, m and rho are read from ``params``; b, kappa and
-    theta are forced to zero internally."""
+def simulate_critical_limits(
+    params: ModelParams, seeds: Iterable, fine_delta: float = 1e-3
+) -> Iterator[CriticalLimitSample]:
+    """Functionals of the zero-started limit process on [0, 1], one draw per
+    seed in seed order, the paths simulated in batches by
+    :func:`simulate_paths`.  Only a, m and rho are read from ``params``; b,
+    kappa and theta are forced to zero internally."""
     if not (0 < fine_delta <= 1e-3):
         raise InvalidGridError("fine_delta must be in (0, 1e-3]")
     base = ModelParams(
@@ -318,8 +416,15 @@ def simulate_critical_limit(
         y0=0.0,
         x0=np.zeros(params.n),
     )
-    path = simulate_path(base, 1.0, fine_delta, seed)
-    return _limit_functionals(path, 1.0)
+    # map keeps no path once its sample is made, so a batch is freed early
+    return map(_limit_functionals, simulate_paths(base, 1.0, fine_delta, seeds))
+
+
+def simulate_critical_limit(
+    params: ModelParams, seed, fine_delta: float = 1e-3
+) -> CriticalLimitSample:
+    """One draw of :func:`simulate_critical_limits`."""
+    return next(simulate_critical_limits(params, [seed], fine_delta))
 
 
 def scaled_critical_functionals(path: Path) -> CriticalLimitSample:
@@ -409,6 +514,10 @@ def increment_moment_probe(
     snapped to the simulation grid.  s = t returns exactly zero.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
+    if not pairs:
+        raise InvalidGridError("need at least one (s, t) pair")
+    if replications < 1:
+        raise InvalidGridError("need at least one replication")
     for s, t in pairs:
         if t < s:
             raise InvalidGridError("need s <= t in every pair")
@@ -416,12 +525,13 @@ def increment_moment_probe(
             raise InvalidGridError("increments longer than 1 are not supported")
     horizon = max(t for _, t in pairs)
     idx = [(int(round(s / delta)), int(round(t / delta))) for s, t in pairs]
-    samples = np.zeros((replications, len(pairs)))
-    for r in range(replications):
-        path = simulate_path(params, horizon, delta, seed=substream(seed, r))
-        for j, (i0, i1) in enumerate(idx):
-            diff = path.states[i1] - path.states[i0]
-            samples[r, j] = np.sum(np.abs(diff)) ** q
+
+    def increments(path):
+        return [np.sum(np.abs(path.states[i1] - path.states[i0])) ** q for i0, i1 in idx]
+
+    seeds = [substream(seed, r) for r in range(replications)]
+    # map keeps no path once its row is made, so a batch is freed early
+    samples = np.array(list(map(increments, simulate_paths(params, horizon, delta, seeds))))
     out = []
     for j, (s, t) in enumerate(pairs):
         vals = samples[:, j]

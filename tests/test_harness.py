@@ -105,6 +105,11 @@ def test_n1_exact_run_does_not_import_scipy_sparse():
     assert _modules_after_small_run("scipy.sparse") == {"scipy.sparse": False}
 
 
+def test_subcritical_run_does_not_import_scipy_special():
+    # ks_vs_normal's normal cdf comes from math.erfc, not scipy.special.ndtr
+    assert _modules_after_small_run("scipy.special") == {"scipy.special": False}
+
+
 class TestConfigParsing:
     def test_full_round_trip(self):
         cfg = experiment_config_from_text(SUB_CFG)
@@ -377,6 +382,64 @@ class TestReplicationFailures:
         assert [r for i, r in enumerate(got.rows) if i != 1] == \
             [r for i, r in enumerate(want.rows) if i != 1]
         assert got.medians == [float(np.median([want.rows[i][3] for i in (0, 2, 3)]))]
+
+
+def _singular_third_draw(monkeypatch):
+    """Make the third limit draw of a run raise SingularUError."""
+    from ad1n.asymptotics import CriticalLimitFunctional
+    from ad1n.errors import SingularUError
+
+    original = CriticalLimitFunctional.limit_draw
+    calls = []
+
+    def limit_draw(self):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SingularUError("injected")
+        return original(self)
+
+    monkeypatch.setattr(CriticalLimitFunctional, "limit_draw", limit_draw)
+
+
+class TestLimitDrawFailures:
+    CFG = """
+n = 1
+a = 2.0
+b = 0.0
+m = 1.0
+kappa = 0.0
+theta = 0.0
+rho = 1,0; 0.2,0.9
+y0 = 1.0
+x0 = 0.0
+regime = critical
+horizons = 20
+delta = 0.05
+replications = 6
+seed = 31
+flavor = discrete
+limit_draws = 8
+"""
+
+    def test_one_singular_draw_is_one_aborted_row(self, monkeypatch):
+        want = run_experiment(experiment_config_from_text(self.CFG))
+        _singular_third_draw(monkeypatch)
+        got = run_experiment(experiment_config_from_text(self.CFG))
+        want_lines, got_lines = want.csv_text().splitlines(), got.csv_text().splitlines()
+        assert len(got_lines) == len(want_lines)
+        changed = [i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w]
+        assert changed == [1 + 6 + 2]  # header, 6 estimates, limit draws 0 and 1
+        fields = got_lines[changed[0]].split(",")
+        assert fields[:5] == ["limit_draw", "", "2", "1", "0"]
+        assert all(v == "nan" for v in fields[5:])
+        # the KS sample leaves the aborted draw out
+        E = np.array([r.err for r in want.rows if r.kind == "estimate"])
+        kept = np.array([r.err for r in want.rows if r.kind == "limit_draw" and r.rep != 2])
+        ks = [ks_two_sample(E[:, i], kept[:, i]) for i in range(E.shape[1])]
+        assert got.per_horizon[0]["ks_vs_limit"] == ks
+        assert want.checks["limit_abort_rate<0.01"]
+        assert not got.checks["limit_abort_rate<0.01"]
+        assert not got.passed
 
 
 class TestGapExperiment:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from ad1n import (
     read_path_csv,
     scaled_critical_functionals,
     simulate_critical_limit,
+    simulate_critical_limits,
     simulate_path,
+    simulate_paths,
     substream,
     write_path_csv,
 )
+from ad1n import simulate
 from ad1n.errors import InvalidGridError
 from ad1n.harness import ks_two_sample
 from ad1n.moments import TildeFrame, point_initial_moments, transient_moment
+from ad1n.simulate import LOCKSTEP_MIN, batch_width
 
 
 class TestDeterminism:
@@ -235,6 +240,16 @@ class TestIncrementProbe:
         ratio = out[0].value / out[1].value
         assert abs(ratio - 0.5) <= 0.125  # within 25 percent of 1/2
 
+    @pytest.mark.parametrize("pairs, replications", [
+        ([(0.0, 0.5)], 0),
+        ([(0.0, 0.5)], -2),
+        ([], 10),
+    ])
+    def test_bad_inputs_are_grid_errors(self, subcritical_params, pairs, replications):
+        with pytest.raises(InvalidGridError):
+            increment_moment_probe(subcritical_params, 2.0, pairs, delta=0.01,
+                                   replications=replications, seed=4)
+
 
 class TestPathCsv:
     def test_round_trip(self, tmp_path, subcritical_params):
@@ -246,3 +261,71 @@ class TestPathCsv:
         assert back.delta == path.delta
         assert back.seed == (8, 2)
         assert back.params_hash == path.params_hash
+
+
+class TestBatches:
+    """simulate_paths advances up to batch_width paths side by side; each
+    path must keep the bits simulate_path gives it alone."""
+
+    N1 = dict(n=1, a=2.0, b=1.0, m=[1.0], kappa=[0.5], theta=[[2.0]],
+              rho=[[1.0, 0.0], [0.2, 0.9]], y0=2.0, x0=0.25)
+    N2 = dict(n=2, a=2.0, b=1.5, m=[2.0, -1.5], kappa=[0.2, 0.1],
+              theta=[[2.0, 0.3], [0.1, 1.2]],
+              rho=[[1.0, 0.0, 0.0], [0.2, 0.8, 0.0], [-0.1, 0.15, 0.7]],
+              y0=1.5, x0=[0.5, -1.0])
+    CASES = ("df_above_1", "df_1", "df_below_1", "zero_start_b0", "callable_start")
+
+    def _params(self, name, n):
+        p = dict(self.N1 if n == 1 else self.N2)
+        if name == "df_1":  # df = 4a / rho_11^2
+            p.update(a=0.25)
+        elif name == "df_below_1":
+            p.update(a=0.15, y0=0.5)
+        elif name == "zero_start_b0":
+            p.update(b=0.0, kappa=np.zeros(n), theta=np.zeros((n, n)), y0=0.0,
+                     x0=np.zeros(n))
+        elif name == "callable_start":
+            p.update(y0=lambda rng: float(rng.gamma(8.0, 0.25)),
+                     x0=lambda rng: rng.normal(size=n))
+        return ModelParams(**p)
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
+    @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN + 3])
+    def test_batch_paths_equal_single_paths(self, name, n, force, width):
+        params = self._params(name, n)
+        seeds = [substream(77, 5 * j + 1) for j in range(width)]
+        paths = list(simulate_paths(params, 0.4, 0.02, seeds, _force_general=force))
+        assert [p.seed for p in paths] == seeds
+        for seed, got in zip(seeds, paths):
+            want = simulate_path(params, 0.4, 0.02, seed, _force_general=force)
+            assert got.states.flags.c_contiguous
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.times.tobytes() == want.times.tobytes()
+            assert (got.delta, got.params_hash) == (want.delta, want.params_hash)
+
+    def test_seeds_spanning_several_batches(self, monkeypatch, critical_params):
+        width = LOCKSTEP_MIN + 2
+        steps = 50
+        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * (2 * (steps + 1) + 2 * steps))
+        assert batch_width(steps, 2) == width
+        seeds = [substream(3, j) for j in range(2 * width + 5)]  # two lockstep, one narrow
+        want = [simulate_path(critical_params, 1.0, 0.02, s).states.tobytes() for s in seeds]
+        got = [p.states.tobytes() for p in simulate_paths(critical_params, 1.0, 0.02, seeds)]
+        assert got == want
+
+    def test_limit_draws_stay_in_the_byte_budget(self, critical_params):
+        # the critical_limit benchmark's 160 x 1000-step limit draws; its
+        # peak_rss_mb may rise by 5% (~3 MB), and a 1.25 MiB batch adds ~0.6 MB
+        budget = 1_310_720
+        slack = 128 << 10  # one path's dB^J, dB^1 and noise temporaries
+        seeds = [substream(313, 40 + j) for j in range(160)]
+        next(simulate_critical_limits(critical_params, seeds[:1]))  # fill the caches
+        tracemalloc.start()
+        try:
+            for _ in simulate_critical_limits(critical_params, seeds):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget + slack
