@@ -19,11 +19,9 @@ from .model import (
     validate,
 )
 from .simulate import (
-    CriticalLimitSample,
     Path,
     increment_moment_probe,
     read_path_csv,
-    scaled_critical_functionals,
     simulate_critical_limit,
     simulate_critical_limits,
     simulate_path,

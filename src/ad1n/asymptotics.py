@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .model import Classification, ModelParams, Regime, gram_blocks, qv_matrix, tau_length
-from .simulate import CriticalLimitSample, Path
+from .simulate import Path, left_point_sums
 
 U_COND_LIMIT = 1e12
 #: a scaled supercritical tail is stabilized when it changes by at most
@@ -94,51 +94,44 @@ class SupercriticalLimits:
     eta_etaT: np.ndarray  # (d^2+1, d^2+1)
 
 
-def scaled_tail(path: Path, rate: float, series: np.ndarray, tail_fraction: float = TAIL_FRACTION):
-    """e^{rate t} * series over the final ``tail_fraction`` of the horizon,
-    and its relative change across that window."""
-    k0 = int(math.floor((1.0 - tail_fraction) * path.n_steps))
+def scaled_tail(path: Path, rate: float, series: np.ndarray):
+    """e^{rate t} * series over the final TAIL_FRACTION of the horizon, and
+    its relative change across that window."""
+    k0 = int(math.floor((1.0 - TAIL_FRACTION) * path.n_steps))
     w = np.exp(rate * path.times[k0:]) * series[k0:]
     return w, abs(w[-1] - w[0]) / max(abs(w[-1]), 1e-300)
 
 
-def _tail_stat(path: Path, rate: float, series: np.ndarray, tail_fraction: float,
-               rel_tol: float) -> float:
+def _tail_stat(path: Path, rate: float, series: np.ndarray) -> float:
     """Mean of the scaled tail; raises NotStabilized when its relative
-    change across the window exceeds rel_tol."""
-    w, moved = scaled_tail(path, rate, series, tail_fraction)
-    if moved > rel_tol:
+    change across the window exceeds TAIL_REL_TOL."""
+    w, moved = scaled_tail(path, rate, series)
+    if moved > TAIL_REL_TOL:
         raise NotStabilizedError(f"scaled tail moved {moved:.3%} over the window")
     return float(np.mean(w))
 
 
 def extract_supercritical_limits(
-    path: Path,
-    params: ModelParams,
-    classification: Classification,
-    tail_fraction: float = TAIL_FRACTION,
-    rel_tol: float = TAIL_REL_TOL,
+    path: Path, params: ModelParams, classification: Classification
 ) -> SupercriticalLimits:
     """Read C1 and C_J from the stabilized tail of a supercritical path and
     assemble the limit matrices V1, V2 and eta*eta^T.
 
     The tail criterion requires the relative change of e^{bt} Y_t and of
-    every e^{lam_min t} X^i_t over the final ``tail_fraction`` of the
-    horizon to stay below ``rel_tol``.
+    every e^{lam_min t} X^i_t over the final TAIL_FRACTION of the horizon
+    to stay below TAIL_REL_TOL.
 
     The Euler update of X carries a growth-rate bias of order
     ||theta||^2 * delta / 2 per unit time, so the X criterion needs
     delta small enough that this bias over the window stays below
-    ``rel_tol`` (Y uses exact transitions and has no such bias).
+    TAIL_REL_TOL (Y uses exact transitions and has no such bias).
     """
     b = float(params.b)
     lam_min = float(classification.eig_theta[0])
     n = params.n
-    c1 = _tail_stat(path, b, path.Y, tail_fraction, rel_tol)
-    cj = np.array([_tail_stat(path, lam_min, path.X[:, i], tail_fraction, rel_tol)
-                   for i in range(n)])
+    c1 = _tail_stat(path, b, path.Y)
+    cj = np.array([_tail_stat(path, lam_min, path.X[:, i]) for i in range(n)])
 
-    v1 = np.array([[1.0, c1 / b], [0.0, -c1 * c1 / (2.0 * b)]])
     v2 = np.zeros((n + 2, n + 2))
     v2[0, 0] = 1.0
     v2[0, 1] = c1 / b
@@ -147,6 +140,7 @@ def extract_supercritical_limits(
     v2[1, 2:] = -c1 * cj / (b + lam_min)
     v2[2:, 1] = -c1 * cj / (b + lam_min)
     v2[2:, 2:] = -np.outer(cj, cj) / (2.0 * lam_min)
+    v1 = v2[:2, :2].copy()
 
     C1m, C3m = gram_blocks(
         -c1 / b, -c1 * c1 / (2.0 * b), -c1**3 / (3.0 * b), -c1 * cj / (b + lam_min),
@@ -178,17 +172,19 @@ class CriticalLimitFunctional:
         return np.concatenate([head, tail.T.ravel()])
 
 
-def critical_limit_functional(
-    sample: CriticalLimitSample, a: float, m
-) -> CriticalLimitFunctional:
-    """Fill U1, U2, R1, R2 from the functionals of one zero-started draw."""
+def critical_limit_functional(path: Path, a: float, m) -> CriticalLimitFunctional:
+    """U1, U2, R1, R2 of one path of the zero-started limit process on
+    [0, 1]: its end values, left-point integrals int Y, int Y^2, int X,
+    int Y X, int X X^T and Ito sums int Y dY, int Y dX, int X dX^T."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
     n = m.shape[0]
-    u1, u2 = gram_blocks(1.0, sample.int_y, sample.int_yy, sample.int_x,
-                         sample.int_yx, sample.int_xx)
-    r1 = np.array([sample.y1 - a, a * sample.int_y - sample.int_y_dy])
+    Y, X, delta = path.Y, path.X, path.delta
+    _, s_y, s_yy, s_x, s_yx, s_xx, s_ydy, s_ydx, s_xdx = left_point_sums(Y, X)
+    int_y, int_x = s_y * delta, s_x * delta
+    u1, u2 = gram_blocks(1.0, int_y, s_yy * delta, int_x, s_yx * delta, s_xx * delta)
+    r1 = np.array([Y[-1] - a, a * int_y - s_ydy])
     r2 = np.empty((n + 2, n))
-    r2[0, :] = sample.x1 - m
-    r2[1, :] = sample.int_y * m - sample.int_y_dx
-    r2[2:, :] = np.outer(sample.int_x, m) - sample.int_x_dx
+    r2[0, :] = X[-1] - m
+    r2[1, :] = int_y * m - s_ydx
+    r2[2:, :] = np.outer(int_x, m) - s_xdx
     return CriticalLimitFunctional(u1=u1, u2=u2, r1=r1, r2=r2)

@@ -27,6 +27,7 @@ from .harness import (
     discrete_vs_continuous_gap,
     params_from_config,
     parse_config_text,
+    parse_value,
     run_experiment,
     write_report,
 )
@@ -34,7 +35,6 @@ from .model import classify
 from .moments import (
     TildeFrame,
     asymptotic_covariance,
-    stationary_moment_table,
     stationary_x_moments,
 )
 from .simulate import read_path_csv, simulate_path, write_path_csv
@@ -68,11 +68,14 @@ def _cmd_classify(args) -> int:
 def _cmd_simulate(args) -> int:
     raw = _read_config(args.config)
     params = params_from_config(raw)
-    horizon = float(raw.get("horizon", raw.get("horizons", "1").split(",")[0]))
+    if "horizon" in raw:
+        horizon = parse_value(raw, "horizon", float)
+    else:
+        horizon = parse_value(raw, "horizons", lambda v: float(v.split(",")[0]), 1.0)
     if "delta" not in raw:
         raise ConfigError("simulate needs an explicit delta")
-    delta = float(raw["delta"])
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    delta = parse_value(raw, "delta", float)
+    seed = args.seed if args.seed is not None else parse_value(raw, "seed", int, 0)
     path = simulate_path(params, horizon, delta, seed)
     os.makedirs(args.out, exist_ok=True)
     csv_file = os.path.join(args.out, "path.csv")
@@ -108,7 +111,6 @@ def _cmd_moments(args) -> int:
     raw = _read_config(args.config)
     params = params_from_config(raw)
     frame = TildeFrame.from_params(params)
-    table = stationary_moment_table(params, max_order=3)
     ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = stationary_x_moments(params)
     report = asymptotic_covariance(params)
     _print_json(

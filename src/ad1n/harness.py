@@ -43,12 +43,14 @@ are comma lists; matrices are semicolon-separated rows of comma lists.
 Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons, delta or
 gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
 replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
-commands).
+commands).  Any other key, or a value that does not parse, is a
+``ConfigError`` naming the key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -324,11 +326,11 @@ def _solve(blocks, flavor: str):
     return tau if np.all(np.isfinite(tau)) else None
 
 
-def _limit_draw(sample, params: ModelParams):
-    """One critical limit draw from a sample of the limit functionals, or
-    None when the limit functional is singular or its solve fails."""
+def _limit_draw(path, params: ModelParams):
+    """One critical limit draw from a path of the limit process, or None
+    when its limit functional is singular or its solve fails."""
     try:
-        return critical_limit_functional(sample, params.a, params.m).limit_draw()
+        return critical_limit_functional(path, params.a, params.m).limit_draw()
     except REP_FAILURES:
         return None
 
@@ -358,8 +360,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         n_draws = config.limit_draws or M
         base = len(config.horizons) * M
         seeds = [substream(config.seed, base + j) for j in range(n_draws)]
-        samples = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
-        limit_draws = [_limit_draw(s, params) for s in samples]
+        paths = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
+        # map holds no path past its draw, so one batch is alive at a time
+        limit_draws = list(map(_limit_draw, paths, itertools.repeat(params)))
         limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
 
     sandwich = None
@@ -452,8 +455,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         checks[f"abort_rate<{ABORT_RATE_MAX:g}[T={T:g}]"] = (n_abort / M) < ABORT_RATE_MAX
 
     if is_super and len(per_horizon) > 1:
-        med = [s["median_abs_b_err"] for s in per_horizon]
-        iqr = [s["iqr_a_err"] for s in per_horizon]
+        # a horizon with at most one estimate has no statistics: its NaN fails every check
+        med = [s.get("median_abs_b_err", math.nan) for s in per_horizon]
+        iqr = [s.get("iqr_a_err", math.nan) for s in per_horizon]
         checks["median_b_err_decreasing"] = all(
             med[i + 1] < med[i] for i in range(len(med) - 1)
         )
@@ -461,7 +465,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         ratio = iqr[-1] / iqr[0]
         checks["iqr_a_not_contracting"] = SUPER_IQR_RATIO[0] <= ratio <= SUPER_IQR_RATIO[1]
         checks[f"stabilization>={SUPER_STAB_MIN:g}"] = (
-            per_horizon[-1]["stabilization_rate"] >= SUPER_STAB_MIN
+            per_horizon[-1].get("stabilization_rate", math.nan) >= SUPER_STAB_MIN
         )
 
     if limit_draws is not None:
@@ -573,7 +577,10 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines into a raw string dict."""
+    """Flat key = value lines into a raw string dict; a key outside the list
+    in the module docstring is a ConfigError."""
+    known = _MODEL_KEYS + ("regime", "horizons", "delta", "gamma", "replications", "seed",
+                           "flavor", "fine_delta", "limit_draws", "horizon")
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -582,25 +589,38 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
+def parse_value(raw: dict, key: str, parse, default=None):
+    """``parse(raw[key])``, or ``default`` when the key is absent; a value
+    ``parse`` rejects is a ConfigError naming the key."""
+    if key not in raw:
+        return default
+    try:
+        return parse(raw[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
+
+
 def params_from_config(raw: dict) -> ModelParams:
-    missing = [k for k in ("n", "a", "b", "m", "kappa", "theta", "rho") if k not in raw]
+    missing = [k for k in _MODEL_KEYS[:7] if k not in raw]
     if missing:
         raise ConfigError(f"config lacks model keys: {', '.join(missing)}")
-    n = int(raw["n"])
     return ModelParams(
-        n=n,
-        a=float(raw["a"]),
-        b=float(raw["b"]),
-        m=_parse_vector(raw["m"]),
-        kappa=_parse_vector(raw["kappa"]),
-        theta=_parse_matrix(raw["theta"]),
-        rho=_parse_matrix(raw["rho"]),
-        y0=float(raw.get("y0", 1.0)),
-        x0=_parse_vector(raw["x0"]) if "x0" in raw else 0.0,
+        n=parse_value(raw, "n", int),
+        a=parse_value(raw, "a", float),
+        b=parse_value(raw, "b", float),
+        m=parse_value(raw, "m", _parse_vector),
+        kappa=parse_value(raw, "kappa", _parse_vector),
+        theta=parse_value(raw, "theta", _parse_matrix),
+        rho=parse_value(raw, "rho", _parse_matrix),
+        y0=parse_value(raw, "y0", float, 1.0),
+        x0=parse_value(raw, "x0", _parse_vector, 0.0),
     )
 
 
@@ -609,23 +629,19 @@ def experiment_config_from_text(text: str) -> ExperimentConfig:
     params = params_from_config(raw)
     if "regime" not in raw:
         raise ConfigError("config lacks a declared regime")
-    try:
-        regime = Regime(raw["regime"].lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown regime {raw['regime']!r}") from exc
     if "horizons" not in raw:
         raise ConfigError("config lacks horizons")
     return ExperimentConfig(
         params=params,
-        regime=regime,
-        horizons=[float(v) for v in _parse_vector(raw["horizons"])],
-        replications=int(raw.get("replications", 100)),
-        seed=int(raw.get("seed", 0)),
+        regime=parse_value(raw, "regime", lambda v: Regime(v.lower())),
+        horizons=[float(v) for v in parse_value(raw, "horizons", _parse_vector)],
+        replications=parse_value(raw, "replications", int, 100),
+        seed=parse_value(raw, "seed", int, 0),
         flavor=raw.get("flavor", "discrete"),
-        delta=float(raw["delta"]) if "delta" in raw else None,
-        gamma=float(raw["gamma"]) if "gamma" in raw else None,
-        fine_delta=float(raw.get("fine_delta", 1e-3)),
-        limit_draws=int(raw["limit_draws"]) if "limit_draws" in raw else None,
+        delta=parse_value(raw, "delta", float),
+        gamma=parse_value(raw, "gamma", float),
+        fine_delta=parse_value(raw, "fine_delta", float, 1e-3),
+        limit_draws=parse_value(raw, "limit_draws", int),
     )
 
 

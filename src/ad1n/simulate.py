@@ -51,6 +51,10 @@ n > 1 X recursion stay per path.  Each path's states are a contiguous
 (N+1, d) block of a (B, N+1, d) array, never a column of a wider one: the
 BLAS kernels behind :func:`left_point_sums` depend on the stride, and with
 it the last bits of the sums.  :func:`simulate_path` is the one-seed call.
+:func:`simulate_critical_limits` runs the zero-started critical limit
+process on [0, 1] through the same engine and yields its paths; the limit
+functional (U, R) of a path is built from its :func:`left_point_sums` by
+:func:`ad1n.asymptotics.critical_limit_functional`.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), so every path index owns an independent substream and
@@ -344,24 +348,6 @@ def _x_lockstep(X, eth, mt0, k_y, noise):
         np.add(t, nz, out=x1)
 
 
-@dataclass(frozen=True)
-class CriticalLimitSample:
-    """One draw of the path functionals of the zero-started process
-    (Y, X) with dY = a dt + rho_11 sqrt(Y) dB^1, dX = m dt + sqrt(Y) rho~ dB
-    on [0, 1]:  end values, Riemann integrals (left point) and Ito sums."""
-
-    y1: float
-    x1: np.ndarray  # (n,)
-    int_y: float
-    int_x: np.ndarray  # (n,)
-    int_yy: float
-    int_xx: np.ndarray  # (n, n)
-    int_yx: np.ndarray  # (n,)
-    int_y_dy: float
-    int_y_dx: np.ndarray  # (n,)
-    int_x_dx: np.ndarray  # (n, n), entry (i, j) = sum X^i d(X^j)
-
-
 def left_point_sums(Y: np.ndarray, X: np.ndarray):
     """Left-point sums over a sampled path: N, sum Y, sum Y^2, sum X, Y @ X,
     X^T X, sum Y dY, Y @ dX and X^T dX, each over the N left endpoints.
@@ -375,34 +361,15 @@ def left_point_sums(Y: np.ndarray, X: np.ndarray):
             float(np.sum(Yl * dY)), Yl @ dX, Xl.T @ dX)
 
 
-def _limit_functionals(path: Path, s: float = 1.0) -> CriticalLimitSample:
-    """Left-point quadrature / Ito sums of the ten limit functionals of a
-    path, with time rescaled by s (state implicitly rescaled by s through
-    the caller)."""
-    Y, X = path.Y, path.X
-    delta = float(path.times[1] - path.times[0])
-    _, s_y, s_yy, s_x, s_yx, s_xx, s_ydy, s_ydx, s_xdx = left_point_sums(Y, X)
-    return CriticalLimitSample(
-        y1=float(Y[-1] / s),
-        x1=X[-1] / s,
-        int_y=s_y * delta / s**2,
-        int_x=s_x * delta / s**2,
-        int_yy=s_yy * delta / s**3,
-        int_xx=s_xx * delta / s**3,
-        int_yx=s_yx * delta / s**3,
-        int_y_dy=s_ydy / s**2,
-        int_y_dx=s_ydx / s**2,
-        int_x_dx=s_xdx / s**2,
-    )
-
-
 def simulate_critical_limits(
     params: ModelParams, seeds: Iterable, fine_delta: float = 1e-3
-) -> Iterator[CriticalLimitSample]:
-    """Functionals of the zero-started limit process on [0, 1], one draw per
-    seed in seed order, the paths simulated in batches by
-    :func:`simulate_paths`.  Only a, m and rho are read from ``params``; b,
-    kappa and theta are forced to zero internally."""
+) -> Iterator[Path]:
+    """Paths of the zero-started limit process on [0, 1], one per seed in
+    seed order, simulated in batches by :func:`simulate_paths`.  Only a, m
+    and rho are read from ``params``; b, kappa and theta are forced to zero.
+    :func:`ad1n.asymptotics.critical_limit_functional` turns a path into
+    its limit draw; map it over the paths, so that no path outlives its
+    draw and a batch is freed before the next one is simulated."""
     if not (0 < fine_delta <= 1e-3):
         raise InvalidGridError("fine_delta must be in (0, 1e-3]")
     base = ModelParams(
@@ -416,26 +383,12 @@ def simulate_critical_limits(
         y0=0.0,
         x0=np.zeros(params.n),
     )
-    # map keeps no path once its sample is made, so a batch is freed early
-    return map(_limit_functionals, simulate_paths(base, 1.0, fine_delta, seeds))
+    return simulate_paths(base, 1.0, fine_delta, seeds)
 
 
-def simulate_critical_limit(
-    params: ModelParams, seed, fine_delta: float = 1e-3
-) -> CriticalLimitSample:
-    """One draw of :func:`simulate_critical_limits`."""
+def simulate_critical_limit(params: ModelParams, seed, fine_delta: float = 1e-3) -> Path:
+    """One path of :func:`simulate_critical_limits`."""
     return next(simulate_critical_limits(params, [seed], fine_delta))
-
-
-def scaled_critical_functionals(path: Path) -> CriticalLimitSample:
-    """Functionals of a horizon-T path under the critical scaling
-    (Y_T/T, X_T/T, T^-2 int Y, ..., T^-2 sum Y dY, ...).
-
-    By the Brownian scaling identity these match the distribution of the
-    [0, 1] limit functionals when the path is the zero-started critical
-    process.
-    """
-    return _limit_functionals(path, float(path.times[-1]))
 
 
 def write_path_csv(path: Path, csv_file: str, sidecar: dict | None = None) -> None:
@@ -514,6 +467,8 @@ def increment_moment_probe(
     snapped to the simulation grid.  s = t returns exactly zero.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
+    if not delta > 0:
+        raise InvalidGridError("delta must be positive")
     if not pairs:
         raise InvalidGridError("need at least one (s, t) pair")
     if replications < 1:
@@ -523,8 +478,9 @@ def increment_moment_probe(
             raise InvalidGridError("need s <= t in every pair")
         if t - s >= 1.0:
             raise InvalidGridError("increments longer than 1 are not supported")
-    horizon = max(t for _, t in pairs)
     idx = [(int(round(s / delta)), int(round(t / delta))) for s, t in pairs]
+    # out to the largest snapped index, which may lie one step past max t
+    horizon = max(i1 for _, i1 in idx) * delta
 
     def increments(path):
         return [np.sum(np.abs(path.states[i1] - path.states[i0])) ** q for i0, i1 in idx]

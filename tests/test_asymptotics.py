@@ -5,6 +5,7 @@ import pytest
 
 from ad1n import (
     ModelParams,
+    Path,
     classify,
     critical_limit_functional,
     extract_supercritical_limits,
@@ -19,7 +20,6 @@ from ad1n.errors import (
     SingularUError,
     UnsupportedRegimeError,
 )
-from ad1n.simulate import CriticalLimitSample
 
 
 class TestNormalizer:
@@ -121,32 +121,29 @@ class TestSupercriticalLimits:
 
 class TestCriticalLimitFunctional:
     def test_r1_first_entry(self, critical_params):
-        s = simulate_critical_limit(critical_params, seed=substream(7, 0))
-        f = critical_limit_functional(s, critical_params.a, critical_params.m)
-        assert f.r1[0] == s.y1 - critical_params.a
+        path = simulate_critical_limit(critical_params, seed=substream(7, 0))
+        f = critical_limit_functional(path, critical_params.a, critical_params.m)
+        assert f.r1[0] == path.Y[-1] - critical_params.a
 
     def test_u_blocks_psd(self, critical_params):
         for r in range(10):
-            s = simulate_critical_limit(critical_params, seed=substream(7, r))
-            f = critical_limit_functional(s, critical_params.a, critical_params.m)
+            path = simulate_critical_limit(critical_params, seed=substream(7, r))
+            f = critical_limit_functional(path, critical_params.a, critical_params.m)
             assert np.linalg.eigvalsh(f.u1).min() >= -1e-12
             assert np.linalg.eigvalsh(f.u2).min() >= -1e-12
 
     def test_degenerate_zero_process_singular(self):
         n = 1
-        zero = CriticalLimitSample(
-            y1=0.0, x1=np.zeros(n), int_y=0.0, int_x=np.zeros(n), int_yy=0.0,
-            int_xx=np.zeros((n, n)), int_yx=np.zeros(n), int_y_dy=0.0,
-            int_y_dx=np.zeros(n), int_x_dx=np.zeros((n, n)),
-        )
+        N = 1000
+        zero = Path(1.0 / N, np.arange(N + 1) / N, np.zeros((N + 1, n + 1)), None, "")
         f = critical_limit_functional(zero, 0.0, np.zeros(n))
         assert np.allclose(f.u1, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularUError):
             f.limit_draw()
 
     def test_limit_draw_layout(self, critical_params):
-        s = simulate_critical_limit(critical_params, seed=substream(8, 0))
-        f = critical_limit_functional(s, critical_params.a, critical_params.m)
+        path = simulate_critical_limit(critical_params, seed=substream(8, 0))
+        f = critical_limit_functional(path, critical_params.a, critical_params.m)
         draw = f.limit_draw()
         assert draw.shape == (5,)
         head = np.linalg.solve(f.u1, f.r1)

@@ -131,3 +131,49 @@ def test_nonpositive_delta_exit_code(tmp_path, capsys):
     f.write_text(EXP_CFG.replace("delta = 0.02", "delta = -0.02"))
     assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_config_value_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad_value.cfg"
+    f.write_text(EXP_CFG.replace("replications = 10", "replications = abc"))
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    assert "error: bad value for replications" in capsys.readouterr().err
+
+
+def test_misspelled_key_exit_code(tmp_path, capsys):
+    f = tmp_path / "misspelled.cfg"
+    f.write_text(EXP_CFG.replace("replications = 10", "replicatons = 10"))
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'replicatons'" in capsys.readouterr().err
+
+
+def test_bad_simulate_value_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad_delta.cfg"
+    f.write_text(MODEL_CFG.replace("delta = 0.02", "delta = fast"))
+    assert main(["simulate", "--config", str(f), "--out", str(tmp_path / "sim")]) == 2
+    assert "error: bad value for delta" in capsys.readouterr().err
+
+
+def test_supercritical_run_with_one_replication_writes_its_report(tmp_path, capsys):
+    # one estimate per horizon: no median b error, so the checks fail (exit
+    # 1); the run used to die with KeyError: 'median_abs_b_err'
+    f = tmp_path / "super.cfg"
+    f.write_text("""
+n = 1
+a = 1.0
+b = -0.5
+m = 0.5
+kappa = -0.2
+theta = -1.0
+rho = 1,0; 0.2,0.9
+regime = supercritical
+horizons = 15,25
+delta = 0.02
+replications = 1
+seed = 707
+""")
+    out_dir = str(tmp_path / "exp")
+    assert main(["experiment", "--config", str(f), "--out", out_dir]) == 1
+    with open(os.path.join(out_dir, "experiment.json")) as fh:
+        assert json.load(fh)["checks"]["median_b_err_decreasing"] is False
+    assert "FAIL  overall" in capsys.readouterr().out

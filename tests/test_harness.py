@@ -43,6 +43,25 @@ seed = 4242
 flavor = exact
 """
 
+# the golden supercritical config, with a single replication per horizon
+SUPER_ONE_REP_CFG = """
+n = 1
+a = 1.0
+b = -0.5
+m = 0.5
+kappa = -0.2
+theta = -1.0
+rho = 1,0; 0.2,0.9
+y0 = 1.0
+x0 = 0.0
+regime = supercritical
+horizons = 15,25
+delta = 0.02
+replications = 1
+seed = 707
+flavor = discrete
+"""
+
 
 class TestStatsHelpers:
     def test_ks_two_sample_matches_scipy(self):
@@ -170,6 +189,25 @@ class TestConfigParsing:
     def test_delta_equal_to_smallest_horizon_accepted(self):
         experiment_config_from_text(SUB_CFG.replace("delta = 0.02", "delta = 40")).validate()
 
+    # each used to raise a bare ValueError, which the CLI printed as a traceback
+    @pytest.mark.parametrize("key, line", [
+        ("replications", "replications = abc"),
+        ("m", "m = 1.0, x"),
+        ("seed", "seed = 1.5"),
+        ("theta", "theta = 1, 2; 3"),
+    ])
+    def test_bad_value_is_a_config_error_naming_the_key(self, key, line):
+        old = next(ln for ln in SUB_CFG.splitlines() if ln.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=f"bad value for {key}:"):
+            experiment_config_from_text(SUB_CFG.replace(old, line))
+
+    # each used to be ignored, so the run took the default instead
+    @pytest.mark.parametrize("line", ["replicatons = 5", "flavour = exact", "Seed = 3"])
+    def test_unknown_key_is_a_config_error_naming_it(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            experiment_config_from_text(SUB_CFG + line + "\n")
+
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):
             experiment_config_from_text(SUB_CFG.replace("subcritical", "weird"))
@@ -257,6 +295,14 @@ class TestRunExperiment:
         est_rows = [r for r in rep.rows if r.kind == "estimate"]
         assert len(est_rows) == 1
         assert "emp_cov" not in rep.per_horizon[0]
+
+    def test_supercritical_run_with_one_replication_fails_its_checks(self):
+        # a horizon with one estimate has no median or IQR; the run used to
+        # die with KeyError: 'median_abs_b_err'
+        rep = run_experiment(experiment_config_from_text(SUPER_ONE_REP_CFG))
+        super_checks = {k: v for k, v in rep.checks.items() if not k.startswith("abort")}
+        assert len(super_checks) == 4 and not any(super_checks.values())
+        assert all("median_abs_b_err" not in s for s in rep.per_horizon)
 
     def test_byte_identical_reruns(self):
         cfg = experiment_config_from_text(SUB_CFG)

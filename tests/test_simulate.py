@@ -7,9 +7,10 @@ import scipy.stats
 
 from ad1n import (
     ModelParams,
+    Path,
+    critical_limit_functional,
     increment_moment_probe,
     read_path_csv,
-    scaled_critical_functionals,
     simulate_critical_limit,
     simulate_critical_limits,
     simulate_path,
@@ -172,23 +173,30 @@ class TestComparisonProperty:
             assert ok
 
 
+def _int_y_yy(path, params):
+    """(int Y, int Y^2) of a limit path, read from its U1 = [[1, -int Y],
+    [-int Y, int Y^2]]."""
+    u1 = critical_limit_functional(path, params.a, params.m).u1
+    return -u1[0, 1], u1[1, 1]
+
+
 class TestCriticalLimit:
     def test_degenerate_a_zero(self):
         p = ModelParams(n=1, a=0.0, b=0.0, m=[1.0], kappa=[0.0], theta=[[0.0]],
                         rho=[[1.0, 0.0], [0.2, 0.9]])
-        s = simulate_critical_limit(p, seed=1)
-        assert s.y1 == 0.0
-        assert s.int_yy == 0.0
+        path = simulate_critical_limit(p, seed=1)
+        assert path.Y[-1] == 0.0
+        assert _int_y_yy(path, p)[1] == 0.0
         # X becomes the pure drift integral
-        assert abs(s.x1[0] - 1.0) < 1e-12
+        assert abs(path.X[-1, 0] - 1.0) < 1e-12
 
     def test_end_value_means(self, critical_params):
         M = 400
         y1 = np.empty(M)
         x1 = np.empty(M)
         for r in range(M):
-            s = simulate_critical_limit(critical_params, seed=substream(3, r))
-            y1[r], x1[r] = s.y1, s.x1[0]
+            path = simulate_critical_limit(critical_params, seed=substream(3, r))
+            y1[r], x1[r] = path.Y[-1], path.X[-1, 0]
         se_y = y1.std(ddof=1) / math.sqrt(M)
         se_x = x1.std(ddof=1) / math.sqrt(M)
         assert abs(y1.mean() - 2.0) <= 3.0 * se_y
@@ -196,8 +204,9 @@ class TestCriticalLimit:
 
     def test_cauchy_schwarz_on_quadrature(self, critical_params):
         for r in range(30):
-            s = simulate_critical_limit(critical_params, seed=substream(21, r))
-            assert s.int_yy >= s.int_y**2 - 1e-12
+            path = simulate_critical_limit(critical_params, seed=substream(21, r))
+            int_y, int_yy = _int_y_yy(path, critical_params)
+            assert int_yy >= int_y**2 - 1e-12
 
     def test_fine_delta_guard(self, critical_params):
         with pytest.raises(InvalidGridError):
@@ -205,7 +214,8 @@ class TestCriticalLimit:
 
     def test_scaling_identity_ks(self, critical_params):
         # (Y1, int Y) of the [0,1] limit process vs the horizon-T path
-        # functionals (Y_T/T, T^-2 int Y) of the zero-started process
+        # functionals (Y_T/T, T^-2 int Y) of the zero-started process, read
+        # from that path rescaled to [0, 1] (time and state divided by T)
         M = 2000
         T = 40.0
         p0 = ModelParams(n=1, a=2.0, b=0.0, m=[1.0], kappa=[0.0], theta=[[0.0]],
@@ -215,11 +225,12 @@ class TestCriticalLimit:
         path_y1 = np.empty(M)
         path_iy = np.empty(M)
         for r in range(M):
-            s = simulate_critical_limit(p0, seed=substream(500, r))
-            lim_y1[r], lim_iy[r] = s.y1, s.int_y
+            lim = simulate_critical_limit(p0, seed=substream(500, r))
+            lim_y1[r], lim_iy[r] = lim.Y[-1], _int_y_yy(lim, p0)[0]
             path = simulate_path(p0, T, 0.04, seed=substream(501, r))
-            f = scaled_critical_functionals(path)
-            path_y1[r], path_iy[r] = f.y1, f.int_y
+            scaled = Path(path.delta / T, path.times / T, path.states / T, path.seed,
+                          path.params_hash)
+            path_y1[r], path_iy[r] = scaled.Y[-1], _int_y_yy(scaled, p0)[0]
         assert ks_two_sample(lim_y1, path_y1) < 0.1
         assert ks_two_sample(lim_iy, path_iy) < 0.1
 
@@ -249,6 +260,24 @@ class TestIncrementProbe:
         with pytest.raises(InvalidGridError):
             increment_moment_probe(subcritical_params, 2.0, pairs, delta=0.01,
                                    replications=replications, seed=4)
+
+
+    @pytest.mark.parametrize("delta", [0.0, -0.01])
+    def test_nonpositive_delta_is_a_grid_error(self, subcritical_params, delta):
+        # delta = 0 used to raise ZeroDivisionError
+        with pytest.raises(InvalidGridError):
+            increment_moment_probe(subcritical_params, 2.0, [(0.0, 0.5)], delta=delta,
+                                   replications=4, seed=4)
+
+    def test_t_snapped_past_max_t(self, subcritical_params):
+        # t = 0.5 snaps to index 2, i.e. t = 0.6 > 0.5, on a 0.3 grid; the
+        # paths reach it (this used to raise IndexError)
+        out = increment_moment_probe(subcritical_params, 2.0, [(0.0, 0.5)], delta=0.3,
+                                     replications=4, seed=4)
+        want = [np.sum(np.abs(p.states[2] - p.states[0])) ** 2.0
+                for p in (simulate_path(subcritical_params, 0.6, 0.3, substream(4, r))
+                          for r in range(4))]
+        assert out[0].value == pytest.approx(np.mean(want), rel=1e-14)
 
 
 class TestPathCsv:
@@ -320,10 +349,17 @@ class TestBatches:
         budget = 1_310_720
         slack = 128 << 10  # one path's dB^J, dB^1 and noise temporaries
         seeds = [substream(313, 40 + j) for j in range(160)]
-        next(simulate_critical_limits(critical_params, seeds[:1]))  # fill the caches
+        def draw(path):
+            return critical_limit_functional(path, critical_params.a,
+                                             critical_params.m).limit_draw()
+
+        draw(next(simulate_critical_limits(critical_params, seeds[:1])))  # fill the caches
         tracemalloc.start()
         try:
-            for _ in simulate_critical_limits(critical_params, seeds):
+            # path -> draw through map, as the harness consumes the paths: a
+            # bare for loop would hold the last path of a batch, and with it
+            # the whole batch, while the next batch is simulated
+            for _ in map(draw, simulate_critical_limits(critical_params, seeds)):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
