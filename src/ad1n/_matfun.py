@@ -29,13 +29,18 @@ def gauss_legendre_matrix_integral(f, h: float, p: int, order: int = 40) -> np.n
     return 0.5 * h * out
 
 
-def double_exp_integral(b: float, theta: np.ndarray, h: float) -> np.ndarray:
-    """W(h) = int_0^h g_b(u) e^{theta*u} du with g_b(u) = int_0^u e^{-b(u-v)} dv."""
+def double_exp_integral(b: float, theta: np.ndarray, h: float, shifted=None) -> np.ndarray:
+    """W(h) = int_0^h g_b(u) e^{theta*u} du with g_b(u) = int_0^u e^{-b(u-v)} dv.
+
+    ``shifted`` is ``expm_integral(theta - b*I, h)`` when the caller has it
+    already; it is only read for b != 0."""
     theta = np.atleast_2d(theta)
     p = theta.shape[0]
     if b != 0.0:
         # g_b(u) = (1 - e^{-bu})/b, so W = (Phi(theta) - Phi(theta - b I))/b
-        return (expm_integral(theta, h) - expm_integral(theta - b * np.eye(p), h)) / b
+        if shifted is None:
+            shifted = expm_integral(theta - b * np.eye(p), h)
+        return (expm_integral(theta, h) - shifted) / b
     if np.allclose(theta, 0.0):
         return 0.5 * h * h * np.eye(p)
     return gauss_legendre_matrix_integral(
@@ -72,9 +77,10 @@ def _mean_coeffs_of(key):
     kappa = np.atleast_1d(kappa)
     n = theta.shape[0]
     emth = scipy.linalg.expm(-theta * h)
-    kappa_t = emth @ expm_integral(theta - b * np.eye(n), h) @ kappa
+    shifted = expm_integral(theta - b * np.eye(n), h)
+    kappa_t = emth @ shifted @ kappa
     m_t = expm_integral(-theta, h) @ m - a * (
-        emth @ double_exp_integral(b, theta, h) @ kappa
+        emth @ double_exp_integral(b, theta, h, shifted) @ kappa
     )
     for arr in (emth, m_t, kappa_t):
         arr.setflags(write=False)

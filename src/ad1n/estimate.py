@@ -118,12 +118,13 @@ def g_inverse(tilde: TildeParams, h: float):
         raise LogDomainError("matrix logarithm left the real branch")
     theta = -np.real(logA) / h
     emth = scipy.linalg.expm(-theta * h)
-    K = emth @ expm_integral(theta - b * np.eye(n), h)
+    shifted = expm_integral(theta - b * np.eye(n), h)
+    K = emth @ shifted
     try:
         kappa = np.linalg.solve(K, tilde.kappa)
         Mmat = expm_integral(-theta, h)
         m = np.linalg.solve(
-            Mmat, tilde.m + a * (emth @ double_exp_integral(b, theta, h) @ kappa)
+            Mmat, tilde.m + a * (emth @ double_exp_integral(b, theta, h, shifted) @ kappa)
         )
     except np.linalg.LinAlgError as exc:
         raise LogDomainError("integral coefficient matrix is singular") from exc

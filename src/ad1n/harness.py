@@ -43,8 +43,8 @@ are comma lists; matrices are semicolon-separated rows of comma lists.
 Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons, delta or
 gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
 replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
-commands).  Any other key, or a value that does not parse, is a
-``ConfigError`` naming the key.
+commands).  Any other key, a value that does not parse, or a vector or
+matrix whose shape does not fit n, is a ``ConfigError`` naming the key.
 """
 
 from __future__ import annotations
@@ -608,19 +608,30 @@ def parse_value(raw: dict, key: str, parse, default=None):
 
 
 def params_from_config(raw: dict) -> ModelParams:
+    """Model parameters of a raw config.  A vector or matrix key whose shape
+    does not fit n is a ConfigError naming the key; x0 may also be a single
+    value, taken for every coordinate."""
     missing = [k for k in _MODEL_KEYS[:7] if k not in raw]
     if missing:
         raise ConfigError(f"config lacks model keys: {', '.join(missing)}")
+    n = parse_value(raw, "n", int)
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    shaped = {"m": (_parse_vector, (n,)), "kappa": (_parse_vector, (n,)),
+              "theta": (_parse_matrix, (n, n)), "rho": (_parse_matrix, (n + 1, n + 1)),
+              "x0": (_parse_vector, (n,))}
+    arrays = {}
+    for key, (parse, shape) in shaped.items():
+        value = parse_value(raw, key, parse, np.zeros(1))
+        if value.shape != shape and not (key == "x0" and value.shape == (1,)):
+            raise ConfigError(f"{key} must have shape {shape} for n = {n}, got {value.shape}")
+        arrays[key] = value
     return ModelParams(
-        n=parse_value(raw, "n", int),
+        n=n,
         a=parse_value(raw, "a", float),
         b=parse_value(raw, "b", float),
-        m=parse_value(raw, "m", _parse_vector),
-        kappa=parse_value(raw, "kappa", _parse_vector),
-        theta=parse_value(raw, "theta", _parse_matrix),
-        rho=parse_value(raw, "rho", _parse_matrix),
         y0=parse_value(raw, "y0", float, 1.0),
-        x0=parse_value(raw, "x0", _parse_vector, 0.0),
+        **arrays,
     )
 
 

@@ -36,21 +36,26 @@ Y does not depend on X, so a path takes two passes over the grid.  The Y
 pass runs the CIR recursion on Python floats; dB^1, and for n = 1 the whole
 noise term, are then built over the time axis with numpy; the X pass runs the
 X recursion, on Python floats for n = 1 and with per-step matrix products for
-n > 1 (batching those over time changes the last bit).  The float passes walk
-the grid in chunks of ``CHUNK`` steps to bound memory, and every operation
-keeps the operand order of the formulas above.
+n > 1 (batching those over time changes the last bit).  When
+e^{-theta dt} == 1 (theta = 0, as in the critical limit process) the n = 1
+recursion only adds terms, and the X pass is one running sum
+(``np.add.accumulate``) over them, bit-equal to the float loop.  The float
+passes and the running sum walk the grid in chunks of ``CHUNK`` steps to
+bound memory, and every operation keeps the operand order of the formulas
+above.
 
 :func:`simulate_paths` simulates many seeds at once, in batches of as many
 paths as ``BATCH_BYTES`` holds.  Validation, the step constants, the
 parameter digest and the time grid are computed once per call.  A batch of
 at least ``LOCKSTEP_MIN`` paths advances in lockstep: the Y recursion
-(df >= 1, any n) and the n = 1 X recursion step all its paths at once with
-numpy row operations, in the operand order of the float passes, so every
-path keeps its bits.  The df < 1 Y recursion (one draw per step) and the
-n > 1 X recursion stay per path.  Each path's states are a contiguous
-(N+1, d) block of a (B, N+1, d) array, never a column of a wider one: the
-BLAS kernels behind :func:`left_point_sums` depend on the stride, and with
-it the last bits of the sums.  :func:`simulate_path` is the one-seed call.
+(df >= 1, any n) and, when e^{-theta dt} != 1, the n = 1 X recursion step
+all its paths at once with numpy row operations, in the operand order of
+the float passes, so every path keeps its bits.  The df < 1 Y recursion
+(one draw per step), the n = 1 running sum and the n > 1 X recursion stay
+per path.  Each path's states are a contiguous (N+1, d) block of a
+(B, N+1, d) array, never a column of a wider one: the BLAS kernels behind
+:func:`left_point_sums` depend on the stride, and with it the last bits of
+the sums.  :func:`simulate_path` is the one-seed call.
 :func:`simulate_critical_limits` runs the zero-started critical limit
 process on [0, 1] through the same engine and yields its paths; the limit
 functional (U, R) of a path is built from its :func:`left_point_sums` by
@@ -250,7 +255,10 @@ def simulate_paths(
                 for k in range(N):
                     x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
                     states[j, k + 1, 1:] = x
-        if scalar_x and lockstep:
+        if scalar_x and eth == 1.0:  # no mean reversion: a running sum
+            for j in range(B):
+                _x_running_sum(states[j, :, 1], mt0, buf[1, j], buf[0, j])
+        elif scalar_x and lockstep:
             _x_lockstep(states[:, :, 1], eth, mt0, buf[1], buf[0])
         elif scalar_x:
             for j in range(B):
@@ -337,9 +345,31 @@ def _x_pass_scalar(X, eth, mt0, k_y, noise):
         X[k0 + 1:k1 + 1] = out
 
 
+def _x_running_sum(X, mt0, k_y, noise):
+    """n = 1 with eth == 1: fill X[1:] by the recursion of
+    :func:`_x_pass_scalar` as a running sum over (x0, mt0, -k_y[0],
+    noise[0], mt0, -k_y[1], noise[1], ...), every third entry a state.
+    Bit-equal: 1.0 * x == x and a - b == a + (-b) exactly, and
+    ``np.add.accumulate`` adds left to right."""
+    N = X.shape[0] - 1
+    terms = np.empty(3 * min(N, CHUNK) + 1)
+    for k0 in range(0, N, CHUNK):
+        k1 = min(k0 + CHUNK, N)
+        t = terms[:3 * (k1 - k0) + 1]
+        t[0] = X[k0]
+        t[1::3] = mt0
+        np.negative(k_y[k0:k1], out=t[2::3])
+        t[3::3] = noise[k0:k1]
+        np.add.accumulate(t, out=t)
+        X[k0 + 1:k1 + 1] = t[3::3]
+
+
 def _x_lockstep(X, eth, mt0, k_y, noise):
     """n = 1: fill X[:, 1:] of a batch (B, N+1) by the recursion of
-    :func:`_x_pass_scalar`, all paths one grid step at a time."""
+    :func:`_x_pass_scalar`, all paths one grid step at a time.  Only batches
+    with eth != 1 take it, such as the wide theta != 0 batches of
+    :func:`increment_moment_probe`; at eth == 1, which every critical limit
+    draw has, :func:`_x_running_sum` serves each path."""
     t = np.empty(X.shape[0])
     for x0, x1, ky, nz in zip(X.T[:-1], X.T[1:], k_y.T, noise.T):
         np.multiply(eth, x0, out=t)

@@ -177,3 +177,48 @@ seed = 707
     with open(os.path.join(out_dir, "experiment.json")) as fh:
         assert json.load(fh)["checks"]["median_b_err_decreasing"] is False
     assert "FAIL  overall" in capsys.readouterr().out
+
+
+N2_MODEL_CFG = """
+n = 2
+a = 2.0
+b = 1.5
+m = 2.0, -1.5
+kappa = 0.2, 0.1
+theta = 2.0, 0.3; 0.1, 1.2
+rho = 1,0,0; 0.2,0.8,0; -0.1,0.15,0.7
+y0 = 1.5
+x0 = 0.5, -1.0
+"""
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("classify", "x0 = 0.5, -1.0", "x0 = 0.5, -1.0, 2.0"),
+    ("moments", "m = 2.0, -1.5", "m = 2.0"),
+])
+def test_model_key_of_wrong_shape_exit_code(tmp_path, capsys, command, old, new):
+    # both died with a bare ValueError traceback (np.broadcast_to, matmul)
+    f = tmp_path / "n2.cfg"
+    f.write_text(N2_MODEL_CFG.replace(old, new))
+    assert main([command, "--config", str(f)]) == 2
+    key = new.split(" =")[0]
+    assert f"error: {key} must have shape (2,) for n = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("kappa = 0.2, 0.1", "kappa = 0.2, 0.1, 0.0"),
+    ("theta = 2.0, 0.3; 0.1, 1.2", "theta = 2.0, 0.3"),
+    ("rho = 1,0,0; 0.2,0.8,0; -0.1,0.15,0.7", "rho = 1,0; 0.2,0.9"),
+    ("n = 2", "n = 0"),
+])
+def test_every_shaped_model_key_is_checked(tmp_path, capsys, old, new):
+    f = tmp_path / "n2.cfg"
+    f.write_text(N2_MODEL_CFG.replace(old, new))
+    assert main(["classify", "--config", str(f)]) == 2
+    assert f"error: {new.split(' =')[0]} must" in capsys.readouterr().err
+
+
+def test_single_x0_is_taken_for_every_coordinate(tmp_path, capsys):
+    f = tmp_path / "n2.cfg"
+    f.write_text(N2_MODEL_CFG.replace("x0 = 0.5, -1.0", "x0 = 0.5"))
+    assert main(["classify", "--config", str(f)]) == 0

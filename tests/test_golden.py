@@ -11,10 +11,18 @@ the ``g_map`` digest were pinned before the thread pool, the continuous
 design blocks and the second one-step map were removed.  The critical runs
 with 40-70 limit draws and the ``increment_moment_probe`` digest were
 pinned while every path was still simulated on its own, before paths were
-advanced side by side in batches.
+advanced side by side in batches.  The critical run with theta = 0 but
+kappa != 0 and b > 0 was pinned while the n = 1 X recursion still stepped
+x <- e^{-theta dt} x + ... when e^{-theta dt} = 1, before it became a
+running sum.  ``test_digests_with_one_blas_thread`` reruns every digest
+test in a fresh process with OPENBLAS_NUM_THREADS=1.
 """
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +181,12 @@ _CRITICAL_SMALL_DF = _CRITICAL.replace("a = 2.0", "a = 0.2").replace(
     "y0 = 1.0", "y0 = 0.5").replace("seed = 202", "seed = 232").replace(
     "limit_draws = 4", "limit_draws = 40")
 
+# theta = 0, so e^{-theta dt} = 1, while kappa != 0 and b > 0 keep the
+# k~ Y term of the estimation paths' X recursion non-zero
+_CRITICAL_DRIFTING_Y = _CRITICAL.replace("b = 0.0", "b = 0.5").replace(
+    "kappa = 0.0", "kappa = 0.5").replace("x0 = 0.0", "x0 = -0.5").replace(
+    "seed = 202", "seed = 242")
+
 GOLDEN_CSV = {
     "subcritical_exact": (_SUBCRITICAL,
                           "26128e4fd93fbee6cf29c728ef392bb6c0e11a0514662a2063225cf7a77a3512"),
@@ -190,6 +204,8 @@ GOLDEN_CSV = {
                     "1e0af4098df3429a96a9c89700c1818ad40045887f948d786fd4ae7ff8fb90e3"),
     "critical_small_df": (_CRITICAL_SMALL_DF,
                           "03a29b7fadebd8477391d6098e895d57c3f37f063e125c2beff8052d89956f28"),
+    "critical_drifting_y": (_CRITICAL_DRIFTING_Y,
+                            "fe469eae457a75b40888d0324c2939a363b5321eab80d78db606e4a0a003fb14"),
 }
 
 # (a, b, m, kappa, theta, h): n = 1, n = 1 with b = 0, a supercritical
@@ -242,3 +258,20 @@ def test_increment_moment_probe_digest(subcritical_params):
     table = np.array([[e.s, e.t, e.value, e.std_error] for e in res])
     assert _sha(table.tobytes()) == (
         "36def6b6523bce1b615225c0bc3e612e5e901553b665363fc650d30a13532b13")
+
+
+def test_digests_with_one_blas_thread():
+    # BLAS reductions may sum in another order with another thread count;
+    # this process keeps the default, the child runs OpenBLAS on one thread
+    import ad1n
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not one_blas_thread"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-3000:]
+    passed = re.search(r"(\d+) passed", out.stdout)
+    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 4, out.stdout[-3000:]

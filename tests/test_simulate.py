@@ -22,7 +22,7 @@ from ad1n import simulate
 from ad1n.errors import InvalidGridError
 from ad1n.harness import ks_two_sample
 from ad1n.moments import TildeFrame, point_initial_moments, transient_moment
-from ad1n.simulate import LOCKSTEP_MIN, batch_width
+from ad1n.simulate import CHUNK, LOCKSTEP_MIN, _x_pass_scalar, _x_running_sum, batch_width
 
 
 class TestDeterminism:
@@ -302,7 +302,8 @@ class TestBatches:
               theta=[[2.0, 0.3], [0.1, 1.2]],
               rho=[[1.0, 0.0, 0.0], [0.2, 0.8, 0.0], [-0.1, 0.15, 0.7]],
               y0=1.5, x0=[0.5, -1.0])
-    CASES = ("df_above_1", "df_1", "df_below_1", "zero_start_b0", "callable_start")
+    CASES = ("df_above_1", "df_1", "df_below_1", "zero_start_b0", "callable_start",
+             "theta0_drifting_y")
 
     def _params(self, name, n):
         p = dict(self.N1 if n == 1 else self.N2)
@@ -313,10 +314,27 @@ class TestBatches:
         elif name == "zero_start_b0":
             p.update(b=0.0, kappa=np.zeros(n), theta=np.zeros((n, n)), y0=0.0,
                      x0=np.zeros(n))
+        elif name == "theta0_drifting_y":
+            p.update(theta=np.zeros((n, n)))
         elif name == "callable_start":
             p.update(y0=lambda rng: float(rng.gamma(8.0, 0.25)),
                      x0=lambda rng: rng.normal(size=n))
         return ModelParams(**p)
+
+    @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN + 3])
+    def test_running_sum_equals_matrix_recursion(self, monkeypatch, width):
+        # theta = 0 with b, kappa != 0: e^{-theta dt} = 1 and k~ Y != 0
+        params = self._params("theta0_drifting_y", 1)
+        seeds = [substream(78, 3 * j) for j in range(width)]
+        want = [simulate_path(params, 0.4, 0.02, s, _force_general=True).states.tobytes()
+                for s in seeds]
+
+        def stepped(*args):
+            raise AssertionError("e^{-theta dt} = 1 must take the running sum")
+
+        monkeypatch.setattr(simulate, "_x_pass_scalar", stepped)
+        monkeypatch.setattr(simulate, "_x_lockstep", stepped)
+        assert [p.states.tobytes() for p in simulate_paths(params, 0.4, 0.02, seeds)] == want
 
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
@@ -365,3 +383,40 @@ class TestBatches:
         finally:
             tracemalloc.stop()
         assert peak < budget + slack
+
+
+class TestRunningSum:
+    """At e^{-theta dt} = 1 the n = 1 X recursion is a running sum; it must
+    give the bits of the stepped recursion."""
+
+    @pytest.mark.parametrize("N", [1, 7, CHUNK, 2 * CHUNK + 37])
+    @pytest.mark.parametrize("x0", [0.75, -0.0])
+    @pytest.mark.parametrize("mt0", [0.0125, 0.0, -0.0])
+    @pytest.mark.parametrize("k_y_kind", ["zero", "random"])
+    def test_bit_equal_to_stepped_recursion(self, N, x0, mt0, k_y_kind):
+        rng = np.random.default_rng(N)
+        k_y = np.zeros(N) if k_y_kind == "zero" else rng.gamma(2.0, 0.01, size=N)
+        noise = rng.normal(scale=0.1, size=N)
+        want, got = np.full(N + 1, x0), np.full(N + 1, x0)
+        _x_pass_scalar(want, 1.0, mt0, k_y, noise)
+        _x_running_sum(got, mt0, k_y, noise)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mt0", [0.0, -0.0])
+    @pytest.mark.parametrize("nz", [0.0, -0.0])
+    def test_signed_zeros(self, mt0, nz):
+        want, got = np.full(4, -0.0), np.full(4, -0.0)
+        _x_pass_scalar(want, 1.0, mt0, np.zeros(3), np.full(3, nz))
+        _x_running_sum(got, mt0, np.zeros(3), np.full(3, nz))
+        assert got.tobytes() == want.tobytes()
+
+    def test_writes_a_strided_column(self):
+        rng = np.random.default_rng(5)
+        states = np.zeros((CHUNK + 3, 2))
+        states[0, 1] = 0.3
+        k_y, noise = rng.random(CHUNK + 2), rng.normal(size=CHUNK + 2)
+        want = states[:, 1].copy()
+        _x_pass_scalar(want, 1.0, 0.01, k_y, noise)
+        _x_running_sum(states[:, 1], 0.01, k_y, noise)
+        assert states[:, 1].tobytes() == want.tobytes()
+        assert not states[:, 0].any()
