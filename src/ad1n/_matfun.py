@@ -29,17 +29,16 @@ def gauss_legendre_matrix_integral(f, h: float, p: int, order: int = 40) -> np.n
     return 0.5 * h * out
 
 
-def double_exp_integral(b: float, theta: np.ndarray, h: float, shifted=None) -> np.ndarray:
+def double_exp_integral(b: float, theta: np.ndarray, h: float,
+                        shifted: np.ndarray) -> np.ndarray:
     """W(h) = int_0^h g_b(u) e^{theta*u} du with g_b(u) = int_0^u e^{-b(u-v)} dv.
 
-    ``shifted`` is ``expm_integral(theta - b*I, h)`` when the caller has it
-    already; it is only read for b != 0."""
+    ``shifted`` is ``expm_integral(theta - b*I, h)``, which every caller
+    needs itself; it is only read for b != 0."""
     theta = np.atleast_2d(theta)
     p = theta.shape[0]
     if b != 0.0:
         # g_b(u) = (1 - e^{-bu})/b, so W = (Phi(theta) - Phi(theta - b I))/b
-        if shifted is None:
-            shifted = expm_integral(theta - b * np.eye(p), h)
         return (expm_integral(theta, h) - shifted) / b
     if np.allclose(theta, 0.0):
         return 0.5 * h * h * np.eye(p)

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import __version__, estimate
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
-from .errors import Ad1nError, ConfigError, RegimeMismatchError
+from .errors import Ad1nError, ConfigError, DimensionMismatchError, RegimeMismatchError
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
@@ -608,31 +608,25 @@ def parse_value(raw: dict, key: str, parse, default=None):
 
 
 def params_from_config(raw: dict) -> ModelParams:
-    """Model parameters of a raw config.  A vector or matrix key whose shape
-    does not fit n is a ConfigError naming the key; x0 may also be a single
-    value, taken for every coordinate."""
+    """Model parameters of a raw config.  A key whose shape does not fit n
+    (the rule :class:`ModelParams` keeps) is a ConfigError naming the key."""
     missing = [k for k in _MODEL_KEYS[:7] if k not in raw]
     if missing:
         raise ConfigError(f"config lacks model keys: {', '.join(missing)}")
-    n = parse_value(raw, "n", int)
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    shaped = {"m": (_parse_vector, (n,)), "kappa": (_parse_vector, (n,)),
-              "theta": (_parse_matrix, (n, n)), "rho": (_parse_matrix, (n + 1, n + 1)),
-              "x0": (_parse_vector, (n,))}
-    arrays = {}
-    for key, (parse, shape) in shaped.items():
-        value = parse_value(raw, key, parse, np.zeros(1))
-        if value.shape != shape and not (key == "x0" and value.shape == (1,)):
-            raise ConfigError(f"{key} must have shape {shape} for n = {n}, got {value.shape}")
-        arrays[key] = value
-    return ModelParams(
-        n=n,
-        a=parse_value(raw, "a", float),
-        b=parse_value(raw, "b", float),
-        y0=parse_value(raw, "y0", float, 1.0),
-        **arrays,
-    )
+    try:
+        return ModelParams(
+            n=parse_value(raw, "n", int),
+            a=parse_value(raw, "a", float),
+            b=parse_value(raw, "b", float),
+            m=parse_value(raw, "m", _parse_vector),
+            kappa=parse_value(raw, "kappa", _parse_vector),
+            theta=parse_value(raw, "theta", _parse_matrix),
+            rho=parse_value(raw, "rho", _parse_matrix),
+            y0=parse_value(raw, "y0", float, 1.0),
+            x0=parse_value(raw, "x0", _parse_vector, 0.0),
+        )
+    except DimensionMismatchError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def experiment_config_from_text(text: str) -> ExperimentConfig:

@@ -81,7 +81,11 @@ class ModelParams:
         norms sigma_i = ||rho_i||_2 are derived, never stored.
     y0, x0 : float / vector, or callables rng -> value
         Initial values; callables are drawn once per path from the path's
-        own random stream.
+        own random stream.  A single numeric x0 is taken for every
+        coordinate.
+
+    Raises DimensionMismatchError, naming the field, when n < 1 or a
+    numeric vector or matrix does not have the shape n gives it.
     """
 
     n: int
@@ -95,13 +99,21 @@ class ModelParams:
     x0: InitialVector = field(default=0.0)  # broadcast to (n,) when numeric
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _as_readonly(np.atleast_1d(self.m)))
-        object.__setattr__(self, "kappa", _as_readonly(np.atleast_1d(self.kappa)))
-        object.__setattr__(self, "theta", _as_readonly(np.atleast_2d(self.theta)))
-        object.__setattr__(self, "rho", _as_readonly(np.atleast_2d(self.rho)))
+        n = self.n
+        if n < 1:
+            raise DimensionMismatchError(f"n must be at least 1, got {n}")
+        fields = [("m", np.atleast_1d, (n,)), ("kappa", np.atleast_1d, (n,)),
+                  ("theta", np.atleast_2d, (n, n)), ("rho", np.atleast_2d, (n + 1, n + 1))]
         if not callable(self.x0):
-            x0 = np.broadcast_to(np.atleast_1d(np.asarray(self.x0, dtype=float)), (self.n,))
-            object.__setattr__(self, "x0", _as_readonly(x0))
+            fields.append(("x0", np.atleast_1d, (n,)))
+        for name, as_nd, shape in fields:
+            value = as_nd(np.asarray(getattr(self, name), dtype=float))
+            if name == "x0" and value.shape == (1,):
+                value = np.broadcast_to(value, shape)
+            if value.shape != shape:
+                raise DimensionMismatchError(
+                    f"{name} must have shape {shape} for n = {n}, got {value.shape}")
+            object.__setattr__(self, name, _as_readonly(value))
 
     @property
     def d(self) -> int:
@@ -208,31 +220,21 @@ def _real_eig_of(shape: tuple, raw: bytes):
 def validate(params: ModelParams) -> ValidationReport:
     """Report every violated parameter invariant; empty means admissible."""
     v: list[str] = []
-    n, d = params.n, params.d
     for name in ("a", "b", "m", "kappa", "theta", "rho", "y0", "x0"):
         value = getattr(params, name)
         if not callable(value) and not np.all(np.isfinite(value)):
             v.append(f"{name} must be finite")
-    if params.m.shape != (n,):
-        v.append(f"m must have shape ({n},), got {params.m.shape}")
-    if params.kappa.shape != (n,):
-        v.append(f"kappa must have shape ({n},), got {params.kappa.shape}")
-    if params.theta.shape != (n, n):
-        v.append(f"theta must have shape ({n},{n}), got {params.theta.shape}")
-    if params.rho.shape != (d, d):
-        v.append(f"rho must have shape ({d},{d}), got {params.rho.shape}")
-    else:
-        if np.any(np.abs(np.triu(params.rho, k=1)) > 0):
-            v.append("rho must be lower triangular")
-        if np.any(np.diag(params.rho) <= 0):
-            v.append("rho diagonal must be positive")
-        if np.any(params.sigma <= 0):
-            v.append("every rho row norm sigma_i must be positive")
+    if np.any(np.abs(np.triu(params.rho, k=1)) > 0):
+        v.append("rho must be lower triangular")
+    if np.any(np.diag(params.rho) <= 0):
+        v.append("rho diagonal must be positive")
+    if np.any(params.sigma <= 0):
+        v.append("every rho row norm sigma_i must be positive")
     if params.a < 0:
         v.append("a must be nonnegative")
     if not callable(params.y0) and params.y0 < 0:
         v.append("y0 must be nonnegative")
-    if params.theta.shape == (n, n) and np.all(np.isfinite(params.theta)):
+    if np.all(np.isfinite(params.theta)):
         try:
             _try_real_eig(params.theta)
         except ComplexSpectrumError:

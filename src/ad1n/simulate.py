@@ -48,11 +48,9 @@ above.
 paths as ``BATCH_BYTES`` holds.  Validation, the step constants, the
 parameter digest and the time grid are computed once per call.  A batch of
 at least ``LOCKSTEP_MIN`` paths advances in lockstep: the Y recursion
-(df >= 1, any n) and, when e^{-theta dt} != 1, the n = 1 X recursion step
-all its paths at once with numpy row operations, in the operand order of
-the float passes, so every path keeps its bits.  The df < 1 Y recursion
-(one draw per step), the n = 1 running sum and the n > 1 X recursion stay
-per path.  Each path's states are a contiguous (N+1, d) block of a
+(df >= 1, any n) steps all its paths at once with numpy row operations, in
+the operand order of the float pass, so every path keeps its bits.  The
+df < 1 Y recursion (one draw per step) and every X pass stay per path.  Each path's states are a contiguous (N+1, d) block of a
 (B, N+1, d) array, never a column of a wider one: the BLAS kernels behind
 :func:`left_point_sums` depend on the stride, and with it the last bits of
 the sums.  :func:`simulate_path` is the one-seed call.
@@ -258,8 +256,6 @@ def simulate_paths(
         if scalar_x and eth == 1.0:  # no mean reversion: a running sum
             for j in range(B):
                 _x_running_sum(states[j, :, 1], mt0, buf[1, j], buf[0, j])
-        elif scalar_x and lockstep:
-            _x_lockstep(states[:, :, 1], eth, mt0, buf[1], buf[0])
         elif scalar_x:
             for j in range(B):
                 _x_pass_scalar(states[j, :, 1], eth, mt0, buf[1, j], buf[0, j])
@@ -362,20 +358,6 @@ def _x_running_sum(X, mt0, k_y, noise):
         t[3::3] = noise[k0:k1]
         np.add.accumulate(t, out=t)
         X[k0 + 1:k1 + 1] = t[3::3]
-
-
-def _x_lockstep(X, eth, mt0, k_y, noise):
-    """n = 1: fill X[:, 1:] of a batch (B, N+1) by the recursion of
-    :func:`_x_pass_scalar`, all paths one grid step at a time.  Only batches
-    with eth != 1 take it, such as the wide theta != 0 batches of
-    :func:`increment_moment_probe`; at eth == 1, which every critical limit
-    draw has, :func:`_x_running_sum` serves each path."""
-    t = np.empty(X.shape[0])
-    for x0, x1, ky, nz in zip(X.T[:-1], X.T[1:], k_y.T, noise.T):
-        np.multiply(eth, x0, out=t)
-        np.add(t, mt0, out=t)
-        np.subtract(t, ky, out=t)
-        np.add(t, nz, out=x1)
 
 
 def left_point_sums(Y: np.ndarray, X: np.ndarray):

@@ -81,6 +81,27 @@ class TestValidate:
         assert np.all(p.sigma > 0)
 
 
+class TestShapes:
+    @pytest.mark.parametrize("field, value", [
+        ("m", [0.5]), ("kappa", [0.2, 0.1, 0.0]), ("theta", [[2.0, 0.0]]),
+        ("rho", np.eye(2)), ("x0", [0.5, -1.0, 2.0]),
+    ])
+    def test_shape_not_fitting_n_is_rejected(self, field, value):
+        base = dict(n=2, a=2.0, b=1.0, m=[0.5, 0.1], kappa=[0.2, 0.1],
+                    theta=np.eye(2), rho=np.eye(3), x0=[0.5, -1.0])
+        with pytest.raises(DimensionMismatchError, match=f"^{field} must have shape"):
+            ModelParams(**{**base, field: value})
+
+    def test_n_below_one_is_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^n must be at least 1"):
+            ModelParams(n=0, a=1.0, b=1.0, m=[], kappa=[], theta=np.zeros((0, 0)),
+                        rho=np.eye(1))
+
+    def test_single_x0_is_taken_for_every_coordinate(self):
+        p = _params(n=3, rho=np.eye(4))
+        assert ModelParams(**{**p.__dict__, "x0": 0.5}).x0.tolist() == [0.5] * 3
+
+
 class TestClassify:
     def test_subcritical(self):
         p = _params(n=2, b=1.0, theta=np.eye(2), rho=np.eye(3))

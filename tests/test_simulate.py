@@ -333,7 +333,6 @@ class TestBatches:
             raise AssertionError("e^{-theta dt} = 1 must take the running sum")
 
         monkeypatch.setattr(simulate, "_x_pass_scalar", stepped)
-        monkeypatch.setattr(simulate, "_x_lockstep", stepped)
         assert [p.states.tobytes() for p in simulate_paths(params, 0.4, 0.02, seeds)] == want
 
     @pytest.mark.parametrize("name", CASES)
