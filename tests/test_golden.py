@@ -14,8 +14,13 @@ pinned while every path was still simulated on its own, before paths were
 advanced side by side in batches.  The critical run with theta = 0 but
 kappa != 0 and b > 0 was pinned while the n = 1 X recursion still stepped
 x <- e^{-theta dt} x + ... when e^{-theta dt} = 1, before it became a
-running sum.  ``test_digests_with_one_blas_thread`` reruns every digest
-test in a fresh process with OPENBLAS_NUM_THREADS=1.
+running sum.  The two 26-replication runs of 6,000-step paths (one with
+the zero-Y threshold raised, so that the fresh dB^1 fallback fires mid-path,
+one started at Y = 0) were pinned while every estimation path was still
+simulated on its own, before a horizon's paths were streamed side by side
+and before only the used prefix of the fresh dB^1 block was drawn.
+``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
+process with OPENBLAS_NUM_THREADS=1.
 """
 
 import hashlib
@@ -34,6 +39,7 @@ from ad1n import (
     simulate_path,
     substream,
 )
+from ad1n import simulate
 from ad1n.estimate import g_map
 from ad1n.simulate import increment_moment_probe
 
@@ -187,6 +193,34 @@ _CRITICAL_DRIFTING_Y = _CRITICAL.replace("b = 0.0", "b = 0.5").replace(
     "kappa = 0.0", "kappa = 0.5").replace("x0 = 0.0", "x0 = -0.5").replace(
     "seed = 202", "seed = 242")
 
+# y0 = 0: every estimation path takes the fresh dB^1 at its first step;
+# 26 replications of 6,000 steps are wide and long enough to be streamed
+_ZERO_START_WIDE = _CRITICAL.replace("y0 = 1.0", "y0 = 0.0").replace(
+    "horizons = 10", "horizons = 120").replace("replications = 3", "replications = 26").replace(
+    "seed = 202", "seed = 919")
+
+# df = 2.4; with the zero-Y threshold raised to FALLBACK_EPS a few steps of
+# each path fall back to the fresh dB^1, the last one anywhere from step
+# ~2,800 to the final step
+_FALLBACK_WIDE = """\
+n = 1
+a = 0.6
+b = 1.0
+m = 0.5
+kappa = 0.3
+theta = 1.5
+rho = 1,0; 0.3,0.8
+y0 = 0.5
+x0 = 0.0
+regime = subcritical
+horizons = 120
+delta = 0.02
+replications = 26
+seed = 909
+flavor = discrete
+"""
+FALLBACK_EPS = 0.003
+
 GOLDEN_CSV = {
     "subcritical_exact": (_SUBCRITICAL,
                           "26128e4fd93fbee6cf29c728ef392bb6c0e11a0514662a2063225cf7a77a3512"),
@@ -206,6 +240,8 @@ GOLDEN_CSV = {
                           "03a29b7fadebd8477391d6098e895d57c3f37f063e125c2beff8052d89956f28"),
     "critical_drifting_y": (_CRITICAL_DRIFTING_Y,
                             "fe469eae457a75b40888d0324c2939a363b5321eab80d78db606e4a0a003fb14"),
+    "zero_start_wide": (_ZERO_START_WIDE,
+                        "9c78833cb2a0f7dbb0c6c18b499c801992686ca5b010cc0bbe000377c17c0b0b"),
 }
 
 # (a, b, m, kappa, theta, h): n = 1, n = 1 with b = 0, a supercritical
@@ -228,6 +264,13 @@ def test_experiment_csv_digest(name):
     text, want = GOLDEN_CSV[name]
     report = run_experiment(experiment_config_from_text(text), threads=1)
     assert _sha(report.csv_text().encode()) == want
+
+
+def test_fresh_increment_fallback_digest(monkeypatch):
+    monkeypatch.setattr(simulate, "RECONSTRUCT_EPS", FALLBACK_EPS)
+    report = run_experiment(experiment_config_from_text(_FALLBACK_WIDE), threads=1)
+    assert _sha(report.csv_text().encode()) == (
+        "aee32b2441453f9fbaa9a2529bd2250d210bbbaebbdeed563b4ba127c639b48a")
 
 
 def test_g_map_digest():
@@ -274,4 +317,4 @@ def test_digests_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout[-3000:]
     passed = re.search(r"(\d+) passed", out.stdout)
-    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 4, out.stdout[-3000:]
+    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 5, out.stdout[-3000:]
