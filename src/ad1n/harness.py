@@ -33,10 +33,13 @@ the share of such draws.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
-(seed, len(horizons)*replications + j).  Replications run one after another
-in index order; the limit draws are simulated side by side in batches
-(``simulate.simulate_paths``), which leaves every draw's bits as they are
-alone.  So reruns with the same configuration are byte-identical.
+(seed, len(horizons)*replications + j).  A horizon's replications and the
+limit draws are simulated side by side in batches
+(``simulate.simulate_paths``), which leaves every path's bits as they are
+alone, and are kept, estimated and recorded in index order.  A replication
+whose path cannot be simulated ends its batch there; it is recorded as
+aborted and the next batch starts after it.  So reruns with the same
+configuration are byte-identical.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
@@ -65,10 +68,12 @@ from .errors import Ad1nError, ConfigError, DimensionMismatchError, RegimeMismat
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
-from .simulate import (  # noqa: F401  (bench/spans.py rebinds simulate_critical_limit)
+# simulate_path and simulate_critical_limit stay bound here for bench/spans.py
+from .simulate import (  # noqa: F401
     simulate_critical_limit,
     simulate_critical_limits,
     simulate_path,
+    simulate_paths,
     substream,
 )
 
@@ -298,20 +303,30 @@ REP_FAILURES = (Ad1nError, np.linalg.LinAlgError)
 
 
 def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
-    """Simulate every replication of horizon ``h_idx`` and return
-    ``keep(path)`` per replication, or None where it aborted."""
+    """Simulate every replication of horizon ``h_idx`` side by side
+    (``simulate_paths``) and return ``keep(path)`` per replication, or None
+    where it aborted."""
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
     M = config.replications
+    seeds = [substream(config.seed, h_idx * M + r) for r in range(M)]
 
-    def one_rep(r):
+    def kept(path):
         try:
-            seed = substream(config.seed, h_idx * M + r)
-            return keep(simulate_path(config.params, T, delta, seed=seed))
+            return keep(path)
         except REP_FAILURES:
             return None
 
-    return [one_rep(r) for r in range(M)]
+    out: list = []
+    while len(out) < M:
+        try:
+            # map holds no path past its keep; a path that cannot be
+            # simulated ends the call at its seed, and the next call
+            # starts after it
+            out.extend(map(kept, simulate_paths(config.params, T, delta, seeds[len(out):])))
+        except REP_FAILURES:
+            out.append(None)
+    return out
 
 
 def _solve(blocks, flavor: str):

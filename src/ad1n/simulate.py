@@ -44,14 +44,22 @@ passes and the running sum walk the grid in chunks of ``CHUNK`` steps to
 bound memory, and every operation keeps the operand order of the formulas
 above.
 
-:func:`simulate_paths` simulates many seeds at once, in batches of as many
-paths as ``BATCH_BYTES`` holds.  Validation, the step constants, the
-parameter digest and the time grid are computed once per call.  A batch of
-at least ``LOCKSTEP_MIN`` paths advances in lockstep: the Y recursion
-(df >= 1, any n) steps all its paths at once with numpy row operations, in
-the operand order of the float pass, so every path keeps its bits.  The
-df < 1 Y recursion (one draw per step) and every X pass stay per path.  Each path's states are a contiguous (N+1, d) block of a
-(B, N+1, d) array, never a column of a wider one: the BLAS kernels behind
+:func:`simulate_paths` simulates many seeds at once, in batches of at
+most ``BATCH_PATHS`` paths whose Y rows and one chunk of draw rows fit
+``BATCH_BYTES``.  Validation, the step constants, the parameter digest and
+the time grid are computed once per call.  A batch of at least
+``LOCKSTEP_MIN`` paths advances the Y recursion (df >= 1, any n) in
+lockstep: all its paths one grid step at a time with numpy row operations,
+in the operand order of the float pass, so every path keeps its bits.  A
+narrower batch runs path by path on Python floats.  A batch holds its Y
+rows, time-major (N+1, B), and one chunk of chi-square and normal rows:
+the whole blocks when they fit ``BATCH_BYTES`` (40 limit draws of 1000
+steps), else ``STREAM_CHUNK`` steps at a time (a streamed batch, such as
+40 estimation paths of 10,000 steps).  Then each path takes its remaining
+draws, dB^1 and its X pass on its own, into its own contiguous (N+1, d)
+states, and the batch yields it before it starts the next path.  The df < 1
+Y recursion (one draw per step) and every X pass stay per path.  States are
+never a column of a wider array: the BLAS kernels behind
 :func:`left_point_sums` depend on the stride, and with it the last bits of
 the sums.  :func:`simulate_path` is the one-seed call.
 :func:`simulate_critical_limits` runs the zero-started critical limit
@@ -62,11 +70,20 @@ functional (U, R) of a path is built from its :func:`left_point_sums` by
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), so every path index owns an independent substream and
 results are bit-reproducible for fixed (params, horizon, delta, seed).
-A path draws, in order: initial values, CIR blocks (df >= 1), dB^J and fresh
-dB^1 blocks, then per-step CIR variates (df < 1).  A batch keeps this order
-per path: it draws every path's initial values and CIR blocks, runs the Y
-recursion, then draws each path's dB^J and fresh dB^1; as each path has its
-own generator, staging the draws across paths changes no value.
+A path draws, in order: initial values, CIR blocks (df >= 1: N chi-square
+values, then N normals), dB^J, the fresh dB^1 block, then per-step CIR
+variates (df < 1).  For df >= 1 the fresh dB^1 block is the path's last
+draw, so only its prefix up to the last step with Y_k <= RECONSTRUCT_EPS
+is drawn (none if Y never gets there).  A batch keeps this order per path;
+as each path has its own generator, staging the draws across paths changes
+no value.  A streamed batch reads a path's two CIR blocks side by side,
+chunk by chunk, from two generators: a copy of the path's Philox state
+(``bit_generator.state``) taken where its chi-square block starts draws the
+chi-square values, while the path's own generator, run once through that
+block in chunks (a pre-pass), draws the normals and everything after them.
+numpy draws a block in chunks with the values and the end state of the
+whole draw (``TestStreamInvariants`` pins this), so every value and its
+order stay what the path draws alone.
 """
 
 from __future__ import annotations
@@ -88,14 +105,27 @@ RECONSTRUCT_EPS = 1e-12
 #: Grid steps per chunk of the Python-float passes.
 CHUNK = 4096
 
-#: Bytes a batch of paths may hold in its states and staging buffers; sets
-#: how many paths :func:`simulate_paths` advances side by side (40 limit-draw
-#: paths of 1000 steps at n = 1).
-BATCH_BYTES = 1_310_720  # 1.25 MiB
+#: Bytes a batch may hold in its Y rows and one chunk of chi-square and
+#: normal rows.  3.5 MiB holds BATCH_PATHS Y rows of 10,001 steps (3.20 MB)
+#: and their STREAM_CHUNK rows (0.33 MB), so a 40-path horizon of 10,000
+#: steps is one lockstep batch; LOCKSTEP_MIN paths of 25,000 steps would
+#: need 5.0 MB, so such horizons run path by path.
+BATCH_BYTES = 3_670_016
+
+#: Most paths in one batch: 40 is the width of a 1000-step limit-draw batch
+#: under the earlier 1.25 MiB budget, which the limit draws' memory test
+#: still holds them to.
+BATCH_PATHS = 40
 
 #: Narrowest batch that advances in lockstep; narrower batches run path by
 #: path on Python floats, which is faster below this width.
 LOCKSTEP_MIN = 24
+
+#: Grid steps per chunk of a batch whose whole draw blocks do not fit
+#: BATCH_BYTES (a streamed batch).  40 paths of 10,000 steps took 85-89 ms
+#: at 512 against 95 ms at 256, 100-110 ms at 128 and 86-93 ms at 1024
+#: (min of 15, 2-vCPU VM).
+STREAM_CHUNK = 512
 
 
 def substream(master_seed: int, index: int) -> tuple[int, int]:
@@ -211,70 +241,126 @@ def simulate_paths(
     times.flags.writeable = False  # one grid shared by every path
     params_hash = params.digest()
 
-    def run(batch) -> np.ndarray:
-        """States (B, N+1, d) of a batch of paths."""
-        B = len(batch)
-        lockstep = B >= LOCKSTEP_MIN
-        states = np.empty((B, N + 1, d))
-        # CIR blocks (chi-square, normal) while Y runs, then (noise, k~ Y) for n = 1
-        buf = np.empty((2, B, N))
-        Y = states[:, :, 0]
-        rngs = []
-        for j, seed in enumerate(batch):
-            rng = generator(seed)
-            states[j, 0, 0], states[j, 0, 1:] = _resolve_initials(params, rng)
-            if df >= 1.0:
-                buf[0, j] = rng.chisquare(df - 1.0, size=N) if df > 1.0 else 0.0
-                rng.standard_normal(out=buf[1, j])
-            rngs.append(rng)
-        if df >= 1.0 and lockstep:
-            _y_lockstep(Y, buf[0], buf[1], emb, c)
-        for j, rng in enumerate(rngs):
-            if df >= 1.0 and not lockstep:
-                _y_pass(Y[j], emb, c, df, buf[0, j], buf[1, j], None)
-            dB_J = rng.standard_normal((N, n)) * sq_delta
-            fresh1 = rng.standard_normal(N) * sq_delta
-            if df < 1.0:
-                _y_pass(Y[j], emb, c, df, None, None, rng)
-            if np.any(Y[j] < 0):  # exact transitions cannot go negative
-                raise AssertionError("negative Y produced by exact CIR transition")
+    def y_blocks(Y, rngs):
+        """Fill Y[1:] of a batch, time-major (N+1, B), from each path's
+        pre-drawn chi-square and normal blocks: in one chunk when the whole
+        blocks fit BATCH_BYTES, else STREAM_CHUNK steps at a time."""
+        B = len(rngs)
+        steps = N if 8 * B * (3 * N + 1) <= BATCH_BYTES else STREAM_CHUNK
+        chi_rngs = rngs
+        if df > 1.0 and steps < N:
+            # a path draws its N chi-square values before its N normals: a
+            # copy of its generator keeps the chi-square stream, and the
+            # generator runs through that block to where the normals start
+            chi_rngs = [_twin(rng) for rng in rngs]
+            for rng in rngs:
+                for k0 in range(0, N, steps):
+                    rng.chisquare(df - 1.0, size=min(steps, N - k0))
+        chi, z = np.zeros((steps, B)), np.empty((steps, B))
+        for k0 in range(0, N, steps):
+            m = min(steps, N - k0)
+            for j in range(B):
+                if df > 1.0:
+                    chi[:m, j] = chi_rngs[j].chisquare(df - 1.0, size=m)
+                z[:m, j] = rngs[j].standard_normal(m)
+            if B >= LOCKSTEP_MIN:
+                _y_lockstep(Y[k0:k0 + m + 1], chi[:m], z[:m], emb, c)
+            else:
+                for j in range(B):
+                    _y_pass(Y[k0:k0 + m + 1, j], emb, c, df, chi[:m, j], z[:m, j], None)
 
-            Yl = Y[j, :-1]
-            sqrt_y = np.sqrt(Yl)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dB1 = np.where(Yl > RECONSTRUCT_EPS,
-                               (Y[j, 1:] - emb * Yl - a_t) / (sigma1 * sqrt_y), fresh1)
-            if scalar_x:
-                np.multiply(sqrt_y, rj1 * dB1 + rjj * dB_J[:, 0], out=buf[0, j])
-                np.multiply(kt0, Yl, out=buf[1, j])
-            else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
-                k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
-                x = states[j, 0, 1:].copy()
-                for k in range(N):
-                    x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
-                    states[j, k + 1, 1:] = x
-        if scalar_x and eth == 1.0:  # no mean reversion: a running sum
-            for j in range(B):
-                _x_running_sum(states[j, :, 1], mt0, buf[1, j], buf[0, j])
-        elif scalar_x:
-            for j in range(B):
-                _x_pass_scalar(states[j, :, 1], eth, mt0, buf[1, j], buf[0, j])
+    def finish(y_col, x0, rng) -> np.ndarray:
+        """States (N+1, d) of one path from its column of the batch's Y:
+        its last draws, dB^1 and the X pass."""
+        states = np.empty((N + 1, d))
+        states[:, 0] = y_col
+        states[0, 1:] = x0
+        y = states[:, 0]
+        dB_J = rng.standard_normal((N, n))
+        dB_J *= sq_delta
+        if df < 1.0:
+            fresh1 = rng.standard_normal(N) * sq_delta
+            _y_pass(y, emb, c, df, None, None, rng)
+        if np.any(y < 0):  # exact transitions cannot go negative
+            raise AssertionError("negative Y produced by exact CIR transition")
+        Yl = y[:-1]
+        fresh = ~(Yl > RECONSTRUCT_EPS)  # where dB^1 is the fresh normal
+        if df >= 1.0:  # the fresh block is the path's last draw: only its used prefix
+            used = np.flatnonzero(fresh)
+            fresh1 = rng.standard_normal(used[-1] + 1 if used.size else 0) * sq_delta
+        sqrt_y = np.sqrt(Yl)
+        # dB1 = (Y_{k+1} - emb Y_k - a~) / (sigma1 sqrt Y_k), in place
+        dB1 = emb * Yl
+        np.subtract(y[1:], dB1, out=dB1)
+        dB1 -= a_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dB1 /= sigma1 * sqrt_y
+        np.copyto(dB1[:fresh1.size], fresh1, where=fresh[:fresh1.size])
+        if scalar_x:
+            # noise = sqrt Y_k (rj1 dB1 + rjj dB^J), in place
+            dB1 *= rj1
+            dB_J *= rjj
+            dB1 += dB_J[:, 0]
+            dB1 *= sqrt_y
+            k_y = np.multiply(kt0, Yl, out=sqrt_y)
+            if eth == 1.0:  # no mean reversion: a running sum
+                _x_running_sum(states[:, 1], mt0, k_y, dB1)
+            else:
+                _x_pass_scalar(states[:, 1], eth, mt0, k_y, dB1)
+        else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
+            k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
+            x = states[0, 1:].copy()
+            for k in range(N):
+                x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
+                states[k + 1, 1:] = x
         return states
 
+    def run(batch) -> Iterator[Path]:
+        """The paths of a batch in seed order.  A seed whose initial values
+        raise ends the batch: its error is raised after the paths before it."""
+        rngs, starts, failure = [], [], None
+        for seed in batch:
+            rng = generator(seed)
+            try:
+                starts.append(_resolve_initials(params, rng))
+            except Exception as exc:
+                failure = exc
+                break
+            rngs.append(rng)
+        B = len(rngs)
+        Y = np.empty((N + 1, B))
+        Y[0] = [y0 for y0, _ in starts]
+        if df >= 1.0 and B:
+            y_blocks(Y, rngs)
+        for j in range(B):
+            yield Path(delta=float(delta), times=times,
+                       states=finish(Y[:, j], starts[j][1], rngs[j]), seed=batch[j],
+                       params_hash=params_hash)
+        if failure is not None:
+            raise failure
+
     seeds = list(seeds)
-    width = batch_width(N, d)
+    width = batch_width(N)
     for i in range(0, len(seeds), width):
         batch = seeds[i:i + width]
-        # no loop variable of this frame outlives the batch's states
-        yield from (Path(delta=float(delta), times=times, states=block, seed=seed,
-                         params_hash=params_hash)
-                    for seed, block in zip(batch, run(batch)))
+        # a batch too narrow for lockstep runs one path at a time
+        for part in [batch] if len(batch) >= LOCKSTEP_MIN else [[seed] for seed in batch]:
+            yield from run(part)
 
 
-def batch_width(n_steps: int, d: int) -> int:
-    """Paths per batch: as many as fit their states and two staging rows of
-    ``n_steps`` floats each into ``BATCH_BYTES``, and at least one."""
-    return max(1, BATCH_BYTES // (8 * ((n_steps + 1) * d + 2 * n_steps)))
+def batch_width(n_steps: int) -> int:
+    """Paths per batch: as many as fit their Y rows and a STREAM_CHUNK of
+    two draw rows into ``BATCH_BYTES``, at most ``BATCH_PATHS``; one when
+    fewer than ``LOCKSTEP_MIN`` fit, so that such paths run one at a time."""
+    fit = BATCH_BYTES // (8 * (n_steps + 1 + 2 * min(n_steps, STREAM_CHUNK)))
+    return min(fit, BATCH_PATHS) if fit >= LOCKSTEP_MIN else 1
+
+
+def _twin(rng: np.random.Generator) -> np.random.Generator:
+    """A second generator that draws what ``rng`` would draw next."""
+    twin = np.random.Generator(np.random.Philox(key=0))
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 def simulate_path(
@@ -315,17 +401,26 @@ def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
 
 
 def _y_lockstep(Y, chi, z, emb, c):
-    """Fill Y[:, 1:] of a batch (B, N+1) by the recursion of :func:`_y_pass`,
-    all paths one grid step at a time, in the same operand order."""
-    t = np.empty(Y.shape[0])
-    for y0, y1, zk, chik in zip(Y.T[:-1], Y.T[1:], z.T, chi.T):
-        np.multiply(y0, emb, out=t)
-        np.divide(t, c, out=t)
-        np.sqrt(t, out=t)
-        np.add(zk, t, out=t)
-        np.multiply(t, t, out=t)
-        np.add(chik, t, out=t)
-        np.multiply(c, t, out=y1)
+    """Fill Y[1:] of a time-major batch (m+1, B) by the recursion of
+    :func:`_y_pass`, all paths one grid step at a time, in the same operand
+    order; chi and z are (m, B)."""
+    B = Y.shape[1]
+    # array operands and positional outputs: a Python float operand or an
+    # ``out=`` keyword costs every ufunc call a conversion
+    c = np.full(B, c)
+    emb = None if emb == 1.0 else np.full(B, emb)  # y * 1.0 == y
+    t = np.empty(B)
+    y0 = Y[0]
+    for y1, zk, chik in zip(Y[1:], z, chi):
+        if emb is not None:
+            y0 = np.multiply(y0, emb, t)
+        np.divide(y0, c, t)
+        np.sqrt(t, t)
+        np.add(zk, t, t)
+        np.multiply(t, t, t)
+        np.add(chik, t, t)
+        np.multiply(c, t, y1)
+        y0 = y1
 
 
 def _x_pass_scalar(X, eth, mt0, k_y, noise):

@@ -14,6 +14,7 @@ from ad1n import (
     simulate_path,
     substream,
 )
+from ad1n.asymptotics import U_COND_LIMIT, CriticalLimitFunctional, symmetric_cond
 from ad1n.errors import (
     InvalidGridError,
     NotStabilizedError,
@@ -148,6 +149,47 @@ class TestCriticalLimitFunctional:
         assert draw.shape == (5,)
         head = np.linalg.solve(f.u1, f.r1)
         assert np.allclose(draw[:2], head)
+
+
+class TestSymmetricCond:
+    """limit_draw's singularity test reads the 2-norm condition number of U1
+    and U2 from their eigenvalues."""
+
+    @staticmethod
+    def _u(n, small):
+        # symmetric, eigenvalues 1, ..., 1, small, in a rotated basis
+        q = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))[0]
+        lam = np.ones(n)
+        lam[-1] = small
+        u = q @ np.diag(lam) @ q.T
+        return 0.5 * (u + u.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_svd_condition(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(200):
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            lam = 10.0 ** rng.uniform(-9, 0, size=n) * rng.choice([-1.0, 1.0], size=n)
+            u = q @ np.diag(lam) @ q.T
+            u = 0.5 * (u + u.T)
+            assert symmetric_cond(u) == pytest.approx(np.linalg.cond(u), rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_is_infinite(self, n):
+        assert symmetric_cond(np.zeros((n, n))) == math.inf
+        assert symmetric_cond(np.diag([1.0] * (n - 1) + [0.0])) == math.inf
+
+    @pytest.mark.parametrize("which", ["u1", "u2"])
+    def test_limit_draw_raises_only_above_the_limit(self, which):
+        blocks = dict(u1=self._u(2, 0.5), u2=self._u(3, 0.5))
+        r1, r2 = np.array([0.3, -0.2]), np.array([[0.1], [0.4], [-0.3]])
+        n = blocks[which].shape[0]
+        blocks[which] = self._u(n, 10.0 / U_COND_LIMIT)  # cond 1e11
+        draw = CriticalLimitFunctional(r1=r1, r2=r2, **blocks).limit_draw()
+        assert np.all(np.isfinite(draw))
+        blocks[which] = self._u(n, 0.1 / U_COND_LIMIT)  # cond 1e13
+        with pytest.raises(SingularUError):
+            CriticalLimitFunctional(r1=r1, r2=r2, **blocks).limit_draw()
 
 
 class TestSupercriticalConsistencySplit:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from ad1n import (
     run_experiment,
     write_report,
 )
+from ad1n import simulate
 from ad1n.errors import ConfigError, RegimeMismatchError
 from ad1n.harness import (
     excess_kurtosis,
@@ -23,6 +25,7 @@ from ad1n.harness import (
     parse_config_text,
     skewness,
 )
+from ad1n.simulate import STREAM_CHUNK
 
 SUB_CFG = """
 # reference subcritical point
@@ -428,6 +431,42 @@ class TestReplicationFailures:
         assert [r for i, r in enumerate(got.rows) if i != 1] == \
             [r for i, r in enumerate(want.rows) if i != 1]
         assert got.medians == [float(np.median([want.rows[i][3] for i in (0, 2, 3)]))]
+
+
+class TestStreamedReplicationFailures:
+    """Inside a streamed lockstep batch (27 paths of 8,000 steps), a
+    replication whose simulation raises stays one aborted row."""
+
+    CFG = SUB_CFG.replace("horizons = 40", "horizons = 160").replace(
+        "replications = 24", "replications = 27").replace("flavor = exact", "flavor = discrete")
+
+    def _lines(self, monkeypatch, bad):
+        def y0(rng):
+            # the Philox key is (seed, replication index)
+            v = float(rng.gamma(8.0, 0.25))
+            return -v if int(rng.bit_generator.state["state"]["key"][1]) == bad else v
+
+        chunks = []  # (steps + 1, paths) of each lockstep chunk
+        lockstep = simulate._y_lockstep
+        monkeypatch.setattr(simulate, "_y_lockstep",
+                            lambda Y, *args: chunks.append(Y.shape) or lockstep(Y, *args))
+        cfg = experiment_config_from_text(self.CFG)
+        cfg.params = dataclasses.replace(cfg.params, y0=y0)
+        lines = run_experiment(cfg).csv_text().splitlines()
+        # a failure at replication 1 leaves 25 paths after it, at 25 the 25 before it
+        assert (STREAM_CHUNK + 1, 27 if bad is None else 25) in chunks
+        return lines
+
+    @pytest.mark.parametrize("bad", [1, 25])
+    def test_negative_start_is_one_aborted_row(self, monkeypatch, bad):
+        want = self._lines(monkeypatch, None)
+        got = self._lines(monkeypatch, bad)
+        assert len(got) == len(want) == 28
+        changed = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert changed == [bad + 1]
+        fields = got[bad + 1].split(",")
+        assert fields[:5] == ["estimate", "160", str(bad), "1", "0"]
+        assert all(v == "nan" for v in fields[5:])
 
 
 def _singular_third_draw(monkeypatch):
