@@ -118,7 +118,9 @@ BATCH_BYTES = 3_670_016
 BATCH_PATHS = 40
 
 #: Narrowest batch that advances in lockstep; narrower batches run path by
-#: path on Python floats, which is faster below this width.
+#: path on Python floats, which is faster below this width.  Measured break
+#: even: 20-24 paths of 1000 steps; about 16 paths of 10,000 steps streamed
+#: (47 ms in lockstep against 49 ms path by path, 61 against 70 ms at 24).
 LOCKSTEP_MIN = 24
 
 #: Grid steps per chunk of a batch whose whole draw blocks do not fit
