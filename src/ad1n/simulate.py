@@ -407,21 +407,22 @@ def _y_lockstep(Y, chi, z, emb, c):
     :func:`_y_pass`, all paths one grid step at a time, in the same operand
     order; chi and z are (m, B)."""
     B = Y.shape[1]
-    # array operands and positional outputs: a Python float operand or an
-    # ``out=`` keyword costs every ufunc call a conversion
+    # array operands, positional outputs and local names: a Python float
+    # operand, an ``out=`` keyword or a module lookup costs every call
     c = np.full(B, c)
     emb = None if emb == 1.0 else np.full(B, emb)  # y * 1.0 == y
     t = np.empty(B)
+    mul, div, sqrt, add = np.multiply, np.divide, np.sqrt, np.add
     y0 = Y[0]
     for y1, zk, chik in zip(Y[1:], z, chi):
         if emb is not None:
-            y0 = np.multiply(y0, emb, t)
-        np.divide(y0, c, t)
-        np.sqrt(t, t)
-        np.add(zk, t, t)
-        np.multiply(t, t, t)
-        np.add(chik, t, t)
-        np.multiply(c, t, y1)
+            y0 = mul(y0, emb, t)
+        div(y0, c, t)
+        sqrt(t, t)
+        add(zk, t, t)
+        mul(t, t, t)
+        add(chik, t, t)
+        mul(c, t, y1)
         y0 = y1
 
 
