@@ -1,12 +1,28 @@
-"""Matrix integral helpers shared by the simulator and the estimators."""
+"""Matrix integral helpers shared by the simulator and the estimators, and
+the thread setting of the BLAS behind them.
+
+An experiment calls scipy on small matrices only: ``expm`` and ``logm``
+on at most 2n rows (the augmented blocks of ``expm_integral``), and
+``block_diag``, ``cho_factor`` and ``cho_solve`` on the 2 + n(n+2) rows of
+the sandwich covariance.  scipy links its own OpenBLAS, beside the one
+numpy links, and each keeps its own worker pool.  At these sizes a second
+scipy thread splits no work; it only spins on the core that numpy's
+threaded reductions over long paths need, and the two pools starve each
+other.  ``one_blas_thread`` holds scipy's pool at one thread while an
+experiment runs.  numpy's pool stays as found: the last bits of those
+reductions depend on its count.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_blas
 
 
 def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
@@ -60,8 +76,9 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
     E_theta = e^{-theta h}.
 
     Kept per value of the arguments and returned read-only: every path of an
-    experiment asks for the same coefficients, and the small ``expm`` calls
-    stall when BLAS workers wait for a busy core.
+    experiment asks for the same coefficients, and outside
+    ``one_blas_thread`` each small ``expm`` wakes scipy's OpenBLAS pool,
+    which then starves numpy's pool of a core, and the other way round.
     """
     args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
     return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))
@@ -84,3 +101,42 @@ def _mean_coeffs_of(key):
     for arr in (emth, m_t, kappa_t):
         arr.setflags(write=False)
     return emth, m_t, kappa_t
+
+
+@functools.cache
+def _scipy_openblas():
+    """(get, set) of the thread count of the OpenBLAS that scipy.linalg
+    links, or None when it is not an OpenBLAS (MKL, Accelerate, ...).
+
+    The symbols are looked up on a handle of scipy's own BLAS wrapper, which
+    sees only that library and what it links; numpy's OpenBLAS exports its
+    symbols with a ``64_`` suffix and cannot match."""
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        try:
+            get = getattr(lib, prefix + "get_num_threads")
+            set_ = getattr(lib, prefix + "set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold scipy's OpenBLAS pool at one thread for the body, then restore
+    the count it had, also when the body raises.  Does nothing when scipy's
+    BLAS is not an OpenBLAS, and never touches numpy's pool."""
+    fns = _scipy_openblas()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

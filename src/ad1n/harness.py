@@ -29,7 +29,9 @@ simulation.  A replication whose path or solve raises an ``Ad1nError`` or
 a ``LinAlgError``, or whose estimate is not finite, is recorded as aborted.
 So is a critical limit draw whose limit functional is singular: its row has
 aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
-the share of such draws.
+the share of such draws.  An experiment and a gap study run with scipy's
+OpenBLAS pool held at one thread (``_matfun.one_blas_thread``), so that
+its small matrix functions do not starve numpy's threaded reductions.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
@@ -63,6 +65,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, estimate
+from ._matfun import one_blas_thread
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
 from .errors import Ad1nError, ConfigError, DimensionMismatchError, RegimeMismatchError
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
@@ -350,6 +353,7 @@ def _limit_draw(path, params: ModelParams):
         return None
 
 
+@one_blas_thread()
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Simulate, estimate and compare against the regime's limit theory.
 
@@ -538,6 +542,7 @@ class GapReport:
         }
 
 
+@one_blas_thread()
 def discrete_vs_continuous_gap(config: ExperimentConfig) -> GapReport:
     """Median sqrt(t_N) * max-abs gap between the discrete estimate and the
     exact-conditional (one-step inverse) estimate on the same paths."""

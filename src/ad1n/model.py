@@ -177,8 +177,9 @@ def _try_real_eig(theta: np.ndarray):
     Returns (eigenvalues ascending, row transform P with P theta P^-1 = D),
     both read-only, or raises ComplexSpectrumError / NonDiagonalizableError.
     Results are kept per value of theta: every path of an experiment
-    validates the same theta, and the small LAPACK calls stall when BLAS
-    workers wait for a busy core.
+    validates the same theta, and these small LAPACK calls run on numpy's
+    OpenBLAS, whose worker pool and scipy's starve each other when both
+    are awake on a busy machine (see ``_matfun``).
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     return _real_eig_of(theta.shape, theta.tobytes())
