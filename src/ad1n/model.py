@@ -202,7 +202,23 @@ def _real_eig_of(shape: tuple, raw: bytes):
     order = np.argsort(w)
     w = w[order]
     v = v[:, order]
-    # residual check of theta = V D V^-1
+    try:
+        vinv = _inverse_eigenvectors(theta, w, v)
+    except NonDiagonalizableError:
+        # LAPACK's balancing can return a wrong eigenvector when the entries
+        # of theta span many orders of magnitude: take each one as the null
+        # vector of theta - w_i I instead, and check again
+        eye = np.eye(theta.shape[0])
+        v = np.stack([np.linalg.svd(theta - wi * eye)[2][-1] for wi in w], axis=1)
+        vinv = _inverse_eigenvectors(theta, w, v)
+    # convention: P X diagonalizes, i.e. P theta P^-1 = D with P = V^-1
+    w.setflags(write=False)
+    vinv.setflags(write=False)
+    return w, vinv
+
+
+def _inverse_eigenvectors(theta, w, v):
+    """V^-1 after a residual check of theta = V D V^-1."""
     try:
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
@@ -212,10 +228,7 @@ def _real_eig_of(shape: tuple, raw: bytes):
         raise NonDiagonalizableError(
             f"theta not diagonalizable within tolerance (residual {resid:.3e})"
         )
-    # convention: P X diagonalizes, i.e. P theta P^-1 = D with P = V^-1
-    w.setflags(write=False)
-    vinv.setflags(write=False)
-    return w, vinv
+    return vinv
 
 
 def validate(params: ModelParams) -> ValidationReport:

@@ -45,21 +45,18 @@ bound memory, and every operation keeps the operand order of the formulas
 above.
 
 :func:`simulate_paths` simulates many seeds at once, in batches of at
-most ``BATCH_PATHS`` paths whose Y rows and one chunk of draw rows fit
-``BATCH_BYTES``.  Validation, the step constants, the parameter digest and
-the time grid are computed once per call.  A batch of at least
-``LOCKSTEP_MIN`` paths advances the Y recursion (df >= 1, any n) in
-lockstep: all its paths one grid step at a time with numpy row operations,
-in the operand order of the float pass, so every path keeps its bits.  A
-narrower batch runs path by path on Python floats.  A batch holds its Y
-rows, time-major (N+1, B), and one chunk of chi-square and normal rows:
-the whole blocks when they fit ``BATCH_BYTES`` (40 limit draws of 1000
-steps), else ``STREAM_CHUNK`` steps at a time (a streamed batch, such as
-40 estimation paths of 10,000 steps).  Then each path takes its remaining
-draws, dB^1 and its X pass on its own, into its own contiguous (N+1, d)
-states, and the batch yields it before it starts the next path.  The df < 1
-Y recursion (one draw per step) and every X pass stay per path.  States are
-never a column of a wider array: the BLAS kernels behind
+most ``BATCH_PATHS`` paths whose Y rows, time-major (N+1, B), and one
+chunk of ``STREAM_CHUNK`` normal rows fit ``BATCH_BYTES``.  Validation, the
+step constants, the parameter digest and the time grid are computed once
+per call.  A batch of at least ``LOCKSTEP_MIN`` paths advances the Y
+recursion (df >= 1, any n) in lockstep: all its paths one grid step at a
+time with numpy row operations, in the operand order of the float pass, so
+every path keeps its bits.  A narrower batch runs path by path on Python
+floats.  Then each path takes its remaining draws, dB^1 and its X pass on
+its own, into its own contiguous (N+1, d) states, and the batch yields it
+before it starts the next path.  The df < 1 Y recursion (one draw per
+step) and every X pass stay per path.  States are never a column of a
+wider array: the BLAS kernels behind
 :func:`left_point_sums` depend on the stride, and with it the last bits of
 the sums.  :func:`simulate_path` is the one-seed call.
 :func:`simulate_critical_limits` runs the zero-started critical limit
@@ -76,14 +73,9 @@ variates (df < 1).  For df >= 1 the fresh dB^1 block is the path's last
 draw, so only its prefix up to the last step with Y_k <= RECONSTRUCT_EPS
 is drawn (none if Y never gets there).  A batch keeps this order per path;
 as each path has its own generator, staging the draws across paths changes
-no value.  A streamed batch reads a path's two CIR blocks side by side,
-chunk by chunk, from two generators: a copy of the path's Philox state
-(``bit_generator.state``) taken where its chi-square block starts draws the
-chi-square values, while the path's own generator, run once through that
-block in chunks (a pre-pass), draws the normals and everything after them.
-numpy draws a block in chunks with the values and the end state of the
-whole draw (``TestStreamInvariants`` pins this), so every value and its
-order stay what the path draws alone.
+no value.  A path draws its chi-square block whole into its Y column and
+its normals in chunks, which numpy draws with the values and the end state
+of the whole block (``TestStreamInvariants`` pins this).
 """
 
 from __future__ import annotations
@@ -105,11 +97,11 @@ RECONSTRUCT_EPS = 1e-12
 #: Grid steps per chunk of the Python-float passes.
 CHUNK = 4096
 
-#: Bytes a batch may hold in its Y rows and one chunk of chi-square and
-#: normal rows.  3.5 MiB holds BATCH_PATHS Y rows of 10,001 steps (3.20 MB)
-#: and their STREAM_CHUNK rows (0.33 MB), so a 40-path horizon of 10,000
-#: steps is one lockstep batch; LOCKSTEP_MIN paths of 25,000 steps would
-#: need 5.0 MB, so such horizons run path by path.
+#: Bytes a batch may hold in its Y rows and one chunk of normal rows.
+#: 3.5 MiB holds BATCH_PATHS Y rows of 10,001 steps (3.20 MB) and their
+#: STREAM_CHUNK normal rows (0.16 MB), so a 40-path horizon of 10,000 steps
+#: is one lockstep batch; LOCKSTEP_MIN paths of 25,000 steps would need
+#: 4.9 MB, so such horizons run path by path.
 BATCH_BYTES = 3_670_016
 
 #: Most paths in one batch: 40 is the width of a 1000-step limit-draw batch
@@ -123,10 +115,10 @@ BATCH_PATHS = 40
 #: (47 ms in lockstep against 49 ms path by path, 61 against 70 ms at 24).
 LOCKSTEP_MIN = 24
 
-#: Grid steps per chunk of a batch whose whole draw blocks do not fit
-#: BATCH_BYTES (a streamed batch).  40 paths of 10,000 steps took 85-89 ms
-#: at 512 against 95 ms at 256, 100-110 ms at 128 and 86-93 ms at 1024
-#: (min of 15, 2-vCPU VM).
+#: Grid steps per chunk of normals a batch draws and advances at a time.
+#: 40 paths of 10,000 steps took 61.6 ms at 512 against 66.2 ms at 256,
+#: 67.3 ms at 128 and 61.8 ms at 1024, which holds twice the rows (min of
+#: 15, 2-vCPU VM).
 STREAM_CHUNK = 512
 
 
@@ -244,32 +236,26 @@ def simulate_paths(
     params_hash = params.digest()
 
     def y_blocks(Y, rngs):
-        """Fill Y[1:] of a batch, time-major (N+1, B), from each path's
-        pre-drawn chi-square and normal blocks: in one chunk when the whole
-        blocks fit BATCH_BYTES, else STREAM_CHUNK steps at a time."""
+        """Fill Y[1:] of a batch, time-major (N+1, B): each path draws its N
+        chi-square values into its column (zeros at df = 1), then its
+        normals in chunks; the recursion reads chi_k from Y[k+1] before it
+        writes y_{k+1} there."""
         B = len(rngs)
-        steps = N if 8 * B * (3 * N + 1) <= BATCH_BYTES else STREAM_CHUNK
-        chi_rngs = rngs
-        if df > 1.0 and steps < N:
-            # a path draws its N chi-square values before its N normals: a
-            # copy of its generator keeps the chi-square stream, and the
-            # generator runs through that block to where the normals start
-            chi_rngs = [_twin(rng) for rng in rngs]
-            for rng in rngs:
-                for k0 in range(0, N, steps):
-                    rng.chisquare(df - 1.0, size=min(steps, N - k0))
-        chi, z = np.zeros((steps, B)), np.empty((steps, B))
-        for k0 in range(0, N, steps):
-            m = min(steps, N - k0)
+        if df > 1.0:
             for j in range(B):
-                if df > 1.0:
-                    chi[:m, j] = chi_rngs[j].chisquare(df - 1.0, size=m)
+                Y[1:, j] = rngs[j].chisquare(df - 1.0, size=N)
+        else:
+            Y[1:] = 0.0
+        if B < LOCKSTEP_MIN:
+            for j in range(B):
+                _y_pass(Y[:, j], emb, c, df, rngs[j])
+            return
+        z = np.empty((min(N, STREAM_CHUNK), B))
+        for k0 in range(0, N, STREAM_CHUNK):
+            m = min(STREAM_CHUNK, N - k0)
+            for j in range(B):
                 z[:m, j] = rngs[j].standard_normal(m)
-            if B >= LOCKSTEP_MIN:
-                _y_lockstep(Y[k0:k0 + m + 1], chi[:m], z[:m], emb, c)
-            else:
-                for j in range(B):
-                    _y_pass(Y[k0:k0 + m + 1, j], emb, c, df, chi[:m, j], z[:m, j], None)
+            _y_lockstep(Y[k0:k0 + m + 1], z[:m], emb, c)
 
     def finish(y_col, x0, rng) -> np.ndarray:
         """States (N+1, d) of one path from its column of the batch's Y:
@@ -282,7 +268,7 @@ def simulate_paths(
         dB_J *= sq_delta
         if df < 1.0:
             fresh1 = rng.standard_normal(N) * sq_delta
-            _y_pass(y, emb, c, df, None, None, rng)
+            _y_pass(y, emb, c, df, rng)
         if np.any(y < 0):  # exact transitions cannot go negative
             raise AssertionError("negative Y produced by exact CIR transition")
         Yl = y[:-1]
@@ -344,25 +330,15 @@ def simulate_paths(
     seeds = list(seeds)
     width = batch_width(N)
     for i in range(0, len(seeds), width):
-        batch = seeds[i:i + width]
-        # a batch too narrow for lockstep runs one path at a time
-        for part in [batch] if len(batch) >= LOCKSTEP_MIN else [[seed] for seed in batch]:
-            yield from run(part)
+        yield from run(seeds[i:i + width])
 
 
 def batch_width(n_steps: int) -> int:
     """Paths per batch: as many as fit their Y rows and a STREAM_CHUNK of
-    two draw rows into ``BATCH_BYTES``, at most ``BATCH_PATHS``; one when
+    normal rows into ``BATCH_BYTES``, at most ``BATCH_PATHS``; one when
     fewer than ``LOCKSTEP_MIN`` fit, so that such paths run one at a time."""
-    fit = BATCH_BYTES // (8 * (n_steps + 1 + 2 * min(n_steps, STREAM_CHUNK)))
+    fit = BATCH_BYTES // (8 * (n_steps + 1 + min(n_steps, STREAM_CHUNK)))
     return min(fit, BATCH_PATHS) if fit >= LOCKSTEP_MIN else 1
-
-
-def _twin(rng: np.random.Generator) -> np.random.Generator:
-    """A second generator that draws what ``rng`` would draw next."""
-    twin = np.random.Generator(np.random.Philox(key=0))
-    twin.bit_generator.state = rng.bit_generator.state
-    return twin
 
 
 def simulate_path(
@@ -382,16 +358,19 @@ def simulate_path(
     return next(simulate_paths(params, horizon, delta, [seed], _force_general))
 
 
-def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
-    """Fill Y[1:] by the exact CIR recursion from Y[0], on Python floats."""
+def _y_pass(Y, emb, c, df, rng):
+    """Fill Y[1:] by the exact CIR recursion from Y[0], on Python floats.
+    For df >= 1, Y[1:] holds the chi-square values on entry and rng draws
+    the normals a chunk at a time; for df < 1 every step draws from rng."""
     sqrt = math.sqrt
     y = float(Y[0])
     N = Y.shape[0] - 1
     for k0 in range(0, N, CHUNK):
         k1 = min(k0 + CHUNK, N)
         out = []
-        if chi_part is not None:
-            for chi, z in zip(chi_part[k0:k1].tolist(), z_y[k0:k1].tolist()):
+        if df >= 1.0:
+            z_y = rng.standard_normal(k1 - k0).tolist()
+            for chi, z in zip(Y[k0 + 1:k1 + 1].tolist(), z_y):
                 zz = z + sqrt(y * emb / c)
                 y = c * (chi + zz * zz)
                 out.append(y)
@@ -402,10 +381,10 @@ def _y_pass(Y, emb, c, df, chi_part, z_y, rng):
         Y[k0 + 1:k1 + 1] = out
 
 
-def _y_lockstep(Y, chi, z, emb, c):
+def _y_lockstep(Y, z, emb, c):
     """Fill Y[1:] of a time-major batch (m+1, B) by the recursion of
     :func:`_y_pass`, all paths one grid step at a time, in the same operand
-    order; chi and z are (m, B)."""
+    order; Y[1:] holds the chi-square values on entry and z is (m, B)."""
     B = Y.shape[1]
     # array operands, positional outputs and local names: a Python float
     # operand, an ``out=`` keyword or a module lookup costs every call
@@ -414,14 +393,14 @@ def _y_lockstep(Y, chi, z, emb, c):
     t = np.empty(B)
     mul, div, sqrt, add = np.multiply, np.divide, np.sqrt, np.add
     y0 = Y[0]
-    for y1, zk, chik in zip(Y[1:], z, chi):
+    for y1, zk in zip(Y[1:], z):
         if emb is not None:
             y0 = mul(y0, emb, t)
         div(y0, c, t)
         sqrt(t, t)
         add(zk, t, t)
         mul(t, t, t)
-        add(chik, t, t)
+        add(y1, t, t)  # chi_k, before y_{k+1} replaces it
         mul(c, t, y1)
         y0 = y1
 

@@ -139,6 +139,20 @@ class TestClassify:
         with pytest.raises(NonDiagonalizableError):
             classify(p)
 
+    def test_entries_spanning_many_magnitudes_diagonalize(self):
+        # LAPACK's balancing returns e1 as the eigenvector of the zero
+        # eigenvalue of this theta, whose entries span ~120 orders
+        S = np.full((3, 3), 2.3e-123)
+        np.fill_diagonal(S, 1.0)
+        S[1, 0] = 1.0 / 12.0
+        D = np.diag([0.0, 0.05, 0.1])
+        theta = S @ D @ np.linalg.inv(S)
+        p = _params(n=3, b=0.7, theta=theta, rho=np.eye(4))
+        assert validate(p).ok
+        cls = classify(p)
+        assert cls.regime == classify(_params(n=3, b=0.7, theta=D, rho=np.eye(4))).regime
+        np.testing.assert_allclose(cls.eig_theta, np.diag(D), atol=1e-15)
+
     def test_similarity_invariance(self):
         rng = np.random.default_rng(7)
         theta = np.diag([0.8, 2.0, 3.5])

@@ -362,7 +362,7 @@ class TestBatches:
     def test_seeds_spanning_several_batches(self, monkeypatch, critical_params):
         width = LOCKSTEP_MIN + 2
         steps = 50
-        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * ((steps + 1) + 2 * steps))
+        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * ((steps + 1) + steps))
         assert batch_width(steps) == width
         seeds = [substream(3, j) for j in range(2 * width + 5)]  # two lockstep, one narrow
         want = [simulate_path(critical_params, 1.0, 0.02, s).states.tobytes() for s in seeds]
@@ -373,23 +373,18 @@ class TestBatches:
     @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
     def test_streamed_batch_paths_equal_single_paths(self, monkeypatch, name, n, force):
         # chunks of 7 steps: 27 paths of 20 steps fit their Y rows and one
-        # chunk of draw rows, but not their whole draw blocks
+        # chunk of normal rows, and draw their normals in three chunks
         params = self._params(name, n)
         width, steps, chunk = LOCKSTEP_MIN + 3, 20, 7
         seeds = [substream(79, 2 * j) for j in range(width)]
         want = [simulate_path(params, 0.4, 0.02, s, _force_general=force).states.tobytes()
                 for s in seeds]
         monkeypatch.setattr(simulate, "STREAM_CHUNK", chunk)
-        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * (steps + 1 + 2 * chunk))
+        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * (steps + 1 + chunk))
         assert batch_width(steps) == width
-        twins = []
-        twin = simulate._twin
-        monkeypatch.setattr(simulate, "_twin", lambda rng: twins.append(rng) or twin(rng))
         got = list(simulate_paths(params, 0.4, 0.02, seeds, _force_general=force))
         assert [p.states.tobytes() for p in got] == want
         assert all(p.states.flags.c_contiguous for p in got)
-        # df > 1 draws a chi-square block, which the copied generators stream
-        assert len(twins) == (width if 4.0 * params.a / params.sigma1 ** 2 > 1.0 else 0)
 
     def test_critical_limit_horizon_streams_in_lockstep(self, monkeypatch, critical_params):
         # the critical_limit benchmark's horizon: 40 paths of 10,000 steps
@@ -397,13 +392,26 @@ class TestBatches:
             raise AssertionError("a 40-path horizon must advance in lockstep")
 
         monkeypatch.setattr(simulate, "_y_pass", per_path)
-        twins = []
-        twin = simulate._twin
-        monkeypatch.setattr(simulate, "_twin", lambda rng: twins.append(rng) or twin(rng))
         seeds = [substream(313, j) for j in range(40)]
         assert batch_width(10_000) == BATCH_PATHS == 40
         assert sum(1 for _ in simulate_paths(critical_params, 200.0, 0.02, seeds)) == 40
-        assert len(twins) == 40
+
+    def test_streamed_batch_draws_each_chi_square_block_once(self, monkeypatch,
+                                                             critical_params):
+        # the critical_limit benchmark's horizon, 40 paths of 10,000 steps at
+        # df = 8: every generator made while it runs counts its chi-square
+        # values, which must be each path's N and no more
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def chisquare(self, df, size=None):
+                drawn.append(1 if size is None else size)
+                return super().chisquare(df, size)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        seeds = [substream(313, j) for j in range(40)]
+        assert sum(1 for _ in simulate_paths(critical_params, 200.0, 0.02, seeds)) == 40
+        assert sum(drawn) == 40 * 10_000
 
     def test_sixteen_path_horizon_runs_path_by_path(self, monkeypatch, subcritical_params):
         # the subcritical_clt benchmark's width; its 25,000-step paths do
@@ -412,18 +420,17 @@ class TestBatches:
             raise AssertionError("a 16-path horizon must run path by path")
 
         monkeypatch.setattr(simulate, "_y_lockstep", lockstep)
-        monkeypatch.setattr(simulate, "_twin", lockstep)
         seeds = [substream(11, j) for j in range(16)]
         assert sum(1 for _ in simulate_paths(subcritical_params, 200.0, 0.02, seeds)) == 16
         assert batch_width(25_000) == 1
 
     def test_streamed_horizon_stays_in_its_rows(self, critical_params):
         # 40 paths of 10,000 steps, taken one at a time as the harness takes
-        # them: the batch's Y rows, one chunk of draw rows, and one path's
+        # them: the batch's Y rows, one chunk of normal rows, and one path's
         # states and five N-float temporaries
         N, B = 10_000, 40
         y_rows = 8 * B * (N + 1)
-        chunk_rows = 8 * 2 * B * STREAM_CHUNK
+        chunk_rows = 8 * B * STREAM_CHUNK
         one_path = 8 * (N + 1) * 2 + 5 * 8 * N
         seeds = [substream(313, j) for j in range(B)]
         simulate_path(critical_params, 200.0, 0.02, seeds[0])  # fill the caches
@@ -464,8 +471,7 @@ class TestBatches:
 class TestStreamInvariants:
     """numpy behaviour that streamed batches rely on: a block drawn in
     chunks holds the values of the block drawn whole and leaves the
-    generator where the whole draw leaves it, and a generator given a copy
-    of another's Philox state continues its stream."""
+    generator where the whole draw leaves it."""
 
     N = 2 * STREAM_CHUNK + 37
 
@@ -491,21 +497,6 @@ class TestStreamInvariants:
         assert got.tobytes() == want.tobytes()
         assert chunked.bit_generator.random_raw(8).tolist() == \
             whole.bit_generator.random_raw(8).tolist()
-
-    @pytest.mark.parametrize("copy", ["state", "twin"])
-    def test_copied_state_continues_the_stream(self, copy):
-        rng = generator(substream(5, 3))
-        rng.chisquare(6.5, size=101)
-        rng.integers(10, dtype=np.int32)  # leaves half a 64-bit word buffered
-        if copy == "state":
-            twin = np.random.Generator(np.random.Philox(key=0))
-            twin.bit_generator.state = rng.bit_generator.state
-        else:
-            twin = simulate._twin(rng)
-        assert twin.integers(1 << 30, size=3, dtype=np.int32).tolist() == \
-            rng.integers(1 << 30, size=3, dtype=np.int32).tolist()
-        assert twin.chisquare(6.5, size=50).tobytes() == rng.chisquare(6.5, size=50).tobytes()
-        assert twin.standard_normal(50).tobytes() == rng.standard_normal(50).tobytes()
 
 
 class TestRunningSum:
