@@ -8,7 +8,8 @@ with the default.  The gap-study and n = 2 exact-flavor digests were pinned
 before the replications were split into a path phase and a solve phase.
 The supercritical digest (which pins the Y-tail stabilization column) and
 the ``g_map`` digest were pinned before the thread pool, the continuous
-design blocks and the second one-step map were removed.  The critical runs
+design blocks and the second one-step map were removed.  The ``g_inverse``
+digest was pinned before the one-step integrals got a single owner.  The critical runs
 with 40-70 limit draws and the ``increment_moment_probe`` digest were
 pinned while every path was still simulated on its own, before paths were
 advanced side by side in batches.  The critical run with theta = 0 but
@@ -40,7 +41,7 @@ from ad1n import (
     substream,
 )
 from ad1n import simulate
-from ad1n.estimate import g_map
+from ad1n.estimate import g_inverse, g_map
 from ad1n.simulate import increment_moment_probe
 
 _SUBCRITICAL = """\
@@ -283,6 +284,16 @@ def test_g_map_digest():
         "433d261d752f2a785881b30e68a645af4f8dc4c432eb9252495cbb24b38b69a2")
 
 
+def test_g_inverse_digest():
+    # the inverse map's own bits: logm, the step integrals and their solves
+    h = hashlib.sha256()
+    for a, b, m, kappa, theta, step in G_MAP_POINTS:
+        for v in g_inverse(g_map(a, b, m, kappa, theta, step), step):
+            h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    assert h.hexdigest() == (
+        "dfd4314c1598c50981c35527c25a2a411f234a9c6189092d6b55d9c8c0399bfe")
+
+
 def test_gap_study_csv_digest():
     report = discrete_vs_continuous_gap(experiment_config_from_text(_GAP))
     assert _sha(report.csv_text().encode()) == (
@@ -317,4 +328,4 @@ def test_digests_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout[-3000:]
     passed = re.search(r"(\d+) passed", out.stdout)
-    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 5, out.stdout[-3000:]
+    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 6, out.stdout[-3000:]
