@@ -2,15 +2,15 @@
 the thread setting of the BLAS behind them.
 
 An experiment calls scipy on small matrices only: ``expm`` and ``logm``
-on at most 2n rows (the augmented blocks of ``expm_integral``), and
-``block_diag``, ``cho_factor`` and ``cho_solve`` on the 2 + n(n+2) rows of
-the sandwich covariance.  scipy links its own OpenBLAS, beside the one
-numpy links, and each keeps its own worker pool.  At these sizes a second
-scipy thread splits no work; it only spins on the core that numpy's
-threaded reductions over long paths need, and the two pools starve each
-other.  ``one_blas_thread`` holds scipy's pool at one thread while an
-experiment runs.  numpy's pool stays as found: the last bits of those
-reductions depend on its count.
+on at most 2n rows (the augmented blocks of ``expm_integral``, which only
+``step_integrals`` calls), and ``block_diag``, ``cho_factor`` and
+``cho_solve`` on the 2 + n(n+2) rows of the sandwich covariance.  scipy
+links its own OpenBLAS, beside the one numpy links, and each keeps its own
+worker pool.  At these sizes a second scipy thread splits no work; it only
+spins on the core that numpy's threaded reductions over long paths need,
+and the two pools starve each other.  ``one_blas_thread`` holds scipy's
+pool at one thread while an experiment runs.  numpy's pool stays as found:
+the last bits of those reductions depend on its count.
 """
 
 from __future__ import annotations
@@ -36,8 +36,12 @@ def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
     return scipy.linalg.expm(M)[:p, p:]
 
 
-def gauss_legendre_matrix_integral(f, h: float, p: int, order: int = 40) -> np.ndarray:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+#: nodes of the Gauss-Legendre rule for W at b = 0 and theta != 0
+GAUSS_LEGENDRE_ORDER = 40
+
+
+def gauss_legendre_matrix_integral(f, h: float, p: int) -> np.ndarray:
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
     u = 0.5 * h * (nodes + 1.0)
     out = np.zeros((p, p))
     for ui, wi in zip(u, weights):
@@ -45,22 +49,23 @@ def gauss_legendre_matrix_integral(f, h: float, p: int, order: int = 40) -> np.n
     return 0.5 * h * out
 
 
-def double_exp_integral(b: float, theta: np.ndarray, h: float,
-                        shifted: np.ndarray) -> np.ndarray:
-    """W(h) = int_0^h g_b(u) e^{theta*u} du with g_b(u) = int_0^u e^{-b(u-v)} dv.
-
-    ``shifted`` is ``expm_integral(theta - b*I, h)``, which every caller
-    needs itself; it is only read for b != 0."""
+def step_integrals(b: float, theta, h: float):
+    """(e^{-theta h}, K, M, EW): the integrals of the exact one-step map over
+    h, with k~ = K kappa and m~ = M m - a EW kappa.  K = e^{-theta h} int_0^h
+    e^{(theta - bI)u} du, M = int_0^h e^{-theta u} du, EW = e^{-theta h} W and
+    W = int_0^h g_b(u) e^{theta u} du with g_b(u) = int_0^u e^{-b(u-v)} dv."""
     theta = np.atleast_2d(theta)
-    p = theta.shape[0]
+    n = theta.shape[0]
+    emth = scipy.linalg.expm(-theta * h)
+    shifted = expm_integral(theta - b * np.eye(n), h)
     if b != 0.0:
         # g_b(u) = (1 - e^{-bu})/b, so W = (Phi(theta) - Phi(theta - b I))/b
-        return (expm_integral(theta, h) - shifted) / b
-    if np.allclose(theta, 0.0):
-        return 0.5 * h * h * np.eye(p)
-    return gauss_legendre_matrix_integral(
-        lambda u: u * scipy.linalg.expm(theta * u), h, p
-    )
+        W = (expm_integral(theta, h) - shifted) / b
+    elif np.allclose(theta, 0.0):
+        W = 0.5 * h * h * np.eye(n)
+    else:
+        W = gauss_legendre_matrix_integral(lambda u: u * scipy.linalg.expm(theta * u), h, n)
+    return emth, emth @ shifted, expm_integral(-theta, h), emth @ W
 
 
 def cir_mean_coeffs(a: float, b: float, h: float):
@@ -88,16 +93,11 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
 def _mean_coeffs_of(key):
     a, b, m, kappa, theta, h = (np.frombuffer(raw).reshape(shape) for shape, raw in key)
     a, b, h = float(a), float(b), float(h)
-    theta = np.atleast_2d(theta)
     m = np.atleast_1d(m)
     kappa = np.atleast_1d(kappa)
-    n = theta.shape[0]
-    emth = scipy.linalg.expm(-theta * h)
-    shifted = expm_integral(theta - b * np.eye(n), h)
-    kappa_t = emth @ shifted @ kappa
-    m_t = expm_integral(-theta, h) @ m - a * (
-        emth @ double_exp_integral(b, theta, h, shifted) @ kappa
-    )
+    emth, K, M, EW = step_integrals(b, theta, h)
+    kappa_t = K @ kappa
+    m_t = M @ m - a * (EW @ kappa)
     for arr in (emth, m_t, kappa_t):
         arr.setflags(write=False)
     return emth, m_t, kappa_t

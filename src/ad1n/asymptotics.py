@@ -28,10 +28,10 @@ from .errors import (
     SingularUError,
     UnsupportedRegimeError,
 )
-from .model import Classification, ModelParams, Regime, gram_blocks, qv_matrix, tau_length
+from .model import (COND_LIMIT, Classification, ModelParams, Regime, gram_blocks, qv_matrix,
+                    symmetric_cond, tau_length)
 from .simulate import Path, left_point_sums
 
-U_COND_LIMIT = 1e12
 #: a scaled supercritical tail is stabilized when it changes by at most
 #: TAIL_REL_TOL (relative) over the final TAIL_FRACTION of the horizon
 TAIL_FRACTION = 0.1
@@ -150,21 +150,6 @@ def extract_supercritical_limits(
     return SupercriticalLimits(c1=c1, cj=cj, v1=v1, v2=v2, eta_etaT=eta_etaT)
 
 
-def symmetric_cond(u: np.ndarray) -> float:
-    """2-norm condition number of a symmetric matrix from its eigenvalues,
-    whose absolute values are its singular values: in closed form at 2x2
-    (largest |eigenvalue| squared over |det|), by ``eigvalsh`` above; inf
-    when the matrix is singular."""
-    if u.shape == (2, 2):
-        p, q, r = float(u[0, 0]), float(u[0, 1]), float(u[1, 1])
-        big = abs(0.5 * (p + r)) + math.hypot(0.5 * (p - r), q)
-        det = abs(p * r - q * q)
-        return big * big / det if det > 0 else math.inf
-    lam = np.abs(np.linalg.eigvalsh(u))
-    small = float(lam.min())
-    return float(lam.max()) / small if small > 0 else math.inf
-
-
 @dataclass
 class CriticalLimitFunctional:
     """The critical limit draw diag(U1^-1, I kron U2^-1) (R1, vec R2)."""
@@ -178,7 +163,7 @@ class CriticalLimitFunctional:
         """One realization of the limit of the normalized error vector."""
         cond1 = symmetric_cond(self.u1)
         cond2 = symmetric_cond(self.u2)
-        if not np.isfinite(cond1) or cond1 > U_COND_LIMIT or not np.isfinite(cond2) or cond2 > U_COND_LIMIT:
+        if not (cond1 <= COND_LIMIT and cond2 <= COND_LIMIT):
             raise SingularUError(
                 f"limit functional is singular (cond {cond1:.3g}, {cond2:.3g})"
             )

@@ -23,8 +23,8 @@ import sys
 
 from .errors import Ad1nError, ConfigError
 from .harness import (
-    experiment_config_from_text,
     discrete_vs_continuous_gap,
+    load_experiment_config,
     params_from_config,
     parse_config_text,
     parse_value,
@@ -138,8 +138,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = experiment_config_from_text(fh.read())
+    config = load_experiment_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
     report = run_experiment(config)
@@ -151,8 +150,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = experiment_config_from_text(fh.read())
+    config = load_experiment_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
     report = discrete_vs_continuous_gap(config)

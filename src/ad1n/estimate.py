@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._matfun import (cir_mean_coeffs, double_exp_integral, expm_integral,
-                      one_step_conditional_mean_coeffs)
+from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs, step_integrals
 from .errors import (
     ConfigError,
     DegeneratePathError,
@@ -57,11 +56,8 @@ from .errors import (
     PathTooShortError,
     SingularBlocksError,
 )
-from .model import gram_blocks, stack_drift_fields
+from .model import COND_LIMIT, gram_blocks, stack_drift_fields, symmetric_cond
 from .simulate import Path, left_point_sums
-
-#: condition-number guard on the design blocks
-COND_LIMIT = 1e12
 
 #: "continuous" is a second name for "discrete"
 FLAVORS = ("continuous", "discrete", "exact")
@@ -117,15 +113,10 @@ def g_inverse(tilde: TildeParams, h: float):
     if np.max(np.abs(np.imag(logA))) > 1e-8 * max(1.0, np.max(np.abs(logA))):
         raise LogDomainError("matrix logarithm left the real branch")
     theta = -np.real(logA) / h
-    emth = scipy.linalg.expm(-theta * h)
-    shifted = expm_integral(theta - b * np.eye(n), h)
-    K = emth @ shifted
     try:
+        _, K, M, EW = step_integrals(b, theta, h)
         kappa = np.linalg.solve(K, tilde.kappa)
-        Mmat = expm_integral(-theta, h)
-        m = np.linalg.solve(
-            Mmat, tilde.m + a * (emth @ double_exp_integral(b, theta, h, shifted) @ kappa)
-        )
+        m = np.linalg.solve(M, tilde.m + a * (EW @ kappa))
     except np.linalg.LinAlgError as exc:
         raise LogDomainError("integral coefficient matrix is singular") from exc
     return float(a), float(b), m, kappa, theta
@@ -150,23 +141,23 @@ class DesignBlocks:
     cond2: float
 
 
-def _equilibrated_cond(G: np.ndarray) -> float:
-    """Condition number after symmetric diagonal scaling.
-
-    The raw blocks scale like powers of sup Y, which grows exponentially on
-    supercritical paths; equilibration makes the guard detect genuine rank
-    deficiency instead of units.
-    """
+def _equilibrated(G: np.ndarray):
+    """(d, G / d d^T) with d = sqrt|diag G|.  The raw blocks scale like
+    powers of sup Y, which grows exponentially on supercritical paths; the
+    guard and the solves both work on the scaled block, so the guard detects
+    genuine rank deficiency instead of units.  A zero d leaves a nan."""
     d = np.sqrt(np.abs(np.diag(G)))
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        return float("inf")
-    S = G / np.outer(d, d)
-    return float(np.linalg.cond(S))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d, G / np.outer(d, d)
+
+
+def _equilibrated_cond(G: np.ndarray) -> float:
+    S = _equilibrated(G)[1]
+    return symmetric_cond(S) if np.all(np.isfinite(S)) else math.inf
 
 
 def _equilibrated_solve(G: np.ndarray, F: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.abs(np.diag(G)))
-    S = G / np.outer(d, d)
+    d, S = _equilibrated(G)
     Z = np.linalg.solve(S, F / d[:, None] if F.ndim == 2 else F / d)
     return Z / d[:, None] if F.ndim == 2 else Z / d
 
@@ -188,7 +179,7 @@ def design_blocks(path: Path) -> DesignBlocks:
     f2[2:, :] = -x_dx
     cond1 = _equilibrated_cond(G1)
     cond2 = _equilibrated_cond(G2)
-    if not np.isfinite(cond1) or cond1 > COND_LIMIT or not np.isfinite(cond2) or cond2 > COND_LIMIT:
+    if not (cond1 <= COND_LIMIT and cond2 <= COND_LIMIT):
         raise DegeneratePathError(
             f"design blocks are degenerate (cond {cond1:.3g}, {cond2:.3g})"
         )

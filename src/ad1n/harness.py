@@ -59,7 +59,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -255,7 +255,6 @@ class ExperimentReport:
     rows: list
     per_horizon: list
     checks: dict
-    extra: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -297,7 +296,6 @@ class ExperimentReport:
             "checks": {k: bool(v) for k, v in self.checks.items()},
             "passed": self.passed,
             "csv_sha256": csv_hash,
-            **self.extra,
         }
 
 

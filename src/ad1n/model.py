@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, Union
@@ -47,6 +48,9 @@ IMAG_TOL = 1e-8
 DIAG_RESIDUAL_TOL = 1e-10
 #: eigenvalues below this (relative) size are treated as exact zeros
 EIG_ZERO_TOL = 1e-12
+#: largest 2-norm condition number of a normal-equation block (design
+#: blocks, critical U blocks, stationary EG) that is still solved
+COND_LIMIT = 1e12
 
 
 class Regime(str, Enum):
@@ -383,6 +387,21 @@ def gram_blocks(c, y, yy, x, yx, xx):
     G2[1, 2:] = G2[2:, 1] = yx
     G2[2:, 2:] = xx
     return G1, G2
+
+
+def symmetric_cond(u: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix from its eigenvalues,
+    whose absolute values are its singular values: in closed form at 2x2
+    (largest |eigenvalue| squared over |det|), by ``eigvalsh`` above; inf
+    when the matrix is singular."""
+    if u.shape == (2, 2):
+        p, q, r = float(u[0, 0]), float(u[0, 1]), float(u[1, 1])
+        big = abs(0.5 * (p + r)) + math.hypot(0.5 * (p - r), q)
+        det = abs(p * r - q * q)
+        return big * big / det if det > 0 else math.inf
+    lam = np.abs(np.linalg.eigvalsh(u))
+    small = float(lam.min())
+    return float(lam.max()) / small if small > 0 else math.inf
 
 
 def qv_matrix(params: ModelParams, B1: np.ndarray, B3: np.ndarray) -> np.ndarray:

@@ -60,11 +60,10 @@ from .errors import (
     OrderTooHighError,
     SingularEGError,
 )
-from .model import (Classification, ModelParams, Regime, _try_real_eig, classify,
-                    gram_blocks, qv_matrix)
+from .model import (COND_LIMIT, Classification, ModelParams, Regime, _try_real_eig,
+                    classify, gram_blocks, qv_matrix, symmetric_cond)
 
 MAX_ORDER = 4
-COND_LIMIT = 1e12
 
 MultiIndex = tuple[int, ...]
 MomentKey = tuple[int, MultiIndex]
@@ -322,8 +321,8 @@ def asymptotic_covariance(params: ModelParams) -> CovarianceReport:
     EG = scipy.linalg.block_diag(G1, np.kron(np.eye(params.n), G2))
     EH = qv_matrix(params, *gram_blocks(ey, ey2, ey3, eyx, ey2x, eyxx))
 
-    cond = float(np.linalg.cond(EG))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    cond = symmetric_cond(EG)
+    if not cond <= COND_LIMIT:
         raise SingularEGError(f"EG condition number {cond:.3g} exceeds {COND_LIMIT:g}")
     cho = scipy.linalg.cho_factor(EG)
     inner = scipy.linalg.cho_solve(cho, EH)

@@ -14,7 +14,8 @@ from ad1n import (
     simulate_path,
     substream,
 )
-from ad1n.asymptotics import U_COND_LIMIT, CriticalLimitFunctional, symmetric_cond
+from ad1n.asymptotics import CriticalLimitFunctional
+from ad1n.model import COND_LIMIT, symmetric_cond
 from ad1n.errors import (
     InvalidGridError,
     NotStabilizedError,
@@ -184,10 +185,10 @@ class TestSymmetricCond:
         blocks = dict(u1=self._u(2, 0.5), u2=self._u(3, 0.5))
         r1, r2 = np.array([0.3, -0.2]), np.array([[0.1], [0.4], [-0.3]])
         n = blocks[which].shape[0]
-        blocks[which] = self._u(n, 10.0 / U_COND_LIMIT)  # cond 1e11
+        blocks[which] = self._u(n, 10.0 / COND_LIMIT)  # cond 1e11
         draw = CriticalLimitFunctional(r1=r1, r2=r2, **blocks).limit_draw()
         assert np.all(np.isfinite(draw))
-        blocks[which] = self._u(n, 0.1 / U_COND_LIMIT)  # cond 1e13
+        blocks[which] = self._u(n, 0.1 / COND_LIMIT)  # cond 1e13
         with pytest.raises(SingularUError):
             CriticalLimitFunctional(r1=r1, r2=r2, **blocks).limit_draw()
 

@@ -29,7 +29,10 @@ from ad1n.errors import (
     PathTooShortError,
     SingularBlocksError,
 )
-from ad1n.model import drift_design_row
+from ad1n import estimate as estimate_module
+from ad1n.model import COND_LIMIT, drift_design_row
+
+from conftest import random_subcritical
 
 
 def _path_from_states(states, delta=0.1):
@@ -120,6 +123,46 @@ class TestDesignBlocks:
             ytest = rng.normal(size=4)
             assert x @ blocks.G1 @ x >= -1e-10
             assert ytest @ blocks.G2 @ ytest >= -1e-10
+
+
+def _unit_diagonal(p, cond):
+    """Symmetric p x p with unit diagonal (so equilibration leaves it as it
+    is) and 2-norm condition number cond: eigenvalues 1 + r, 1 - r, 1, ..."""
+    r = (cond - 1.0) / (cond + 1.0)
+    u = np.eye(p)
+    u[0, 1] = u[1, 0] = r
+    return u
+
+
+def _equilibrated_svd_cond(G):
+    d = np.sqrt(np.abs(np.diag(G)))
+    return np.linalg.cond(G / np.outer(d, d))
+
+
+class TestDesignBlockGuard:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_raises_only_above_the_limit(self, monkeypatch, which):
+        path = _random_path(np.random.default_rng(21), 1, 30)
+
+        def blocks_at(cond):
+            G = [_unit_diagonal(2, 2.0), _unit_diagonal(3, 2.0)]
+            G[which] = _unit_diagonal(G[which].shape[0], cond)
+            monkeypatch.setattr(estimate_module, "gram_blocks", lambda *sums: tuple(G))
+            return design_blocks(path)
+
+        blocks = blocks_at(0.1 * COND_LIMIT)  # cond 1e11
+        assert (blocks.cond1, blocks.cond2)[which] == pytest.approx(0.1 * COND_LIMIT, rel=1e-4)
+        with pytest.raises(DegeneratePathError):
+            blocks_at(10.0 * COND_LIMIT)  # cond 1e13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cond_agrees_with_svd_on_simulated_paths(self, n):
+        params = random_subcritical(np.random.default_rng(30 + n), n)
+        for rep in range(3):
+            path = simulate_path(params, 20.0, 0.02, seed=substream(31, rep))
+            blocks = design_blocks(path)
+            for cond, G in ((blocks.cond1, blocks.G1), (blocks.cond2, blocks.G2)):
+                assert cond == pytest.approx(_equilibrated_svd_cond(G), rel=1e-5)
 
 
 class TestClseSolve:

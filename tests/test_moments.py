@@ -26,7 +26,10 @@ from ad1n.errors import (
     MissingInitialMomentError,
     NotSubcriticalError,
     OrderTooHighError,
+    SingularEGError,
 )
+from ad1n import moments
+from ad1n.model import COND_LIMIT
 from conftest import random_subcritical
 
 
@@ -262,6 +265,26 @@ class TestAsymptoticCovariance:
     def test_not_subcritical(self, supercritical_params):
         with pytest.raises(NotSubcriticalError):
             asymptotic_covariance(supercritical_params)
+
+    def test_cond_agrees_with_svd(self, subcritical_params_n2):
+        rep = asymptotic_covariance(subcritical_params_n2)
+        assert rep.cond_EG == pytest.approx(np.linalg.cond(rep.EG), rel=1e-5)
+
+    def test_raises_only_above_the_limit(self, monkeypatch, subcritical_params):
+        # E[Y] = E[X] = 0 and E[Y^2] = E[X^2] = 1 leave EG = [[I, 0], [0, G2]]
+        # with G2 = [[1, 0, 0], [0, 1, r], [0, r, 1]], cond (1 + r) / (1 - r)
+        def report_at(cond):
+            r = (cond - 1.0) / (cond + 1.0)
+            table = (0.0, 1.0, 1.0, np.zeros(1), np.array([r]), np.zeros(1),
+                     np.ones((1, 1)), np.ones((1, 1)))
+            monkeypatch.setattr(moments, "stationary_x_moments", lambda params: table)
+            return asymptotic_covariance(subcritical_params)
+
+        rep = report_at(0.1 * COND_LIMIT)  # cond 1e11
+        assert rep.cond_EG == pytest.approx(0.1 * COND_LIMIT, rel=1e-4)
+        assert np.all(np.isfinite(rep.sandwich))
+        with pytest.raises(SingularEGError):
+            report_at(10.0 * COND_LIMIT)  # cond 1e13
 
 
 class TestRiccatiCf:
