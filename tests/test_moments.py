@@ -287,7 +287,47 @@ class TestAsymptoticCovariance:
             report_at(10.0 * COND_LIMIT)  # cond 1e13
 
 
+# RK4 at step 5e-4 out to t = 60/b, with no tail: (grid index, Re CF,
+# Im CF) on criterion 7's grid lams = repeat(linspace(0, 5, 10), 10),
+# mus = tile(linspace(-5, 5, 10), 10), for the n = 1 fixture.
+RICCATI_PINS_N1 = [
+    (3, 0.5669046123010835, -0.022257232235168938),
+    (12, 0.10930746021770096, -0.017619843916991156),
+    (25, 0.16285020900267858, 0.0023161865660359256),
+    (37, 0.03306943076301508, 0.0057245992837630984),
+    (41, 0.009319569009647711, -0.0031005599590459374),
+    (58, 0.00631432542932569, 0.002093771032275001),
+    (64, 0.0191227628005574, -0.00045423145805453124),
+    (79, 0.001383672136042157, 0.0007442271951055048),
+    (86, 0.007099922861010095, 0.0006403841308391418),
+    (99, 0.0008152619752360701, 0.0004309946292436857),
+]
+# The same for the n = 2 fixture: (lam, v, Re CF, Im CF) at mu = (v, -v/2).
+RICCATI_PINS_N2 = [
+    (0.0, -3.0, 0.17685357125663012, 0.26193128900164736),
+    (1.25, 1.5, -0.1651145224357084, 0.10233533254323186),
+    (2.5, 3.0, 0.012157958189091609, -0.03751063531254541),
+    (3.75, -1.5, -0.02559145511868954, -0.019686354232036497),
+    (5.0, 0.75, 0.006325230769793698, 0.017834674896943563),
+]
+
+
 class TestRiccatiCf:
+    def test_default_step_matches_fine_step_pins_n1(self, subcritical_params):
+        idx = [i for i, _, _ in RICCATI_PINS_N1]
+        lams = np.repeat(np.linspace(0.0, 5.0, 10), 10)[idx]
+        mus = [[v] for v in np.tile(np.linspace(-5.0, 5.0, 10), 10)[idx]]
+        got = riccati_cf_batch(subcritical_params, lams, mus)
+        want = np.array([complex(re, im) for _, re, im in RICCATI_PINS_N1])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_default_step_matches_fine_step_pins_n2(self, subcritical_params_n2):
+        lams = [lam for lam, _, _, _ in RICCATI_PINS_N2]
+        mus = [[v, -v / 2] for _, v, _, _ in RICCATI_PINS_N2]
+        got = riccati_cf_batch(subcritical_params_n2, lams, mus)
+        want = np.array([complex(re, im) for _, _, re, im in RICCATI_PINS_N2])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_origin_is_exactly_one(self, subcritical_params):
         assert riccati_cf(subcritical_params, 0.0, [0.0]) == 1.0 + 0.0j
 
