@@ -50,10 +50,6 @@ class SingularEGError(Ad1nError):
     """Limit design matrix is numerically singular (condition > 1e12)."""
 
 
-class HorizonTooShortError(Ad1nError):
-    """Riccati integration horizon leaves a tail above tolerance."""
-
-
 class PathTooShortError(Ad1nError):
     """Path has too few observations to assemble the design blocks."""
 

@@ -172,6 +172,8 @@ class ExperimentConfig:
                 raise ConfigError(f"the step at horizon {T!r} is not in (0, {T!r}]")
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed {self.seed!r} is not in [0, 2^64)")
         cls = classify(self.params)
         if cls.regime != self.regime:
             raise RegimeMismatchError(

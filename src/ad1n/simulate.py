@@ -128,14 +128,12 @@ def substream(master_seed: int, index: int) -> tuple[int, int]:
 
 
 def generator(seed) -> np.random.Generator:
-    """Philox generator for a seed given as an int or a (master, index) key."""
-    if isinstance(seed, (tuple, list)):
-        key = np.array(seed, dtype=np.uint64)
-    else:
-        key = np.array([int(seed), 0], dtype=np.uint64)
-    if key.shape != (2,):
-        raise InvalidGridError("seed must be an int or a pair of ints")
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox generator for a seed given as an int or a (master, index) key,
+    each in [0, 2^64)."""
+    key = list(seed) if isinstance(seed, (tuple, list)) else [int(seed), 0]
+    if len(key) != 2 or not all(0 <= int(k) < 2**64 for k in key):
+        raise InvalidGridError("seed must be an int or a pair of ints, each in [0, 2^64)")
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -563,8 +561,8 @@ def increment_moment_probe(
     if replications < 1:
         raise InvalidGridError("need at least one replication")
     for s, t in pairs:
-        if t < s:
-            raise InvalidGridError("need s <= t in every pair")
+        if not 0 <= s <= t:
+            raise InvalidGridError("need 0 <= s <= t in every pair")
         if t - s >= 1.0:
             raise InvalidGridError("increments longer than 1 are not supported")
     idx = [(int(round(s / delta)), int(round(t / delta))) for s, t in pairs]

@@ -154,6 +154,24 @@ def test_bad_simulate_value_exit_code(tmp_path, capsys):
     assert "error: bad value for delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed_args, cfg_seed", [
+    ("experiment", ["--seed", "-3"], "7"),
+    ("experiment", ["--seed", str(2**64)], "7"),
+    ("experiment", [], "-3"),
+    ("simulate", ["--seed", "-3"], "7"),
+    ("simulate", ["--seed", str(2**64)], "7"),
+    ("simulate", [], "-3"),
+])
+def test_seed_outside_uint64_exit_code(tmp_path, capsys, command, seed_args, cfg_seed):
+    # each used to end in an OverflowError traceback (exit 1)
+    f = tmp_path / "seed.cfg"
+    f.write_text(EXP_CFG.replace("seed = 7", f"seed = {cfg_seed}"))
+    argv = [command, "--config", str(f), "--out", str(tmp_path / "out")] + seed_args
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+
+
 def test_supercritical_run_with_one_replication_writes_its_report(tmp_path, capsys):
     # one estimate per horizon: no median b error, so the checks fail (exit
     # 1); the run used to die with KeyError: 'median_abs_b_err'

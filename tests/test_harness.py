@@ -168,6 +168,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # both used to end the run in an OverflowError from the generator
+        cfg = experiment_config_from_text(SUB_CFG + f"seed = {seed}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            cfg.validate()
+
     # each used to pass validation: a bad delta became a run of aborted rows
     # (or a bare ValueError at nan), a bad gamma nan medians in the gap study
     @pytest.mark.parametrize("delta", ["-0.02", "0", "50", "nan", "inf"])

@@ -21,7 +21,6 @@ from ad1n import (
 )
 from ad1n.errors import (
     DimensionMismatchError,
-    HorizonTooShortError,
     IncompleteTableError,
     MissingInitialMomentError,
     NotSubcriticalError,
@@ -359,9 +358,36 @@ class TestRiccatiCf:
         c2 = riccati_cf(subcritical_params, 1.0, [0.7], step=5e-4)
         assert abs(c1 - c2) < 1e-9
 
-    def test_horizon_guard(self, subcritical_params):
-        with pytest.raises(HorizonTooShortError):
-            riccati_cf(subcritical_params, 2.0, [0.5], horizon=1.0)
+    @pytest.mark.parametrize("fixture", ["subcritical_params", "subcritical_params_n2"])
+    def test_mu_zero_is_the_gamma_laplace_transform(self, fixture, request):
+        # the stationary Y is Gamma(2a / sigma1^2, scale sigma1^2 / (2b))
+        p = request.getfixturevalue(fixture)
+        lams = np.linspace(-1.9, 5.0, 24)
+        got = riccati_cf_batch(p, lams, [np.zeros(p.n)] * len(lams))
+        s2 = p.sigma1**2
+        want = (1.0 + lams * s2 / (2.0 * p.b)) ** (-2.0 * p.a / s2)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+    def test_slow_theta_means(self):
+        # with theta = 0.2, K is still 7e-7 at t = 60 / b = 30 once mu != 0;
+        # t* = ln(1/eps) / 0.2 = 180
+        p = ModelParams(
+            n=1, a=2.0, b=2.0, m=[1.0], kappa=[0.5], theta=[[0.2]],
+            rho=[[1.0, 0.0], [0.2, 0.9]], y0=1.0, x0=0.0,
+        )
+        h = 1e-4
+        vals = riccati_cf_batch(p, [h, -h, 0.0, 0.0], [[0.0], [0.0], [h], [-h]])
+        ey = -(vals[0] - vals[1]).real / (2 * h)
+        ex = (vals[2] - vals[3]).imag / (2 * h)
+        assert abs(ey - p.a / p.b) < 1e-6
+        assert abs(ex - (1.0 - 0.5 * p.a / p.b) / 0.2) < 1e-6  # (m - kappa a/b) / theta
+
+    @pytest.mark.parametrize("lam", [-2.5, -2.0 - 1e-9])
+    def test_infinite_transform_is_nan(self, subcritical_params, lam):
+        # E exp(-lam Y) is infinite below lam = -2b / sigma1^2 = -2; at
+        # -2 - 1e-9, K blows up only after t* ~ 18, inside the tail
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(riccati_cf(subcritical_params, lam, [0.0]))
 
     def test_not_subcritical(self, critical_params):
         with pytest.raises(NotSubcriticalError):

@@ -278,6 +278,13 @@ class TestIncrementProbe:
             increment_moment_probe(subcritical_params, 2.0, [(0.0, 0.5)], delta=delta,
                                    replications=4, seed=4)
 
+    def test_negative_s_is_a_grid_error(self, subcritical_params):
+        # s = -0.1 used to snap to index -10 and read states[-10], counted
+        # from the end of the path
+        with pytest.raises(InvalidGridError):
+            increment_moment_probe(subcritical_params, 2.0, [(-0.1, 0.1)], delta=0.01,
+                                   replications=4, seed=1)
+
     def test_t_snapped_past_max_t(self, subcritical_params):
         # t = 0.5 snaps to index 2, i.e. t = 0.6 > 0.5, on a 0.3 grid; the
         # paths reach it (this used to raise IndexError)
@@ -466,6 +473,18 @@ class TestBatches:
         finally:
             tracemalloc.stop()
         assert peak < budget + slack
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64, (1, -1), (2**64, 0), (1, 2, 3)])
+def test_seed_outside_uint64_is_a_grid_error(seed):
+    # the out-of-range ones used to raise OverflowError
+    with pytest.raises(InvalidGridError):
+        generator(seed)
+
+
+def test_largest_seed_is_accepted():
+    a, b = generator(2**64 - 1), generator((2**64 - 1, 0))
+    assert a.bit_generator.random_raw(4).tolist() == b.bit_generator.random_raw(4).tolist()
 
 
 class TestStreamInvariants:
