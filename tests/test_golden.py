@@ -20,7 +20,9 @@ the zero-Y threshold raised, so that the fresh dB^1 fallback fires mid-path,
 one started at Y = 0) were pinned while every estimation path was still
 simulated on its own, before a horizon's paths were streamed side by side
 and before only the used prefix of the fresh dB^1 block was drawn.
-``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
+The tau-layout and moment digest was pinned while the tau layout was still
+indexed by hand in each stacking loop and the moment table had its own
+key-order loop.  ``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
 process with OPENBLAS_NUM_THREADS=1.
 """
 
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 
 from ad1n import (
+    ModelParams,
     discrete_vs_continuous_gap,
     experiment_config_from_text,
     run_experiment,
@@ -41,7 +44,11 @@ from ad1n import (
     substream,
 )
 from ad1n import simulate
+from ad1n.asymptotics import normalizer
 from ad1n.estimate import g_inverse, g_map
+from ad1n.model import classify, drift_design_row, stack_drift_fields, unstack_tau
+from ad1n.moments import (asymptotic_covariance, point_initial_moments, stationary_moment,
+                          stationary_moment_table, transient_moment)
 from ad1n.simulate import increment_moment_probe
 
 _SUBCRITICAL = """\
@@ -328,4 +335,64 @@ def test_digests_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout[-3000:]
     passed = re.search(r"(\d+) passed", out.stdout)
-    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 6, out.stdout[-3000:]
+    assert passed and int(passed.group(1)) == len(GOLDEN_CSV) + 7, out.stdout[-3000:]
+
+
+def _drift_model(n, a, b, theta):
+    rho = np.tril(np.full((n + 1, n + 1), 0.15)) + np.diag(np.linspace(1.0, 0.7, n + 1))
+    return ModelParams(n=n, a=a, b=b, m=np.linspace(1.0, -0.5, n),
+                       kappa=np.linspace(0.3, -0.2, n), theta=theta, rho=rho,
+                       y0=1.0, x0=np.linspace(0.5, -0.5, n))
+
+
+_TRIDIAG = np.array([[2.0, 0.2, 0.0], [0.1, 1.5, 0.1], [0.0, 0.2, 1.0]])
+
+# (subcritical, critical, supercritical) models for n = 1, 2 and 3; the
+# supercritical ones satisfy lam_max(theta) < b < 0
+LAYOUT_MODELS = {
+    1: (_drift_model(1, 2.0, 1.0, [[2.0]]), _drift_model(1, 2.0, 0.0, [[0.0]]),
+        _drift_model(1, 1.0, -0.5, [[-1.0]])),
+    2: (_drift_model(2, 2.0, 1.5, [[2.0, 0.3], [0.1, 1.2]]),
+        _drift_model(2, 1.5, 0.5, np.zeros((2, 2))),
+        _drift_model(2, 1.0, -0.3, [[-1.0, 0.2], [0.1, -0.8]])),
+    3: (_drift_model(3, 2.5, 1.2, _TRIDIAG), _drift_model(3, 2.0, 0.0, _TRIDIAG),
+        _drift_model(3, 1.0, -0.2, -_TRIDIAG)),
+}
+
+
+def test_tau_layout_and_moment_digest():
+    # the tau layout (stacking, unstacking, the design row with its +0.0
+    # off-block entries at x < 0), the regime normalizers and the moment
+    # tables, sandwich and transient moments that index by (k, l)
+    h = hashlib.sha256()
+
+    def put(v):
+        h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+
+    rng = np.random.default_rng(1515)
+    for n in (1, 2, 3):
+        for _ in range(150):
+            a, b, y = rng.normal(size=3)
+            m, kappa, x = rng.normal(size=(3, n))
+            theta = rng.normal(size=(n, n))
+            tau = stack_drift_fields(a, b, m, kappa, theta)
+            put(tau)
+            for v in unstack_tau(tau, n):
+                put(v)
+            put(drift_design_row(y, x))
+        for p in LAYOUT_MODELS[n]:
+            cls = classify(p)
+            for T in (3.0, 17.5, 40.0):
+                put(normalizer(cls, T, p).diag)
+        p = LAYOUT_MODELS[n][0]
+        for key, value in stationary_moment_table(p, 4).items():
+            h.update(repr(key).encode())
+            put(value)
+        put(stationary_moment(p, -1, [0] * n))
+        put(asymptotic_covariance(p).sandwich)
+        initial = point_initial_moments(p, 1.5, np.linspace(-1.0, 0.5, n))
+        for k, l in [(1, (0,) * n), (2, (1,) + (0,) * (n - 1)), (0, (0,) * (n - 1) + (3,))]:
+            for t in (0.3, 2.0):
+                put(transient_moment(p, initial, k, l, t))
+    assert h.hexdigest() == (
+        "928fc168e78c0623f374acb14e7f37357eada4c3688eea8ca17b9a38315a3f86")
