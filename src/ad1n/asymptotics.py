@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .model import (COND_LIMIT, Classification, ModelParams, Regime, gram_blocks, qv_matrix,
-                    symmetric_cond, tau_length)
+                    stack_drift_fields, symmetric_cond, tau_length)
 from .simulate import Path, left_point_sums
 
 #: a scaled supercritical tail is stabilized when it changes by at most
@@ -57,13 +57,11 @@ def normalizer(classification: Classification, T: float, params: ModelParams) ->
     if T <= 0:
         raise InvalidGridError("horizon must be positive")
     n = params.n
-    L = tau_length(n)
     regime = classification.regime
     if regime == Regime.SUBCRITICAL:
-        diag = np.full(L, math.sqrt(T))
+        diag = np.full(tau_length(n), math.sqrt(T))
     elif regime == Regime.CRITICAL:
-        block = np.concatenate(([1.0, T], np.full(n, T)))
-        diag = np.concatenate(([1.0, T], np.tile(block, n)))
+        diag = stack_drift_fields(1.0, T, np.ones(n), np.full(n, T), np.full((n, n), T))
     elif regime == Regime.SUPERCRITICAL:
         b = float(params.b)
         lam_min = float(classification.eig_theta[0])
@@ -73,10 +71,9 @@ def normalizer(classification: Classification, T: float, params: ModelParams) ->
                 "supercritical normalization needs lam_max(theta) < b < 0"
             )
         ebt2 = math.exp(0.5 * b * T)
-        block = np.concatenate(
-            ([T * ebt2, 1.0 / ebt2], np.full(n, math.exp(0.5 * (b - 2.0 * lam_min) * T)))
-        )
-        diag = np.concatenate(([T * ebt2, 1.0 / ebt2], np.tile(block, n)))
+        level, rate = T * ebt2, 1.0 / ebt2
+        diag = stack_drift_fields(level, rate, np.full(n, level), np.full(n, rate),
+                                  np.full((n, n), math.exp(0.5 * (b - 2.0 * lam_min) * T)))
     else:
         raise UnsupportedRegimeError(f"no normalization for regime {regime.value}")
     return Normalizer(regime=regime, T=float(T), diag=diag)

@@ -12,8 +12,10 @@ lower (n x d) block.  The drift parameters are collected into the vector
     tau = (a, b, m_1, kappa_1, theta_11, ..., theta_1n, ...,
            m_n, kappa_n, theta_n1, ..., theta_nn)
 
-of length d^2 + 1, i.e. (a, b) followed by vec([m kappa theta]^T), which is
-the layout every estimator and normalizer in this package uses.
+of length d^2 + 1, i.e. (a, b) followed by the rows of F = [m | kappa | theta],
+which is the layout every estimator and normalizer in this package uses.
+:func:`stack_drift_fields` writes it and :func:`unstack_tau` reads it; all
+other code goes through them.
 
 Regimes are classified from the sign of b and the spectrum of theta:
 subcritical when min(b, lambda_min(theta)) > 0, critical when the mean of
@@ -304,8 +306,9 @@ def tau_length(n: int) -> int:
 def stack_drift_fields(a, b, m, kappa, theta) -> np.ndarray:
     """Stack drift fields into the canonical tau vector.
 
-    Layout: (a, b) then per X coordinate j the block (m_j, kappa_j,
-    theta_j1, ..., theta_jn), i.e. vec([m kappa theta]^T) after the prefix.
+    Layout: (a, b) followed by the rows of F = [m | kappa | theta], i.e.
+    per X coordinate j the block (m_j, kappa_j, theta_j1, ..., theta_jn).
+    Returns a new array.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
@@ -313,14 +316,7 @@ def stack_drift_fields(a, b, m, kappa, theta) -> np.ndarray:
     n = m.shape[0]
     if kappa.shape != (n,) or theta.shape != (n, n):
         raise DimensionMismatchError("m, kappa, theta dimensions disagree")
-    out = np.empty(tau_length(n))
-    out[0], out[1] = a, b
-    for j in range(n):
-        base = 2 + j * (n + 2)
-        out[base] = m[j]
-        out[base + 1] = kappa[j]
-        out[base + 2 : base + 2 + n] = theta[j, :]
-    return out
+    return np.concatenate(([a, b], np.column_stack((m, kappa, theta)).ravel()))
 
 
 def stack_tau(params: ModelParams) -> np.ndarray:
@@ -338,16 +334,8 @@ def unstack_tau(v: np.ndarray, n: int):
         raise DimensionMismatchError(
             f"tau vector of length {v.shape[0]} does not match n={n}"
         )
-    a, b = float(v[0]), float(v[1])
-    m = np.empty(n)
-    kappa = np.empty(n)
-    theta = np.empty((n, n))
-    for j in range(n):
-        base = 2 + j * (n + 2)
-        m[j] = v[base]
-        kappa[j] = v[base + 1]
-        theta[j, :] = v[base + 2 : base + 2 + n]
-    return a, b, m, kappa, theta
+    F = v[2:].reshape(n, n + 2)
+    return float(v[0]), float(v[1]), F[:, 0].copy(), F[:, 1].copy(), F[:, 2:].copy()
 
 
 def drift_design_row(y: float, x: np.ndarray) -> np.ndarray:
@@ -358,14 +346,11 @@ def drift_design_row(y: float, x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    d = n + 1
-    K = np.concatenate(([1.0, -y], -x))
-    out = np.zeros((d, tau_length(n)))
-    out[0, 0] = 1.0
-    out[0, 1] = -y
-    for j in range(n):
-        base = 2 + j * (n + 2)
-        out[1 + j, base : base + n + 2] = K
+    out = np.zeros((n + 1, tau_length(n)))
+    out[0, :2] = 1.0, -y
+    # row 1 + j holds K in the j-th block of the rows of F
+    blocks = out[1:, 2:].reshape(n, n, n + 2)
+    blocks[np.arange(n), np.arange(n)] = np.concatenate(([1.0, -y], -x))
     return out
 
 

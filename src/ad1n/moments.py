@@ -15,14 +15,19 @@ derivative is -(b*k + sum_j lambda_j l_j) f(k, l) plus source terms
     l_p (mt_p + k sigma1 rc_{p,1})     * f(k, l - e_p)
     -kt_p l_p                          * f(k+1, l - e_p)
     ||rc_p||^2/2 * l_p (l_p - 1)       * f(k+1, l - 2 e_p)
-    (rc rc^T)_{ip}/2 * l_i l_p         * f(k+1, l - e_i - e_p),  i != p,
+    (rc rc^T)_{ip}/2 * l_i l_p         * f(k+1, l - e_i - e_p),  i != p.
 
-with entries at negative indices read as zero.  Stationary moments solve
-the same relations with the time derivative set to zero; subcriticality
-makes every divisor b*k + sum lambda_j l_j positive, and evaluating indices
-by ascending sum(l) then ascending k visits each entry after everything it
-needs.  Transient moments integrate the assembled constant-coefficient
-system with a matrix exponential.
+:func:`_source_terms` emits no source at a negative index: it emits
+l - e_p only when l_p >= 1, l - 2 e_p only when l_p >= 2 and
+l - e_i - e_p only when l_i, l_p >= 1, and the coefficient of (k-1, l) is
+a*k + sigma1^2 k(k-1)/2, which is 0 at k = 0 and skipped.  So every source
+is a key of the table.  Stationary moments
+solve the same relations with the time derivative set to zero;
+subcriticality makes every divisor b*k + sum lambda_j l_j positive, and
+:func:`_index_set` orders the keys by ascending sum(l), then ascending k,
+so that each entry comes after everything it needs.  Every table and
+system here is built in that order.  Transient moments integrate the
+assembled constant-coefficient system with a matrix exponential.
 
 The asymptotic covariance of sqrt(T) times the estimation error is the
 sandwich EG^-1 EH EG^-1, where EG is block diagonal with
@@ -115,6 +120,8 @@ def _multi_indices(n: int, total: int):
 
 
 def _index_set(n: int, max_order: int) -> list[MomentKey]:
+    """Every key (k, l) of total order <= max_order, by ascending sum(l),
+    then ascending k, then in :func:`_multi_indices` order."""
     keys = []
     for s in range(max_order + 1):
         for k in range(max_order - s + 1):
@@ -150,13 +157,6 @@ def _source_terms(frame: TildeFrame, a: float, k: int, l: MultiIndex):
     return out
 
 
-def _lookup(table: MomentTable, key: MomentKey) -> float:
-    k, l = key
-    if k < 0 or any(v < 0 for v in l):
-        return 0.0
-    return table[key]
-
-
 def _require_subcritical(params: ModelParams) -> Classification:
     cls = classify(params)
     if cls.regime != Regime.SUBCRITICAL:
@@ -172,19 +172,13 @@ def stationary_moment_table(params: ModelParams, max_order: int = MAX_ORDER) -> 
     _require_subcritical(params)
     frame = TildeFrame.from_params(params)
     b, a = float(params.b), float(params.a)
-    n = params.n
-    table: MomentTable = {}
-    for s in range(max_order + 1):
-        for k in range(max_order - s + 1):
-            for l in _multi_indices(n, s):
-                if k == 0 and s == 0:
-                    table[(0, l)] = 1.0
-                    continue
-                denom = b * k + float(np.dot(frame.lam, l))
-                rhs = 0.0
-                for coef, src in _source_terms(frame, a, k, l):
-                    rhs += coef * _lookup(table, src)
-                table[(k, l)] = rhs / denom
+    keys = _index_set(params.n, max_order)
+    table: MomentTable = dict.fromkeys(keys[:1], 1.0)
+    for k, l in keys[1:]:
+        rhs = 0.0
+        for coef, src in _source_terms(frame, a, k, l):
+            rhs += coef * table[src]
+        table[(k, l)] = rhs / (b * k + float(np.dot(frame.lam, l)))
     return table
 
 
@@ -195,7 +189,7 @@ def stationary_moment(params: ModelParams, k: int, l) -> float:
     if order > MAX_ORDER:
         raise OrderTooHighError(f"total order {order} exceeds {MAX_ORDER}")
     table = stationary_moment_table(params, max_order=max(order, 0))
-    return float(_lookup(table, (k, l)))
+    return float(table.get((k, l), 0.0))
 
 
 def point_initial_moments(params: ModelParams, y0: float, x0, max_order: int = MAX_ORDER) -> MomentTable:
@@ -218,9 +212,6 @@ def _transient_system(frame: TildeFrame, a: float, b: float, n: int, max_order: 
         i = pos[key]
         A[i, i] = -(b * k + float(np.dot(frame.lam, l)))
         for coef, src in _source_terms(frame, a, k, l):
-            sk, sl = src
-            if sk < 0 or any(v < 0 for v in sl):
-                continue
             A[i, pos[src]] += coef
     return keys, pos, A
 

@@ -1,9 +1,13 @@
 """Each shared numerical piece has one owner in ``src/ad1n``: the
 condition-number guard of the normal-equation blocks lives in
-``ad1n.model`` (``symmetric_cond`` and ``COND_LIMIT``), and the
+``ad1n.model`` (``symmetric_cond`` and ``COND_LIMIT``), the
 augmented-block integrals of the one-step map are called only inside
-``ad1n._matfun`` (``step_integrals``).  A second copy fails here."""
+``ad1n._matfun`` (``step_integrals``), the tau layout is written only by
+``model.stack_drift_fields`` and read only by ``model.unstack_tau``, and
+the moment key order is spelled out only by ``moments._index_set``.  A
+second copy fails here."""
 
+import ast
 import pathlib
 import re
 
@@ -32,3 +36,33 @@ def test_step_integrals_live_in_matfun():
     for name, text in _sources().items():
         if name != "_matfun.py":
             assert "expm_integral(" not in text, name
+
+
+#: a hand-written offset of the j-th X block of tau, j * (n + 2) or (n + 2) * j
+_TAU_OFFSET = re.compile(r"\*\s*\(\s*n\s*\+\s*2\s*\)|\(\s*n\s*\+\s*2\s*\)\s*\*")
+
+
+def test_tau_layout_lives_in_stack_drift_fields():
+    # the per-block layout of tau is a reshape of the rows of [m | kappa |
+    # theta]; a loop over block offsets, or a tiled per-block pattern, is
+    # a second copy of it
+    for name, text in _sources().items():
+        assert not _TAU_OFFSET.search(text), name
+        assert "np.tile(" not in text, name
+
+
+def _calls_to(tree, callee):
+    return {id(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == callee}
+
+
+def test_moment_key_order_lives_in_index_set():
+    # _index_set owns the order in which moments are visited (s = |l|, then
+    # k, then _multi_indices); every other loop over keys iterates it
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        owned = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("_index_set", "_multi_indices"):
+                owned |= _calls_to(fn, "_multi_indices")
+        assert _calls_to(tree, "_multi_indices") <= owned, name
