@@ -11,7 +11,9 @@ gap          discrete vs exact-conditional estimator gap across horizons
 
 All subcommands read the flat key = value config format documented in
 :mod:`ad1n.harness`; ``--seed`` overrides the config seed.  ``simulate``
-needs an explicit ``delta``.  Replications run one after another.
+needs an explicit ``delta``.  Replications run one after another.  A bad
+input, or a file that cannot be read or written, prints one ``error:``
+line and exits 2.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Ad1nError as exc:
+    except (Ad1nError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,7 +49,8 @@ Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons, delta or
 gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
 replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
 commands).  Any other key, a value that does not parse, or a vector or
-matrix whose shape does not fit n, is a ``ConfigError`` naming the key.
+matrix whose shape does not fit n, is a ``ConfigError`` naming the key; a
+model that ``model.validate`` rejects is one listing its violations.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, estimate
+from . import __version__, estimate, model
 from ._matfun import one_blas_thread
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
 from .errors import Ad1nError, ConfigError, DimensionMismatchError, RegimeMismatchError
@@ -159,6 +160,9 @@ class ExperimentConfig:
         return float(T) ** (-self.gamma)
 
     def validate(self) -> Classification:
+        report = model.validate(self.params)
+        if not report.ok:
+            raise ConfigError(f"inadmissible model: {'; '.join(report.violations)}")
         if (self.delta is None) == (self.gamma is None):
             raise ConfigError("exactly one of delta / gamma must be set")
         if self.flavor not in estimate.FLAVORS:
@@ -416,29 +420,34 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             "aborted": n_abort,
             "abort_rate": n_abort / M,
         }
-        if config.regime == Regime.SUBCRITICAL and n_ok > 1:
-            mean = E.mean(axis=0)
-            se = E.std(axis=0, ddof=1) / math.sqrt(n_ok)
-            emp_cov = np.cov(E.T)
-            frob_gap = float(
-                np.linalg.norm(emp_cov - sandwich, "fro") / np.linalg.norm(sandwich, "fro")
-            )
-            skews = [skewness(E[:, i]) for i in range(L)]
-            kurts = [excess_kurtosis(E[:, i]) for i in range(L)]
-            ks = [
-                ks_vs_normal(E[:, i], math.sqrt(sandwich[i, i])) for i in range(L)
-            ]
-            summary.update(
-                mean_norm_err=[float(v) for v in mean],
-                se_norm_err=[float(v) for v in se],
-                emp_cov=[[float(v) for v in row] for row in emp_cov],
-                sandwich=[[float(v) for v in row] for row in sandwich],
-                frobenius_rel_gap=frob_gap,
-                skewness=skews,
-                excess_kurtosis=kurts,
-                ks_vs_sandwich_normal=ks,
-            )
-            tag = f"T={T:g}"
+        tag = f"T={T:g}"
+        # a horizon with fewer than two estimates (or, critical, no limit
+        # draw) has no statistics: its NaN fails every check
+        if config.regime == Regime.SUBCRITICAL:
+            mean = se = skews = kurts = np.full(L, math.nan)
+            frob_gap = math.nan
+            if n_ok > 1:
+                mean = E.mean(axis=0)
+                se = E.std(axis=0, ddof=1) / math.sqrt(n_ok)
+                emp_cov = np.cov(E.T)
+                frob_gap = float(
+                    np.linalg.norm(emp_cov - sandwich, "fro") / np.linalg.norm(sandwich, "fro")
+                )
+                skews = [skewness(E[:, i]) for i in range(L)]
+                kurts = [excess_kurtosis(E[:, i]) for i in range(L)]
+                ks = [
+                    ks_vs_normal(E[:, i], math.sqrt(sandwich[i, i])) for i in range(L)
+                ]
+                summary.update(
+                    mean_norm_err=[float(v) for v in mean],
+                    se_norm_err=[float(v) for v in se],
+                    emp_cov=[[float(v) for v in row] for row in emp_cov],
+                    sandwich=[[float(v) for v in row] for row in sandwich],
+                    frobenius_rel_gap=frob_gap,
+                    skewness=skews,
+                    excess_kurtosis=kurts,
+                    ks_vs_sandwich_normal=ks,
+                )
             checks[f"mean_within_3se[{tag}]"] = bool(
                 np.all(np.abs(mean) <= MEAN_SE_FACTOR * se)
             )
@@ -449,12 +458,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             checks[f"kurtosis<{KURTOSIS_TOL:g}[{tag}]"] = bool(
                 np.all(np.abs(kurts) < KURTOSIS_TOL)
             )
-        elif config.regime == Regime.CRITICAL and n_ok > 1 and limit_sample.size:
-            ks = [
-                ks_two_sample(E[:, i], limit_sample[:, i]) for i in range(L)
-            ]
-            summary.update(ks_vs_limit=[float(v) for v in ks])
-            tag = f"T={T:g}"
+        elif config.regime == Regime.CRITICAL:
+            ks = [math.nan] * L
+            if n_ok > 1 and limit_sample.size:
+                ks = [
+                    ks_two_sample(E[:, i], limit_sample[:, i]) for i in range(L)
+                ]
+                summary.update(ks_vs_limit=[float(v) for v in ks])
             checks[f"ks_a<{CRITICAL_KS_TOL:g}[{tag}]"] = ks[0] < CRITICAL_KS_TOL
             checks[f"ks_Tb<{CRITICAL_KS_TOL:g}[{tag}]"] = ks[1] < CRITICAL_KS_TOL
         elif is_super and n_ok > 1:
@@ -471,7 +481,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                 stabilization_rate=stab_rate,
             )
         per_horizon.append(summary)
-        checks[f"abort_rate<{ABORT_RATE_MAX:g}[T={T:g}]"] = (n_abort / M) < ABORT_RATE_MAX
+        checks[f"abort_rate<{ABORT_RATE_MAX:g}[{tag}]"] = (n_abort / M) < ABORT_RATE_MAX
 
     if is_super and len(per_horizon) > 1:
         # a horizon with at most one estimate has no statistics: its NaN fails every check

@@ -197,6 +197,47 @@ seed = 707
     assert "FAIL  overall" in capsys.readouterr().out
 
 
+_CRITICAL_CHANGES = [("b = 1.0", "b = 0.0"), ("kappa = 0.5", "kappa = 0.0"),
+                     ("theta = 2.0", "theta = 0.0"),
+                     ("regime = subcritical", "regime = critical\nlimit_draws = 4")]
+
+
+@pytest.mark.parametrize("changes", [[], _CRITICAL_CHANGES], ids=["subcritical", "critical"])
+def test_run_with_one_replication_fails(tmp_path, capsys, changes):
+    # one estimate per horizon has no statistics; the run used to print
+    # PASS overall on its abort-rate check alone
+    text = EXP_CFG.replace("replications = 10", "replications = 1")
+    for old, new in changes:
+        text = text.replace(old, new)
+    f = tmp_path / "one.cfg"
+    f.write_text(text)
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path / "exp")]) == 1
+    assert "FAIL  overall" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["experiment", "gap"])
+@pytest.mark.parametrize("rho", ["rho = 1,0.5; 0.2,0.9", "rho = -1,0; 0.2,0.9"])
+def test_inadmissible_model_exit_code(tmp_path, capsys, command, rho):
+    # both used to run every replication aborted: exit 1, median_gap=nan
+    f = tmp_path / "bad_rho.cfg"
+    f.write_text(EXP_CFG.replace("rho = 1,0; 0.2,0.9", rho).replace("delta = 0.02", "gamma = 1.1"))
+    assert main([command, "--config", str(f), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inadmissible model: rho") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--config"], ["simulate", "--config"], ["moments", "--config"],
+    ["experiment", "--config"], ["gap", "--config"], ["estimate", "--path"],
+], ids=lambda argv: argv[0])
+def test_missing_input_file_exit_code(tmp_path, capsys, argv):
+    # each used to end in a FileNotFoundError traceback (exit 1)
+    missing = str(tmp_path / "missing.cfg")
+    assert main(argv + [missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err and err.count("\n") == 1
+
+
 N2_MODEL_CFG = """
 n = 2
 a = 2.0

@@ -16,7 +16,7 @@ from ad1n import (
     run_experiment,
     write_report,
 )
-from ad1n import simulate
+from ad1n import harness, simulate
 from ad1n.errors import ConfigError, RegimeMismatchError
 from ad1n.harness import (
     excess_kurtosis,
@@ -314,6 +314,31 @@ class TestRunExperiment:
         assert len(super_checks) == 4 and not any(super_checks.values())
         assert all("median_abs_b_err" not in s for s in rep.per_horizon)
 
+    def test_subcritical_run_with_one_replication_fails_its_checks(self):
+        # one estimate has no mean, covariance, skewness or kurtosis; the run
+        # used to pass on its abort-rate check alone
+        cfg = experiment_config_from_text(SUB_CFG.replace("replications = 24",
+                                                          "replications = 1"))
+        rep = run_experiment(cfg)
+        stat_checks = {k: v for k, v in rep.checks.items() if not k.startswith("abort")}
+        assert len(stat_checks) == 4 and not any(stat_checks.values())
+        assert not rep.passed
+
+    @pytest.mark.parametrize("replications, draws_left", [(1, True), (3, False)])
+    def test_critical_run_without_statistics_fails_its_ks_checks(
+            self, monkeypatch, replications, draws_left):
+        # one estimate, or no limit draw left, has no KS distance; the run
+        # used to leave both KS checks out
+        if not draws_left:
+            monkeypatch.setattr(harness, "_limit_draw", lambda path, params: None)
+        text = TestLimitDrawFailures.CFG.replace("replications = 6",
+                                                 f"replications = {replications}")
+        rep = run_experiment(experiment_config_from_text(text))
+        ks_checks = {k: v for k, v in rep.checks.items() if k.startswith("ks_")}
+        assert sorted(ks_checks) == ["ks_Tb<0.15[T=20]", "ks_a<0.15[T=20]"]
+        assert not any(ks_checks.values()) and not rep.passed
+        assert "ks_vs_limit" not in rep.per_horizon[0]
+
     def test_byte_identical_reruns(self):
         cfg = experiment_config_from_text(SUB_CFG)
         rep1 = run_experiment(cfg, threads=1)
@@ -532,6 +557,29 @@ limit_draws = 8
         assert want.checks["limit_abort_rate<0.01"]
         assert not got.checks["limit_abort_rate<0.01"]
         assert not got.passed
+
+
+#: two models that ``model.validate`` rejects: rho not lower triangular, and
+#: a negative diagonal entry of rho
+INADMISSIBLE_RHO = ["rho = 1,0.5; 0.2,0.9", "rho = -1,0; 0.2,0.9"]
+
+
+class TestInadmissibleModel:
+    """An inadmissible model is a ConfigError before anything runs; it used
+    to run with every replication aborted."""
+
+    @pytest.mark.parametrize("rho", INADMISSIBLE_RHO)
+    def test_run_experiment(self, rho):
+        cfg = experiment_config_from_text(SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho))
+        with pytest.raises(ConfigError, match="inadmissible model: rho"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("rho", INADMISSIBLE_RHO)
+    def test_gap_study(self, rho):
+        cfg = experiment_config_from_text(
+            SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho).replace("delta = 0.02", "gamma = 1.1"))
+        with pytest.raises(ConfigError, match="inadmissible model: rho"):
+            discrete_vs_continuous_gap(cfg)
 
 
 class TestGapExperiment:
