@@ -21,13 +21,13 @@ derivative is -(b*k + sum_j lambda_j l_j) f(k, l) plus source terms
 l - e_p only when l_p >= 1, l - 2 e_p only when l_p >= 2 and
 l - e_i - e_p only when l_i, l_p >= 1, and the coefficient of (k-1, l) is
 a*k + sigma1^2 k(k-1)/2, which is 0 at k = 0 and skipped.  So every source
-is a key of the table.  Stationary moments
-solve the same relations with the time derivative set to zero;
-subcriticality makes every divisor b*k + sum lambda_j l_j positive, and
-:func:`_index_set` orders the keys by ascending sum(l), then ascending k,
-so that each entry comes after everything it needs.  Every table and
-system here is built in that order.  Transient moments integrate the
-assembled constant-coefficient system with a matrix exponential.
+is a key of the table.  Stationary moments solve the same relations with
+the time derivative set to zero; subcriticality makes every divisor
+b*k + sum lambda_j l_j positive, and :func:`_index_set` orders the keys by
+ascending sum(l), then ascending k, so that each entry comes after
+everything it needs.  Every table and system here is built in that order.
+Transient moments integrate the assembled constant-coefficient system with
+a matrix exponential.
 
 The asymptotic covariance of sqrt(T) times the estimation error is the
 sandwich EG^-1 EH EG^-1, where EG is block diagonal with
@@ -183,7 +183,7 @@ def stationary_moment_table(params: ModelParams, max_order: int = MAX_ORDER) -> 
 
 
 def stationary_moment(params: ModelParams, k: int, l) -> float:
-    """Stationary E[Y^k prod (Xt^i)^{l_i}] (tilde coordinates)."""
+    """Stationary E[Y^k prod (Xt^i)^{l_i}] (tilde coordinates); 0 at a negative index."""
     l = tuple(int(v) for v in np.atleast_1d(l))
     order = k + sum(l)
     if order > MAX_ORDER:
