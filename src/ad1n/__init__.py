@@ -8,7 +8,6 @@ from .model import (
     Classification,
     ModelParams,
     Regime,
-    ValidationReport,
     classify,
     drift,
     drift_design_row,
@@ -16,7 +15,6 @@ from .model import (
     stack_tau,
     tau_length,
     unstack_tau,
-    validate,
 )
 from .simulate import (
     Path,

@@ -25,6 +25,7 @@ import sys
 
 from .errors import Ad1nError, ConfigError
 from .harness import (
+    _MODEL_KEYS,
     discrete_vs_continuous_gap,
     load_experiment_config,
     params_from_config,
@@ -81,8 +82,7 @@ def _cmd_simulate(args) -> int:
     path = simulate_path(params, horizon, delta, seed)
     os.makedirs(args.out, exist_ok=True)
     csv_file = os.path.join(args.out, "path.csv")
-    sidecar = {"horizon": horizon, "params": {k: raw[k] for k in raw if k in
-               ("n", "a", "b", "m", "kappa", "theta", "rho", "y0", "x0")}}
+    sidecar = {"horizon": horizon, "params": {k: raw[k] for k in raw if k in _MODEL_KEYS}}
     write_path_csv(path, csv_file, sidecar)
     print(csv_file)
     return 0
@@ -168,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="parameter/config file")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="parameter/config file")
         sp.add_argument("--seed", type=int, default=None, help="override master seed")
         sp.add_argument("--out", default="ad1n_out", help="output directory")
 

@@ -50,7 +50,7 @@ gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
 replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
 commands).  Any other key, a value that does not parse, or a vector or
 matrix whose shape does not fit n, is a ``ConfigError`` naming the key; a
-model that ``model.validate`` rejects is one listing its violations.
+model outside the admissible set is one listing every violation.
 """
 
 from __future__ import annotations
@@ -65,10 +65,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, estimate, model
+from . import __version__, estimate
 from ._matfun import one_blas_thread
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
-from .errors import Ad1nError, ConfigError, DimensionMismatchError, RegimeMismatchError
+from .errors import (Ad1nError, ConfigError, DimensionMismatchError, InadmissibleParamsError,
+                     RegimeMismatchError)
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
@@ -160,9 +161,6 @@ class ExperimentConfig:
         return float(T) ** (-self.gamma)
 
     def validate(self) -> Classification:
-        report = model.validate(self.params)
-        if not report.ok:
-            raise ConfigError(f"inadmissible model: {'; '.join(report.violations)}")
         if (self.delta is None) == (self.gamma is None):
             raise ConfigError("exactly one of delta / gamma must be set")
         if self.flavor not in estimate.FLAVORS:
@@ -172,8 +170,8 @@ class ExperimentConfig:
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ConfigError(f"gamma = {self.gamma!r} must be finite and positive")
         for T in self.horizons:
-            if not (T > 0 and 0 < self.delta_for(T) <= T):
-                raise ConfigError(f"the step at horizon {T!r} is not in (0, {T!r}]")
+            if not (0 < T < math.inf and 0 < self.delta_for(T) <= T):
+                raise ConfigError(f"horizon {T!r} must be finite, with its step in (0, {T!r}]")
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -639,7 +637,8 @@ def parse_value(raw: dict, key: str, parse, default=None):
 
 def params_from_config(raw: dict) -> ModelParams:
     """Model parameters of a raw config.  A key whose shape does not fit n
-    (the rule :class:`ModelParams` keeps) is a ConfigError naming the key."""
+    (the rule :class:`ModelParams` keeps) is a ConfigError naming the key,
+    and an inadmissible model is one listing every violation."""
     missing = [k for k in _MODEL_KEYS[:7] if k not in raw]
     if missing:
         raise ConfigError(f"config lacks model keys: {', '.join(missing)}")
@@ -655,7 +654,7 @@ def params_from_config(raw: dict) -> ModelParams:
             y0=parse_value(raw, "y0", float, 1.0),
             x0=parse_value(raw, "x0", _parse_vector, 0.0),
         )
-    except DimensionMismatchError as exc:
+    except (DimensionMismatchError, InadmissibleParamsError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -17,6 +17,11 @@ which is the layout every estimator and normalizer in this package uses.
 :func:`stack_drift_fields` writes it and :func:`unstack_tau` reads it; all
 other code goes through them.
 
+Every :class:`ModelParams` is admissible: its constructor runs
+:func:`validate`, which requires finite values, a >= 0, a nonnegative
+numeric y0, rho lower triangular with positive diagonal and theta real
+diagonalizable.  Functions taking a ModelParams do not check this again.
+
 Regimes are classified from the sign of b and the spectrum of theta:
 subcritical when min(b, lambda_min(theta)) > 0, critical when the mean of
 Z grows polynomially, supercritical when it grows exponentially.  Matrices
@@ -38,6 +43,7 @@ import numpy as np
 from .errors import (
     ComplexSpectrumError,
     DimensionMismatchError,
+    InadmissibleParamsError,
     NonDiagonalizableError,
 )
 
@@ -91,7 +97,9 @@ class ModelParams:
         coordinate.
 
     Raises DimensionMismatchError, naming the field, when n < 1 or a
-    numeric vector or matrix does not have the shape n gives it.
+    numeric vector or matrix does not have the shape n gives it, and
+    InadmissibleParamsError, listing every violation, when the point is
+    outside the admissible set (see :func:`validate`).
     """
 
     n: int
@@ -120,6 +128,7 @@ class ModelParams:
                 raise DimensionMismatchError(
                     f"{name} must have shape {shape} for n = {n}, got {value.shape}")
             object.__setattr__(self, name, _as_readonly(value))
+        validate(self)
 
     @property
     def d(self) -> int:
@@ -163,18 +172,6 @@ class ModelParams:
             else:
                 h.update(np.ascontiguousarray(init, dtype=float).tobytes())
         return h.hexdigest()
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _try_real_eig(theta: np.ndarray):
@@ -237,8 +234,9 @@ def _inverse_eigenvectors(theta, w, v):
     return vinv
 
 
-def validate(params: ModelParams) -> ValidationReport:
-    """Report every violated parameter invariant; empty means admissible."""
+def validate(params: ModelParams) -> None:
+    """Raise InadmissibleParamsError listing every violated parameter
+    invariant; :class:`ModelParams` runs it on construction."""
     v: list[str] = []
     for name in ("a", "b", "m", "kappa", "theta", "rho", "y0", "x0"):
         value = getattr(params, name)
@@ -261,7 +259,8 @@ def validate(params: ModelParams) -> ValidationReport:
             v.append("theta eigenvalues not real within tolerance")
         except NonDiagonalizableError:
             v.append("theta not diagonalizable")
-    return ValidationReport(v)
+    if v:
+        raise InadmissibleParamsError(f"inadmissible model: {'; '.join(v)}")
 
 
 @dataclass

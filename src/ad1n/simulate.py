@@ -46,9 +46,9 @@ above.
 
 :func:`simulate_paths` simulates many seeds at once, in batches of at
 most ``BATCH_PATHS`` paths whose Y rows, time-major (N+1, B), and one
-chunk of ``STREAM_CHUNK`` normal rows fit ``BATCH_BYTES``.  Validation, the
-step constants, the parameter digest and the time grid are computed once
-per call.  A batch of at least ``LOCKSTEP_MIN`` paths advances the Y
+chunk of ``STREAM_CHUNK`` normal rows fit ``BATCH_BYTES``.  The step
+constants, the parameter digest and the time grid are computed once per
+call.  A batch of at least ``LOCKSTEP_MIN`` paths advances the Y
 recursion (df >= 1, any n) in lockstep: all its paths one grid step at a
 time with numpy row operations, in the operand order of the float pass, so
 every path keeps its bits.  A narrower batch runs path by path on Python
@@ -87,8 +87,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
-from .errors import InadmissibleParamsError, InvalidGridError
-from .model import ModelParams, validate
+from .errors import DimensionMismatchError, InadmissibleParamsError, InvalidGridError
+from .model import ModelParams, validate  # noqa: F401  (bench/spans.py rebinds it)
 
 #: Y values at or below this use a fresh normal instead of the reconstructed
 #: Brownian increment.
@@ -198,18 +198,12 @@ def simulate_paths(
     """Simulate one path per seed on the grid k*delta, k = 0..floor(horizon/delta).
 
     Yields the paths in seed order; each is bit-equal to
-    ``simulate_path(params, horizon, delta, seed)``.  Validation and the
-    step constants are computed once for all seeds.  ``_force_general``
-    runs n = 1 paths through the matrix X recursion (same output; tests
-    compare the two).
+    ``simulate_path(params, horizon, delta, seed)``.  The step constants
+    are computed once for all seeds.  ``_force_general`` runs n = 1 paths
+    through the matrix X recursion (same output; tests compare the two).
     """
-    if delta <= 0:
-        raise InvalidGridError("delta must be positive")
-    if horizon < delta:
-        raise InvalidGridError("horizon must be at least one step")
-    report = validate(params)
-    if not report.ok:
-        raise InadmissibleParamsError("; ".join(report.violations))
+    if not 0 < delta <= horizon < math.inf:
+        raise InvalidGridError(f"need 0 < delta <= horizon < inf, got {delta:g} and {horizon:g}")
 
     N = int(math.floor(horizon / delta + 1e-9))
     n, d = params.n, params.d
@@ -508,6 +502,9 @@ def read_path_csv(csv_file: str) -> Path:
     import os
 
     data = np.loadtxt(csv_file, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 3:
+        raise DimensionMismatchError(
+            f"path file needs columns t, Y, X1..Xn with n >= 1, got {data.shape[1]}")
     times = data[:, 0]
     states = data[:, 1:]
     if times.shape[0] < 2:

@@ -70,6 +70,15 @@ def test_simulate_then_estimate(cfg_file, tmp_path, capsys):
     assert est2["flavor"] == "exact"
 
 
+def test_estimate_path_without_x_column_exit_code(tmp_path, capsys):
+    # a t,Y file used to print an n = 0 estimate and exit 0
+    f = tmp_path / "no_x.csv"
+    f.write_text("t,Y\n0,1.0\n0.02,1.1\n0.04,0.9\n0.06,1.2\n")
+    assert main(["estimate", "--path", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: path file needs columns t, Y, X1..Xn") and err.count("\n") == 1
+
+
 def test_simulate_deterministic_given_seed(cfg_file, tmp_path, capsys):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["simulate", "--config", cfg_file, "--out", d1, "--seed", "5"])
@@ -127,10 +136,16 @@ def test_error_exit_code(tmp_path, capsys):
 
 
 def test_nonpositive_delta_exit_code(tmp_path, capsys):
-    f = tmp_path / "bad_delta.cfg"
-    f.write_text(EXP_CFG.replace("delta = 0.02", "delta = -0.02"))
-    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    # all but the first ended in an OverflowError or ValueError traceback (exit 1)
+    for command, old, new in [("experiment", "delta = 0.02", "delta = -0.02"),
+                              ("simulate", "horizon = 20", "horizon = inf"),
+                              ("simulate", "delta = 0.02", "delta = nan"),
+                              ("experiment", "horizons = 20", "horizons = inf")]:
+        f = tmp_path / "bad_delta.cfg"
+        f.write_text(EXP_CFG.replace(old, new))
+        assert main([command, "--config", str(f), "--out", str(tmp_path)]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_bad_config_value_exit_code(tmp_path, capsys):
@@ -215,13 +230,15 @@ def test_run_with_one_replication_fails(tmp_path, capsys, changes):
     assert "FAIL  overall" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["experiment", "gap"])
+@pytest.mark.parametrize("command", ["experiment", "gap", "classify", "moments", "simulate"])
 @pytest.mark.parametrize("rho", ["rho = 1,0.5; 0.2,0.9", "rho = -1,0; 0.2,0.9"])
 def test_inadmissible_model_exit_code(tmp_path, capsys, command, rho):
-    # both used to run every replication aborted: exit 1, median_gap=nan
+    # experiment and gap used to run every replication aborted (exit 1,
+    # median_gap=nan); classify and moments printed numbers (exit 0)
     f = tmp_path / "bad_rho.cfg"
     f.write_text(EXP_CFG.replace("rho = 1,0; 0.2,0.9", rho).replace("delta = 0.02", "gamma = 1.1"))
-    assert main([command, "--config", str(f), "--out", str(tmp_path / "out")]) == 2
+    out = [] if command in ("classify", "moments") else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(f)] + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: inadmissible model: rho") and err.count("\n") == 1
 

@@ -559,27 +559,25 @@ limit_draws = 8
         assert not got.passed
 
 
-#: two models that ``model.validate`` rejects: rho not lower triangular, and
-#: a negative diagonal entry of rho
+#: two inadmissible models: rho not lower triangular, and a negative
+#: diagonal entry of rho
 INADMISSIBLE_RHO = ["rho = 1,0.5; 0.2,0.9", "rho = -1,0; 0.2,0.9"]
 
 
 class TestInadmissibleModel:
-    """An inadmissible model is a ConfigError before anything runs; it used
-    to run with every replication aborted."""
+    """An inadmissible model is a ConfigError when its config is parsed; it
+    used to run with every replication aborted."""
 
     @pytest.mark.parametrize("rho", INADMISSIBLE_RHO)
     def test_run_experiment(self, rho):
-        cfg = experiment_config_from_text(SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho))
         with pytest.raises(ConfigError, match="inadmissible model: rho"):
-            run_experiment(cfg)
+            run_experiment(experiment_config_from_text(SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho)))
 
     @pytest.mark.parametrize("rho", INADMISSIBLE_RHO)
     def test_gap_study(self, rho):
-        cfg = experiment_config_from_text(
-            SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho).replace("delta = 0.02", "gamma = 1.1"))
         with pytest.raises(ConfigError, match="inadmissible model: rho"):
-            discrete_vs_continuous_gap(cfg)
+            discrete_vs_continuous_gap(experiment_config_from_text(
+                SUB_CFG.replace("rho = 1,0; 0.2,0.9", rho).replace("delta = 0.02", "gamma = 1.1")))
 
 
 class TestGapExperiment:

@@ -7,18 +7,11 @@ from ad1n import (
     classify,
     drift,
     drift_design_row,
-    simulate_path,
     stack_drift_fields,
     stack_tau,
     unstack_tau,
-    validate,
 )
-from ad1n.errors import (
-    ComplexSpectrumError,
-    DimensionMismatchError,
-    InadmissibleParamsError,
-    NonDiagonalizableError,
-)
+from ad1n.errors import DimensionMismatchError, InadmissibleParamsError
 
 
 def _params(n=1, a=2.0, b=1.0, m=None, kappa=None, theta=None, rho=None):
@@ -33,28 +26,24 @@ def _params(n=1, a=2.0, b=1.0, m=None, kappa=None, theta=None, rho=None):
 
 class TestValidate:
     def test_zero_rho_diagonal_is_flagged(self):
-        p = _params(rho=[[1.0, 0.0], [0.3, 0.0]])
-        report = validate(p)
-        assert not report.ok
-        assert any("rho diagonal" in v for v in report.violations)
+        with pytest.raises(InadmissibleParamsError, match="rho diagonal"):
+            _params(rho=[[1.0, 0.0], [0.3, 0.0]])
 
     def test_admissible_point_passes(self):
         p = _params(n=1, a=2, b=1, theta=[[3.0]], rho=[[1, 0], [0.3, 0.95]])
-        assert validate(p).ok
+        assert p.a == 2
 
     def test_jordan_block_theta_is_flagged(self):
-        p = _params(n=2, theta=[[0.0, 1.0], [0.0, 0.0]],
-                    rho=np.eye(3))
-        report = validate(p)
-        assert any("not diagonalizable" in v for v in report.violations)
+        with pytest.raises(InadmissibleParamsError, match="not diagonalizable"):
+            _params(n=2, theta=[[0.0, 1.0], [0.0, 0.0]], rho=np.eye(3))
 
     def test_negative_a_is_flagged(self):
-        report = validate(_params(a=-1.0))
-        assert any("a must be" in v for v in report.violations)
+        with pytest.raises(InadmissibleParamsError, match="a must be"):
+            _params(a=-1.0)
 
     def test_upper_triangular_rho_entry_is_flagged(self):
-        report = validate(_params(rho=[[1.0, 0.2], [0.3, 0.9]]))
-        assert any("lower triangular" in v for v in report.violations)
+        with pytest.raises(InadmissibleParamsError, match="lower triangular"):
+            _params(rho=[[1.0, 0.2], [0.3, 0.9]])
 
     @pytest.mark.parametrize("field, value", [
         ("a", float("nan")), ("b", float("inf")), ("m", [float("nan")]),
@@ -65,16 +54,29 @@ class TestValidate:
     def test_non_finite_value_is_rejected(self, field, value):
         base = dict(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
                     rho=[[1.0, 0.0], [0.1, 1.0]], y0=1.0, x0=[0.0])
-        p = ModelParams(**{**base, field: value})
-        assert f"{field} must be finite" in validate(p).violations
-        with pytest.raises(InadmissibleParamsError):
-            simulate_path(p, 1.0, 0.1, seed=1)
+        with pytest.raises(InadmissibleParamsError, match=f"{field} must be finite"):
+            ModelParams(**{**base, field: value})
 
     def test_callable_initial_values_pass(self):
         p = ModelParams(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
                         rho=[[1.0, 0.0], [0.1, 1.0]],
                         y0=lambda rng: 1.0, x0=lambda rng: [0.0])
-        assert validate(p).ok
+        assert callable(p.y0) and callable(p.x0)
+
+    @pytest.mark.parametrize("changes, violation", [
+        ({"rho": [[1.0, 0.5], [0.2, 0.9]]}, "rho must be lower triangular"),
+        ({"rho": [[-1.0, 0.0], [0.2, 0.9]]}, "rho diagonal must be positive"),
+        ({"a": -1.0}, "a must be nonnegative"),
+        ({"a": -1.0, "rho": [[1.0, 0.5], [0.2, 0.9]]},
+         "rho must be lower triangular; a must be nonnegative"),
+    ])
+    def test_construction_rejects_inadmissible_point(self, changes, violation):
+        # classify, the moment functions and riccati_cf took these points
+        # and returned numbers; the error lists every violation
+        base = dict(n=1, a=2.0, b=1.0, m=[1.0], kappa=[0.5], theta=[[2.0]],
+                    rho=[[1.0, 0.0], [0.2, 0.9]], y0=2.0, x0=0.25)
+        with pytest.raises(InadmissibleParamsError, match=f"^inadmissible model: {violation}"):
+            ModelParams(**{**base, **changes})
 
     def test_sigma_derived_positive(self):
         p = _params()
@@ -130,14 +132,12 @@ class TestClassify:
         assert classify(p).regime == Regime.UNSUPPORTED
 
     def test_complex_spectrum_raises(self):
-        p = _params(n=2, theta=[[0.0, -1.0], [1.0, 0.0]], rho=np.eye(3))
-        with pytest.raises(ComplexSpectrumError):
-            classify(p)
+        with pytest.raises(InadmissibleParamsError, match="theta eigenvalues not real"):
+            _params(n=2, theta=[[0.0, -1.0], [1.0, 0.0]], rho=np.eye(3))
 
     def test_jordan_block_raises(self):
-        p = _params(n=2, theta=[[1.0, 1.0], [0.0, 1.0]], rho=np.eye(3))
-        with pytest.raises(NonDiagonalizableError):
-            classify(p)
+        with pytest.raises(InadmissibleParamsError, match="theta not diagonalizable"):
+            _params(n=2, theta=[[1.0, 1.0], [0.0, 1.0]], rho=np.eye(3))
 
     def test_entries_spanning_many_magnitudes_diagonalize(self):
         # LAPACK's balancing returns e1 as the eigenvector of the zero
@@ -147,8 +147,7 @@ class TestClassify:
         S[1, 0] = 1.0 / 12.0
         D = np.diag([0.0, 0.05, 0.1])
         theta = S @ D @ np.linalg.inv(S)
-        p = _params(n=3, b=0.7, theta=theta, rho=np.eye(4))
-        assert validate(p).ok
+        p = _params(n=3, b=0.7, theta=theta, rho=np.eye(4))  # admissible: no raise
         cls = classify(p)
         assert cls.regime == classify(_params(n=3, b=0.7, theta=D, rho=np.eye(4))).regime
         np.testing.assert_allclose(cls.eig_theta, np.diag(D), atol=1e-15)
@@ -212,13 +211,16 @@ class TestDriftDesign:
 
     def test_matches_direct_drift_n2(self):
         rng = np.random.default_rng(11)
+        # a non-symmetric theta with a real spectrum: S diag(w) S^-1
+        S = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
         p = _params(
             n=2,
             m=rng.normal(size=2),
             kappa=rng.normal(size=2),
-            theta=rng.normal(size=(2, 2)) + 2 * np.eye(2),
+            theta=S @ np.diag(rng.uniform(0.5, 3.0, size=2)) @ np.linalg.inv(S),
             rho=np.eye(3),
         )
+        assert p.theta[0, 1] != p.theta[1, 0]
         for _ in range(20):
             y = float(rng.uniform(0, 3))
             x = rng.normal(size=2)

@@ -4,8 +4,10 @@ condition-number guard of the normal-equation blocks lives in
 augmented-block integrals of the one-step map are called only inside
 ``ad1n._matfun`` (``step_integrals``), the tau layout is written only by
 ``model.stack_drift_fields`` and read only by ``model.unstack_tau``, and
-the moment key order is spelled out only by ``moments._index_set``.  A
-second copy fails here."""
+the moment key order is spelled out only by ``moments._index_set``, and
+the admission check runs only inside ``ad1n.model``, where the
+``ModelParams`` constructor calls ``validate``.  A second copy fails
+here."""
 
 import ast
 import pathlib
@@ -66,3 +68,24 @@ def test_moment_key_order_lives_in_index_set():
             if isinstance(fn, ast.FunctionDef) and fn.name in ("_index_set", "_multi_indices"):
                 owned |= _calls_to(fn, "_multi_indices")
         assert _calls_to(tree, "_multi_indices") <= owned, name
+
+
+def _calls_model_validate(node):
+    # validate(...) or model.validate(...); ExperimentConfig.validate, a
+    # method called on a config, is a different function
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "validate") or (
+        isinstance(f, ast.Attribute) and f.attr == "validate"
+        and isinstance(f.value, ast.Name) and f.value.id == "model")
+
+
+def test_admission_check_lives_in_model():
+    # every ModelParams is admissible, so a second check is dead code and a
+    # report object that a caller may forget to read is a second owner
+    for name, text in _sources().items():
+        assert "ValidationReport" not in text, name
+        assert ".violations" not in text, name
+        if name != "model.py":
+            assert not any(_calls_model_validate(n) for n in ast.walk(ast.parse(text))), name

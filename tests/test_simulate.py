@@ -19,7 +19,7 @@ from ad1n import (
     write_path_csv,
 )
 from ad1n import simulate
-from ad1n.errors import InvalidGridError
+from ad1n.errors import DimensionMismatchError, InvalidGridError
 from ad1n.harness import ks_two_sample
 from ad1n.moments import TildeFrame, point_initial_moments, transient_moment
 from ad1n.simulate import (
@@ -83,10 +83,11 @@ class TestGrid:
         assert np.max(np.abs(steps - 0.01)) <= 1e-12 * path.horizon
 
     def test_invalid_grid(self, subcritical_params):
-        with pytest.raises(InvalidGridError):
-            simulate_path(subcritical_params, 1.0, -0.1, seed=1)
-        with pytest.raises(InvalidGridError):
-            simulate_path(subcritical_params, 0.005, 0.01, seed=1)
+        # the non-finite grids used to overflow or raise ValueError
+        for horizon, delta in [(1.0, -0.1), (0.005, 0.01), (math.inf, 0.01), (1.0, math.nan),
+                               (math.nan, 0.01), (math.inf, math.inf)]:
+            with pytest.raises(InvalidGridError):
+                simulate_path(subcritical_params, horizon, delta, seed=1)
 
 
 class TestYTransitions:
@@ -306,6 +307,13 @@ class TestPathCsv:
         assert back.delta == path.delta
         assert back.seed == (8, 2)
         assert back.params_hash == path.params_hash
+
+    def test_file_without_x_column_is_rejected(self, tmp_path):
+        # a t,Y file used to read as an n = 0 path
+        f = tmp_path / "no_x.csv"
+        f.write_text("t,Y\n0,1.0\n0.05,1.1\n0.1,0.9\n")
+        with pytest.raises(DimensionMismatchError, match="got 2"):
+            read_path_csv(str(f))
 
 
 class TestBatches:
