@@ -41,7 +41,7 @@ from .moments import (
     stationary_x_moments,
 )
 from .simulate import read_path_csv, simulate_path, write_path_csv
-from .estimate import estimate_path
+from .estimate import FLAVORS, estimate_path
 
 
 def _read_config(path: str) -> dict:
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="estimate tau from a path CSV")
     sp.add_argument("--path", required=True, help="path CSV file")
-    sp.add_argument("--flavor", default="discrete", choices=["continuous", "discrete", "exact"],
+    sp.add_argument("--flavor", default="discrete", choices=FLAVORS,
                     help="continuous is a second name for discrete")
     sp.set_defaults(func=_cmd_estimate)
 

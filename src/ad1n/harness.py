@@ -25,8 +25,9 @@ its replication.  The solve phase then turns each replication's blocks
 into an estimate, one replication after another, once the whole horizon
 has been simulated; running the small dense solves and matrix functions
 back to back keeps them off the cold start that follows each long
-simulation.  A replication whose path or solve raises an ``Ad1nError`` or
-a ``LinAlgError``, or whose estimate is not finite, is recorded as aborted.
+simulation.  A replication whose design blocks or solve raise an
+``Ad1nError`` or a ``LinAlgError``, or whose estimate is not finite, is
+recorded as aborted.
 So is a critical limit draw whose limit functional is singular: its row has
 aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An experiment and a gap study run with scipy's
@@ -38,10 +39,8 @@ Replication r of horizon index h owns the Philox substream
 (seed, len(horizons)*replications + j).  A horizon's replications and the
 limit draws are simulated side by side in batches
 (``simulate.simulate_paths``), which leaves every path's bits as they are
-alone, and are kept, estimated and recorded in index order.  A replication
-whose path cannot be simulated ends its batch there; it is recorded as
-aborted and the next batch starts after it.  So reruns with the same
-configuration are byte-identical.
+alone, and are kept, estimated and recorded in index order.  So reruns
+with the same configuration are byte-identical.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
@@ -310,7 +309,7 @@ REP_FAILURES = (Ad1nError, np.linalg.LinAlgError)
 def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
     """Simulate every replication of horizon ``h_idx`` side by side
     (``simulate_paths``) and return ``keep(path)`` per replication, or None
-    where it aborted."""
+    where ``keep`` raises one of ``REP_FAILURES``."""
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
     M = config.replications
@@ -322,16 +321,8 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         except REP_FAILURES:
             return None
 
-    out: list = []
-    while len(out) < M:
-        try:
-            # map holds no path past its keep; a path that cannot be
-            # simulated ends the call at its seed, and the next call
-            # starts after it
-            out.extend(map(kept, simulate_paths(config.params, T, delta, seeds[len(out):])))
-        except REP_FAILURES:
-            out.append(None)
-    return out
+    # map holds no path past its keep, so a batch is freed early
+    return list(map(kept, simulate_paths(config.params, T, delta, seeds)))
 
 
 def _solve(blocks, flavor: str):

@@ -18,9 +18,9 @@ which is the layout every estimator and normalizer in this package uses.
 other code goes through them.
 
 Every :class:`ModelParams` is admissible: its constructor runs
-:func:`validate`, which requires finite values, a >= 0, a nonnegative
-numeric y0, rho lower triangular with positive diagonal and theta real
-diagonalizable.  Functions taking a ModelParams do not check this again.
+:func:`validate`, which requires finite values, a >= 0, y0 >= 0, rho
+lower triangular with positive diagonal and theta real diagonalizable.
+Functions taking a ModelParams do not check this again.
 
 Regimes are classified from the sign of b and the spectrum of theta:
 subcritical when min(b, lambda_min(theta)) > 0, critical when the mean of
@@ -34,9 +34,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -46,9 +45,6 @@ from .errors import (
     InadmissibleParamsError,
     NonDiagonalizableError,
 )
-
-InitialValue = Union[float, Callable[[np.random.Generator], float]]
-InitialVector = Union[Sequence[float], Callable[[np.random.Generator], np.ndarray]]
 
 #: relative tolerance on imaginary parts when the spectrum must be real
 IMAG_TOL = 1e-8
@@ -91,15 +87,16 @@ class ModelParams:
     rho : array_like, shape (n+1, n+1)
         Lower-triangular diffusion matrix with positive diagonal.  The row
         norms sigma_i = ||rho_i||_2 are derived, never stored.
-    y0, x0 : float / vector, or callables rng -> value
-        Initial values; callables are drawn once per path from the path's
-        own random stream.  A single numeric x0 is taken for every
-        coordinate.
+    y0 : float
+        Initial value of Y, the start of every path.
+    x0 : array_like, shape (n,)
+        Initial value of X; a single number is taken for every coordinate.
 
     Raises DimensionMismatchError, naming the field, when n < 1 or a
-    numeric vector or matrix does not have the shape n gives it, and
-    InadmissibleParamsError, listing every violation, when the point is
-    outside the admissible set (see :func:`validate`).
+    vector or matrix does not have the shape n gives it, and
+    InadmissibleParamsError naming the field when a vector, matrix or
+    initial value is not numeric, or listing every violation when the
+    point is outside the admissible set (see :func:`validate`).
     """
 
     n: int
@@ -109,25 +106,28 @@ class ModelParams:
     kappa: np.ndarray
     theta: np.ndarray
     rho: np.ndarray
-    y0: InitialValue = 1.0
-    x0: InitialVector = field(default=0.0)  # broadcast to (n,) when numeric
+    y0: float = 1.0
+    x0: np.ndarray = 0.0  # broadcast to (n,)
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise DimensionMismatchError(f"n must be at least 1, got {n}")
         fields = [("m", np.atleast_1d, (n,)), ("kappa", np.atleast_1d, (n,)),
-                  ("theta", np.atleast_2d, (n, n)), ("rho", np.atleast_2d, (n + 1, n + 1))]
-        if not callable(self.x0):
-            fields.append(("x0", np.atleast_1d, (n,)))
+                  ("theta", np.atleast_2d, (n, n)), ("rho", np.atleast_2d, (n + 1, n + 1)),
+                  ("y0", np.asarray, ()), ("x0", np.atleast_1d, (n,))]
         for name, as_nd, shape in fields:
-            value = as_nd(np.asarray(getattr(self, name), dtype=float))
+            try:
+                value = as_nd(np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise InadmissibleParamsError(
+                    f"{name} must be numeric, got {getattr(self, name)!r}") from exc
             if name == "x0" and value.shape == (1,):
                 value = np.broadcast_to(value, shape)
             if value.shape != shape:
                 raise DimensionMismatchError(
                     f"{name} must have shape {shape} for n = {n}, got {value.shape}")
-            object.__setattr__(self, name, _as_readonly(value))
+            object.__setattr__(self, name, float(value) if name == "y0" else _as_readonly(value))
         validate(self)
 
     @property
@@ -164,13 +164,8 @@ class ModelParams:
         h.update(str(self.n).encode())
         for v in (self.a, self.b):
             h.update(f"{v:.17g}".encode())
-        for arr in (self.m, self.kappa, self.theta, self.rho):
+        for arr in (self.m, self.kappa, self.theta, self.rho, self.y0, self.x0):
             h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        for init in (self.y0, self.x0):
-            if callable(init):
-                h.update(getattr(init, "__qualname__", repr(init)).encode())
-            else:
-                h.update(np.ascontiguousarray(init, dtype=float).tobytes())
         return h.hexdigest()
 
 
@@ -239,8 +234,7 @@ def validate(params: ModelParams) -> None:
     invariant; :class:`ModelParams` runs it on construction."""
     v: list[str] = []
     for name in ("a", "b", "m", "kappa", "theta", "rho", "y0", "x0"):
-        value = getattr(params, name)
-        if not callable(value) and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(getattr(params, name))):
             v.append(f"{name} must be finite")
     if np.any(np.abs(np.triu(params.rho, k=1)) > 0):
         v.append("rho must be lower triangular")
@@ -250,7 +244,7 @@ def validate(params: ModelParams) -> None:
         v.append("every rho row norm sigma_i must be positive")
     if params.a < 0:
         v.append("a must be nonnegative")
-    if not callable(params.y0) and params.y0 < 0:
+    if params.y0 < 0:
         v.append("y0 must be nonnegative")
     if np.all(np.isfinite(params.theta)):
         try:

@@ -64,6 +64,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatchError,
     IncompleteTableError,
+    InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
     OrderTooHighError,
@@ -336,13 +337,16 @@ def riccati_cf(params: ModelParams, lam: float, mu, step: float = 5e-3) -> compl
     (alpha = sigma1^2 / 2) from t* on: -log(1 - alpha K(t*) / b) / alpha.
     At the default step the result is within 6e-11 of step 5e-4 on
     criterion 7's grid and on an n = 2 grid.  Where the transform is
-    infinite (lam below -2b / sigma1^2) the result is nan.
+    infinite (lam below -2b / sigma1^2) the result is nan.  A step that is
+    not finite and positive is an InvalidGridError.
     """
     return riccati_cf_batch(params, [float(lam)], [np.atleast_1d(mu)], step)[0]
 
 
 def riccati_cf_batch(params: ModelParams, lams, mus, step: float = 5e-3) -> np.ndarray:
     """Vectorized :func:`riccati_cf` over a batch of (lam, mu) points."""
+    if not 0 < step < math.inf:
+        raise InvalidGridError(f"step must be finite and positive, got {step!r}")
     _require_subcritical(params)
     b = float(params.b)
     a = float(params.a)

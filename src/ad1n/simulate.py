@@ -67,9 +67,10 @@ functional (U, R) of a path is built from its :func:`left_point_sums` by
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), so every path index owns an independent substream and
 results are bit-reproducible for fixed (params, horizon, delta, seed).
-A path draws, in order: initial values, CIR blocks (df >= 1: N chi-square
-values, then N normals), dB^J, the fresh dB^1 block, then per-step CIR
-variates (df < 1).  For df >= 1 the fresh dB^1 block is the path's last
+Every path starts at the fixed point (params.y0, params.x0), which draws
+nothing.  A path draws, in order: CIR blocks (df >= 1: N chi-square values,
+then N normals), dB^J, the fresh dB^1 block, then per-step CIR variates
+(df < 1).  For df >= 1 the fresh dB^1 block is the path's last
 draw, so only its prefix up to the last step with Y_k <= RECONSTRUCT_EPS
 is drawn (none if Y never gets there).  A batch keeps this order per path;
 as each path has its own generator, staging the draws across paths changes
@@ -87,7 +88,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
-from .errors import DimensionMismatchError, InadmissibleParamsError, InvalidGridError
+from .errors import DimensionMismatchError, InvalidGridError
 from .model import ModelParams, validate  # noqa: F401  (bench/spans.py rebinds it)
 
 #: Y values at or below this use a fresh normal instead of the reconstructed
@@ -167,17 +168,6 @@ class Path:
         return float(self.times[-1])
 
 
-def _resolve_initials(params: ModelParams, rng: np.random.Generator):
-    y0 = params.y0(rng) if callable(params.y0) else float(params.y0)
-    if callable(params.x0):
-        x0 = np.asarray(params.x0(rng), dtype=float).reshape(params.n)
-    else:
-        x0 = np.array(params.x0, dtype=float)
-    if y0 < 0:
-        raise InadmissibleParamsError("initial Y must be nonnegative")
-    return y0, x0
-
-
 def _draw_y_slow(rng, df, ncp):
     """Single exact CIR transition draw (unscaled) for df < 1."""
     if df > 0.0:
@@ -249,12 +239,12 @@ def simulate_paths(
                 z[:m, j] = rngs[j].standard_normal(m)
             _y_lockstep(Y[k0:k0 + m + 1], z[:m], emb, c)
 
-    def finish(y_col, x0, rng) -> np.ndarray:
+    def finish(y_col, rng) -> np.ndarray:
         """States (N+1, d) of one path from its column of the batch's Y:
         its last draws, dB^1 and the X pass."""
         states = np.empty((N + 1, d))
         states[:, 0] = y_col
-        states[0, 1:] = x0
+        states[0, 1:] = params.x0
         y = states[:, 0]
         dB_J = rng.standard_normal((N, n))
         dB_J *= sq_delta
@@ -296,28 +286,16 @@ def simulate_paths(
         return states
 
     def run(batch) -> Iterator[Path]:
-        """The paths of a batch in seed order.  A seed whose initial values
-        raise ends the batch: its error is raised after the paths before it."""
-        rngs, starts, failure = [], [], None
-        for seed in batch:
-            rng = generator(seed)
-            try:
-                starts.append(_resolve_initials(params, rng))
-            except Exception as exc:
-                failure = exc
-                break
-            rngs.append(rng)
-        B = len(rngs)
-        Y = np.empty((N + 1, B))
-        Y[0] = [y0 for y0, _ in starts]
-        if df >= 1.0 and B:
+        """The paths of a batch in seed order, each on its own generator and
+        started at (params.y0, params.x0)."""
+        rngs = [generator(seed) for seed in batch]
+        Y = np.empty((N + 1, len(rngs)))
+        Y[0] = params.y0
+        if df >= 1.0:
             y_blocks(Y, rngs)
-        for j in range(B):
-            yield Path(delta=float(delta), times=times,
-                       states=finish(Y[:, j], starts[j][1], rngs[j]), seed=batch[j],
-                       params_hash=params_hash)
-        if failure is not None:
-            raise failure
+        for j, rng in enumerate(rngs):
+            yield Path(delta=float(delta), times=times, states=finish(Y[:, j], rng),
+                       seed=batch[j], params_hash=params_hash)
 
     seeds = list(seeds)
     width = batch_width(N)
@@ -563,8 +541,9 @@ def increment_moment_probe(
         if t - s >= 1.0:
             raise InvalidGridError("increments longer than 1 are not supported")
     idx = [(int(round(s / delta)), int(round(t / delta))) for s, t in pairs]
-    # out to the largest snapped index, which may lie one step past max t
-    horizon = max(i1 for _, i1 in idx) * delta
+    # out to the largest snapped index, which may lie one step past max t,
+    # and at least one step when every pair snaps to index 0
+    horizon = max(1, max(i1 for _, i1 in idx)) * delta
 
     def increments(path):
         return [np.sum(np.abs(path.states[i1] - path.states[i0])) ** q for i0, i1 in idx]

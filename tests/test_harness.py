@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -467,30 +466,25 @@ class TestReplicationFailures:
 
 class TestStreamedReplicationFailures:
     """Inside a streamed lockstep batch (27 paths of 8,000 steps), a
-    replication whose simulation raises stays one aborted row."""
+    replication whose design blocks raise stays one aborted row."""
 
     CFG = SUB_CFG.replace("horizons = 40", "horizons = 160").replace(
         "replications = 24", "replications = 27").replace("flavor = exact", "flavor = discrete")
 
     def _lines(self, monkeypatch, bad):
-        def y0(rng):
-            # the Philox key is (seed, replication index)
-            v = float(rng.gamma(8.0, 0.25))
-            return -v if int(rng.bit_generator.state["state"]["key"][1]) == bad else v
-
         chunks = []  # (steps + 1, paths) of each lockstep chunk
         lockstep = simulate._y_lockstep
         monkeypatch.setattr(simulate, "_y_lockstep",
                             lambda Y, *args: chunks.append(Y.shape) or lockstep(Y, *args))
-        cfg = experiment_config_from_text(self.CFG)
-        cfg.params = dataclasses.replace(cfg.params, y0=y0)
-        lines = run_experiment(cfg).csv_text().splitlines()
-        # a failure at replication 1 leaves 25 paths after it, at 25 the 25 before it
-        assert (STREAM_CHUNK + 1, 27 if bad is None else 25) in chunks
+        if bad is not None:
+            _fail_call(monkeypatch, "design_blocks", bad, _raise_linalg)
+        lines = run_experiment(experiment_config_from_text(self.CFG)).csv_text().splitlines()
+        # the failure leaves the batch whole: all 27 paths advance together
+        assert (STREAM_CHUNK + 1, 27) in chunks
         return lines
 
     @pytest.mark.parametrize("bad", [1, 25])
-    def test_negative_start_is_one_aborted_row(self, monkeypatch, bad):
+    def test_failed_design_blocks_is_one_aborted_row(self, monkeypatch, bad):
         want = self._lines(monkeypatch, None)
         got = self._lines(monkeypatch, bad)
         assert len(got) == len(want) == 28

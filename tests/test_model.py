@@ -57,11 +57,15 @@ class TestValidate:
         with pytest.raises(InadmissibleParamsError, match=f"{field} must be finite"):
             ModelParams(**{**base, field: value})
 
-    def test_callable_initial_values_pass(self):
-        p = ModelParams(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
-                        rho=[[1.0, 0.0], [0.1, 1.0]],
-                        y0=lambda rng: 1.0, x0=lambda rng: [0.0])
-        assert callable(p.y0) and callable(p.x0)
+    def test_non_numeric_start_is_rejected(self):
+        # a start is a number: callables used to be drawn once per path,
+        # and a string died with a bare TypeError in validate
+        base = dict(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
+                    rho=[[1.0, 0.0], [0.1, 1.0]], y0=1.0, x0=[0.0])
+        for field, value in [("y0", lambda rng: 1.0), ("x0", lambda rng: [0.0]),
+                             ("y0", "one")]:
+            with pytest.raises(InadmissibleParamsError, match=f"^{field} must be numeric"):
+                ModelParams(**{**base, field: value})
 
     @pytest.mark.parametrize("changes, violation", [
         ({"rho": [[1.0, 0.5], [0.2, 0.9]]}, "rho must be lower triangular"),
@@ -86,7 +90,7 @@ class TestValidate:
 class TestShapes:
     @pytest.mark.parametrize("field, value", [
         ("m", [0.5]), ("kappa", [0.2, 0.1, 0.0]), ("theta", [[2.0, 0.0]]),
-        ("rho", np.eye(2)), ("x0", [0.5, -1.0, 2.0]),
+        ("rho", np.eye(2)), ("x0", [0.5, -1.0, 2.0]), ("y0", [1.0]),
     ])
     def test_shape_not_fitting_n_is_rejected(self, field, value):
         base = dict(n=2, a=2.0, b=1.0, m=[0.5, 0.1], kappa=[0.2, 0.1],
@@ -102,6 +106,13 @@ class TestShapes:
     def test_single_x0_is_taken_for_every_coordinate(self):
         p = _params(n=3, rho=np.eye(4))
         assert ModelParams(**{**p.__dict__, "x0": 0.5}).x0.tolist() == [0.5] * 3
+
+    def test_y0_is_stored_as_float(self):
+        p = _params()
+        for y0 in (2, np.float32(2.0), np.array(2.0)):
+            q = ModelParams(**{**p.__dict__, "y0": y0})
+            assert type(q.y0) is float and q.y0 == 2.0
+            assert q.digest() == ModelParams(**{**p.__dict__, "y0": 2.0}).digest()
 
 
 class TestClassify:

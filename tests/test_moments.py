@@ -22,6 +22,7 @@ from ad1n import (
 from ad1n.errors import (
     DimensionMismatchError,
     IncompleteTableError,
+    InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
     OrderTooHighError,
@@ -352,6 +353,16 @@ class TestRiccatiCf:
         mus = [[v] for v in np.tile(np.linspace(-4.0, 4.0, 5), 5)]
         vals = riccati_cf_batch(subcritical_params, lams, mus)
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("step", [-5e-3, math.inf, 0.0, math.nan])
+    def test_step_not_finite_and_positive_is_a_grid_error(self, subcritical_params, step):
+        # a negative or infinite step used to return the closed-form tail
+        # alone, 0.5689+0.0571j against 0.5673+0.0010j; zero and nan raised
+        # OverflowError and ValueError
+        with pytest.raises(InvalidGridError, match="step"):
+            riccati_cf(subcritical_params, 0.3, [0.2], step=step)
+        with pytest.raises(InvalidGridError, match="step"):
+            riccati_cf_batch(subcritical_params, [0.3], [[0.2]], step=step)
 
     def test_richardson_step_halving(self, subcritical_params):
         c1 = riccati_cf(subcritical_params, 1.0, [0.7], step=1e-3)

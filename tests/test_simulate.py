@@ -253,6 +253,14 @@ class TestIncrementProbe:
         )
         assert out[0].value == 0.0
 
+    @pytest.mark.parametrize("pair, delta", [((0.0, 0.0), 0.01), ((0.0, 0.5), 1.0)])
+    def test_pairs_snapped_to_index_zero_are_zero(self, subcritical_params, pair, delta):
+        # every pair snaps to index 0 (0.5 rounds to 0 on a grid of 1.0);
+        # this used to ask simulate_paths for a zero horizon
+        out = increment_moment_probe(subcritical_params, 2.0, [pair], delta=delta,
+                                     replications=4, seed=4)
+        assert (out[0].value, out[0].std_error) == (0.0, 0.0)
+
     def test_q1_sqrt_scaling_ratio(self, subcritical_params):
         out = increment_moment_probe(
             subcritical_params, 1.0, [(1.0, 1.01), (1.0, 1.04)], delta=0.01,
@@ -326,8 +334,7 @@ class TestBatches:
               theta=[[2.0, 0.3], [0.1, 1.2]],
               rho=[[1.0, 0.0, 0.0], [0.2, 0.8, 0.0], [-0.1, 0.15, 0.7]],
               y0=1.5, x0=[0.5, -1.0])
-    CASES = ("df_above_1", "df_1", "df_below_1", "zero_start_b0", "callable_start",
-             "theta0_drifting_y")
+    CASES = ("df_above_1", "df_1", "df_below_1", "zero_start_b0", "theta0_drifting_y")
 
     def _params(self, name, n):
         p = dict(self.N1 if n == 1 else self.N2)
@@ -340,9 +347,6 @@ class TestBatches:
                      x0=np.zeros(n))
         elif name == "theta0_drifting_y":
             p.update(theta=np.zeros((n, n)))
-        elif name == "callable_start":
-            p.update(y0=lambda rng: float(rng.gamma(8.0, 0.25)),
-                     x0=lambda rng: rng.normal(size=n))
         return ModelParams(**p)
 
     @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN + 3])
