@@ -1,16 +1,23 @@
-"""Matrix integral helpers shared by the simulator and the estimators, and
-the thread setting of the BLAS behind them.
+"""Matrix integral helpers shared by the simulator and the estimators, the
+small matrix exponential behind them, and the thread setting of scipy's BLAS.
 
-An experiment calls scipy on small matrices only: ``expm`` and ``logm``
-on at most 2n rows (the augmented blocks of ``expm_integral``, which only
-``step_integrals`` calls), and ``block_diag``, ``cho_factor`` and
-``cho_solve`` on the 2 + n(n+2) rows of the sandwich covariance.  scipy
-links its own OpenBLAS, beside the one numpy links, and each keeps its own
-worker pool.  At these sizes a second scipy thread splits no work; it only
-spins on the core that numpy's threaded reductions over long paths need,
-and the two pools starve each other.  ``one_blas_thread`` holds scipy's
-pool at one thread while an experiment runs.  numpy's pool stays as found:
-the last bits of those reductions depend on its count.
+An experiment takes matrix functions of small matrices only.  For an
+``n = 1`` model these are the exponentials of 1 x 1 matrices and of the
+2 x 2 one-step blocks [[c, h], [0, 0]] of ``expm_integral``, and
+:func:`expm` computes both without scipy, bit for bit what
+``scipy.linalg.expm`` returns.  Larger matrices come only from ``n >= 2``
+models: their exponentials and logarithms, the transient moment systems,
+and nothing else, go to ``scipy.linalg``, which :func:`scipy_linalg`
+imports on first use.  So ``import ad1n`` and every ``n = 1`` experiment
+run without loading scipy.
+
+scipy links its own OpenBLAS, beside the one numpy links, and each keeps
+its own worker pool.  At these sizes a second scipy thread splits no work;
+it only spins on the core that numpy's threaded reductions over long paths
+need, and the two pools starve each other.  ``one_blas_thread`` holds
+scipy's pool at one thread while an experiment runs, also when scipy is
+first loaded inside it.  numpy's pool stays as found: the last bits of
+those reductions depend on its count.
 """
 
 from __future__ import annotations
@@ -19,10 +26,202 @@ import contextlib
 import ctypes
 import functools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_blas
+
+
+def scipy_linalg():
+    """``scipy.linalg``, imported on first use.  Inside
+    :func:`one_blas_thread` the import also holds its BLAS pool at one
+    thread until the outermost scope ends."""
+    import scipy.linalg
+    import scipy.linalg.cython_blas  # noqa: F401  (the BLAS whose pool is held)
+
+    if _scope_depth and not _held:
+        _hold()
+    return scipy.linalg
+
+
+#: Largest entry modulus of a one-step block that :func:`expm` computes
+#: itself; A^10 of a larger one may overflow.  NaN fails the test too.
+STEP_BLOCK_MAX = 1e30
+
+
+def expm(A) -> np.ndarray:
+    """e^A of a small square matrix, bit for bit ``scipy.linalg.expm(A)``.
+
+    A 1 x 1 matrix is ``np.exp``, as in scipy.  A one-step block
+    [[c, h], [0, 0]] with finite entries of modulus at most
+    ``STEP_BLOCK_MAX`` runs :func:`_expm_step_block`; every other matrix
+    goes to scipy."""
+    A = np.asarray(A, dtype=float)
+    if A.shape == (1, 1):
+        return np.exp(A)
+    if (A.shape == (2, 2) and A[1, 0] == 0.0 and A[1, 1] == 0.0
+            and abs(A[0, 0]) <= STEP_BLOCK_MAX and abs(A[0, 1]) <= STEP_BLOCK_MAX):
+        return _expm_step_block(float(A[0, 0]), float(A[0, 1]))
+    return scipy_linalg().expm(A)
+
+
+# scipy.linalg.expm is the scaling and squaring algorithm of Al-Mohy and
+# Higham, "A New Scaling and Squaring Algorithm for the Matrix Exponential",
+# SIAM J. Matrix Anal. Appl. 31 (2009): the Pade coefficients b_0..b_m, the
+# bounds theta_m on eta = max(||A^2k||^(1/2k)) up to which order m is used
+# unscaled, and the 1/c_m of the truncation-error bound behind ``_ell``.
+_PADE = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+_ELL_C = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
+          9: 5914384781877411840000., 13: 113250775606021113483283660800000000.}
+
+# The port below works on upper-triangular 2 x 2 blocks (x, y, z) =
+# [[x, y], [0, z]] and rounds every operation as scipy's compiled expm and
+# the OpenBLAS under it do: sums and products of the polynomial terms one at
+# a time, the off-diagonal entry of a matrix product and a gemm with beta
+# != 0 with one fused multiply-add, and the final solve through LAPACK's LU
+# of the transpose.
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as an FMA instruction rounds it."""
+    if a == 0.0 or b == 0.0:
+        return c + a * b
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def _mul(P, R):
+    """P @ R: the corner adds P01 * R11 to the rounded P00 * R01 in one FMA."""
+    return P[0] * R[0], _fma(P[1], R[2], P[0] * R[1]), P[2] * R[2]
+
+
+def _poly(terms, diag: float = 0.0):
+    """sum of k * P over ``terms`` (k, P), left to right, then + diag * I."""
+    (k, P), *rest = terms
+    x, y, z = k * P[0], k * P[1], k * P[2]
+    for k, P in rest:
+        x, y, z = x + k * P[0], y + k * P[1], z + k * P[2]
+    return (x + diag, y, z + diag) if diag else (x, y, z)
+
+
+def _ell(c: float, h: float, m: int) -> int:
+    """Extra squarings that the truncation-error bound of order m asks for:
+    with N = ||(|A|^(2m+1))||_1 for A = [[c, h], [0, 0]],
+    max(0, ceil(log2(N / (||A||_1 c_m u)) / 2m)), u = 2^-53."""
+    ac, ah = abs(c), abs(h)
+    col0, col1 = 1.0, 1.0  # |A|^T applied 2m+1 times to a column of ones
+    for _ in range(2 * m + 1):
+        col0, col1 = ac * col0, ah * col0
+    norm = max(col0, col1)
+    if not norm:
+        return 0
+    alpha = norm / (max(ac, ah) * _ELL_C[m])
+    return max(int(math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m))), 0)
+
+
+def _pade_order(c: float, h: float, A4, A6, A8):
+    """(m, s): the Pade order and the number of squarings."""
+    # d_k = ||A^k||_1^(1/k); the second row of every power is zero
+    d4 = max(abs(A4[0]), abs(A4[1])) ** 0.25
+    d6 = max(abs(A6[0]), abs(A6[1])) ** (1 / 6)
+    eta = max(d4, d6)
+    for m in (3, 5):
+        if eta < _THETA[m] and _ell(c, h, m) == 0:
+            return m, 0
+    d8 = max(abs(A8[0]), abs(A8[1])) ** 0.125
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta < _THETA[m] and _ell(c, h, m) == 0:
+            return m, 0
+    A10 = _mul(A4, A6)
+    eta = min(eta, max(d8, max(abs(A10[0]), abs(A10[1])) ** 0.1))
+    s = 0 if eta == 0 else max(int(math.ceil(math.log2(eta / _THETA[13]))), 0)
+    return 13, s + _ell(2.0 ** -s * c, 2.0 ** -s * h, 13)
+
+
+def _pade_uv(A, powers, m: int):
+    """(U, V), the odd and even parts of the order-m Pade numerator; powers
+    are A^2, A^4, A^6, A^8."""
+    b = _PADE[m]
+    A2, A4, A6, _ = powers
+    if m == 3:
+        # U = A @ A^2 + b1 A, one gemm with beta = b1
+        U = tuple(_fma(b[1], a, p) for a, p in zip(A, _mul(A, A2)))
+        return U, _poly([(b[2], A2)], b[0])
+    if m == 13:
+        # V = A^6 @ (b12 A^6 + b10 A^4 + b8 A^2) + (b6 A^6 + ... + b0 I) and
+        # U = A @ [A^6 @ (A^6 + b11 A^4 + b9 A^2) + (b7 A^6 + ... + b1 I)],
+        # each gemm adding onto the matrix in its output (beta = 1); the
+        # last one's output held A^6, which scipy leaves in U
+        add = lambda P, R: tuple(p + r for p, r in zip(P, R))  # noqa: E731
+        V = add(_mul(A6, _poly([(b[12], A6), (b[10], A4), (b[8], A2)])),
+                _poly([(b[6], A6), (b[4], A4), (b[2], A2)], b[0]))
+        inner = add(_mul(A6, _poly([(1.0, A6), (b[11], A4), (b[9], A2)])),
+                    _poly([(b[7], A6), (b[5], A4), (b[3], A2)], b[1]))
+        return add(_mul(A, inner), A6), V
+    # U = A @ (A^(m-1) + b_(m-2) A^(m-3) + ... + b1 I),
+    # V = b_(m-1) A^(m-1) + ... + b0 I, each summed from the highest power
+    k = (m - 1) // 2
+    U = _mul(A, _poly([(1.0, powers[k - 1])]
+                      + [(b[2 * j + 1], powers[j - 1]) for j in range(k - 1, 0, -1)], b[1]))
+    return U, _poly([(b[2 * j], powers[j - 1]) for j in range(k, 0, -1)], b[0])
+
+
+def _pade_solve(U, V):
+    """X = I + 2 Y with (V - U) Y = U, solved as LAPACK's getrf and
+    getrs('T') solve it from the factors of Q^T = [[q00, 0], [q01, q11]],
+    Q = V - U: rows swapped when |q01| > |q00|, and the triangular solves
+    multiply by the reciprocal of each pivot.  Returns (X00, X01, X11); X10
+    is 0."""
+    q00, q01, q11 = V[0] - U[0], V[1] - U[1], V[2] - U[2]
+    swap = abs(q01) > abs(q00)
+    if swap:  # P Q^T = [[1, 0], [l10, 1]] @ [[q01, q11], [0, -l10 q11]]
+        l10 = q00 * (1.0 / q01)
+        r00, r01, r11 = q01, q11, -(l10 * q11)
+    else:  # Q^T = [[1, 0], [l10, 1]] @ [[q00, 0], [0, q11]]
+        l10 = q01 * (1.0 / q00)
+        r00, r01, r11 = q00, 0.0, q11
+    cols = []
+    for b0, b1 in ((U[0], 0.0), (U[1], U[2])):  # the columns of U
+        # R^T z = b, then [[1, l10], [0, 1]] w = z, then undo the row swap
+        z0 = b0 * (1.0 / r00)
+        z1 = _fma(-r01, z0, b1) * (1.0 / r11)
+        w0 = _fma(-l10, z1, z0)
+        cols.append((z1, w0) if swap else (w0, z1))
+    (y00, _), (y01, y11) = cols
+    return 1.0 + 2.0 * y00, 2.0 * y01, 1.0 + 2.0 * y11
+
+
+def _expm_step_block(c: float, h: float) -> np.ndarray:
+    """expm([[c, h], [0, 0]]) as ``scipy.linalg.expm`` computes it, on Python
+    floats.  With s > 0 squarings the diagonal and the corner are reset to
+    their closed forms after each squaring, so the result is
+    [[e^c, h (e^0 - e^c) / (0 - c)], [0, 1]] with numpy's exp."""
+    if h == 0.0:
+        return np.diag(np.exp(np.array([c, 0.0])))
+    A = (c, h, 0.0)
+    A2 = _mul(A, A)
+    A4 = _mul(A2, A2)
+    A6 = _mul(A2, A4)
+    A8 = _mul(A4, A4)
+    m, s = _pade_order(c, h, A4, A6, A8)
+    if s:
+        x = np.array([c, 0.0])
+        e = np.exp(x)
+        return np.array([[e[0], float(np.diff(e)[0] / np.diff(x)[0] * h)], [0.0, e[1]]])
+    x00, x01, x11 = _pade_solve(*_pade_uv(A, (A2, A4, A6, A8), m))
+    return np.array([[x00, x01], [0.0, x11]])
 
 
 def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
@@ -33,7 +232,7 @@ def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
     M = np.zeros((2 * p, 2 * p))
     M[:p, :p] = A * h
     M[:p, p:] = np.eye(p) * h
-    return scipy.linalg.expm(M)[:p, p:]
+    return expm(M)[:p, p:]
 
 
 #: nodes of the Gauss-Legendre rule for W at b = 0 and theta != 0
@@ -56,7 +255,7 @@ def step_integrals(b: float, theta, h: float):
     W = int_0^h g_b(u) e^{theta u} du with g_b(u) = int_0^u e^{-b(u-v)} dv."""
     theta = np.atleast_2d(theta)
     n = theta.shape[0]
-    emth = scipy.linalg.expm(-theta * h)
+    emth = expm(-theta * h)
     shifted = expm_integral(theta - b * np.eye(n), h)
     if b != 0.0:
         # g_b(u) = (1 - e^{-bu})/b, so W = (Phi(theta) - Phi(theta - b I))/b
@@ -64,7 +263,7 @@ def step_integrals(b: float, theta, h: float):
     elif np.allclose(theta, 0.0):
         W = 0.5 * h * h * np.eye(n)
     else:
-        W = gauss_legendre_matrix_integral(lambda u: u * scipy.linalg.expm(theta * u), h, n)
+        W = gauss_legendre_matrix_integral(lambda u: u * expm(theta * u), h, n)
     return emth, emth @ shifted, expm_integral(-theta, h), emth @ W
 
 
@@ -81,9 +280,9 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
     E_theta = e^{-theta h}.
 
     Kept per value of the arguments and returned read-only: every path of an
-    experiment asks for the same coefficients, and outside
-    ``one_blas_thread`` each small ``expm`` wakes scipy's OpenBLAS pool,
-    which then starves numpy's pool of a core, and the other way round.
+    experiment asks for the same coefficients, and for n >= 2 outside
+    ``one_blas_thread`` each small scipy ``expm`` wakes scipy's OpenBLAS
+    pool, which then starves numpy's pool of a core, and the other way round.
     """
     args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
     return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))
@@ -111,6 +310,8 @@ def _scipy_openblas():
     The symbols are looked up on a handle of scipy's own BLAS wrapper, which
     sees only that library and what it links; numpy's OpenBLAS exports its
     symbols with a ``64_`` suffix and cannot match."""
+    import scipy.linalg.cython_blas
+
     lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
     for prefix in ("scipy_openblas_", "openblas_"):
         try:
@@ -124,19 +325,41 @@ def _scipy_openblas():
     return None
 
 
+#: open ``one_blas_thread`` scopes, whether the outermost one holds scipy's
+#: pool, and the (set, count) that restores it when that scope ends
+_scope_depth = 0
+_held = False
+_restore = None
+
+
+def _hold():
+    global _held, _restore
+    _held = True
+    fns = _scipy_openblas()
+    if fns is not None:
+        get, set_ = fns
+        _restore = (set_, get())
+        set_(1)
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Hold scipy's OpenBLAS pool at one thread for the body, then restore
-    the count it had, also when the body raises.  Does nothing when scipy's
-    BLAS is not an OpenBLAS, and never touches numpy's pool."""
-    fns = _scipy_openblas()
-    if fns is None:
-        yield
-        return
-    get, set_ = fns
-    before = get()
-    set_(1)
+    the count it had, also when the body raises.  The pool is held from the
+    start when scipy's BLAS is already loaded, else from the moment
+    :func:`scipy_linalg` loads it; nothing here imports scipy.  Does
+    nothing when scipy's BLAS is not an OpenBLAS, and never touches numpy's
+    pool.  Only the outermost of nested scopes sets and restores."""
+    global _scope_depth, _held, _restore
+    _scope_depth += 1
     try:
+        if _scope_depth == 1 and "scipy.linalg.cython_blas" in sys.modules:
+            _hold()
         yield
     finally:
-        set_(before)
+        _scope_depth -= 1
+        if _scope_depth == 0:
+            if _restore is not None:
+                set_, count = _restore
+                set_(count)
+            _held, _restore = False, None

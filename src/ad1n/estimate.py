@@ -36,7 +36,9 @@ coefficients over a step h:
 and its inverse recovers b = -log(1 - b~)/h, theta = -logm(I - th~)/h and
 then a, kappa, m by solving the displayed integral relations at the
 recovered (b, theta).  Matrix exponentials use Pade scaling-and-squaring
-and the matrix logarithm its principal branch (scipy.linalg).
+(:func:`ad1n._matfun.expm`) and the matrix logarithm its principal branch:
+np.log of the entry for n = 1, and for n >= 2 ``scipy.linalg.logm``, which
+loads scipy at its first call.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs, step_integrals
+from ._matfun import (cir_mean_coeffs, one_step_conditional_mean_coeffs, scipy_linalg,
+                      step_integrals)
 from .errors import (
     ConfigError,
     DegeneratePathError,
@@ -108,8 +110,8 @@ def g_inverse(tilde: TildeParams, h: float):
     if np.any(on_negative_axis):
         raise LogDomainError("I - theta-tilde has an eigenvalue on (-inf, 0]")
     # for n = 1 scipy's logm reduces to np.log of the entry, bit for bit;
-    # calling it directly keeps scipy.sparse (logm's first import) out
-    logA = np.log(A) if n == 1 else scipy.linalg.logm(A)
+    # calling it directly keeps scipy out of n = 1 runs
+    logA = np.log(A) if n == 1 else scipy_linalg().logm(A)
     if np.max(np.abs(np.imag(logA))) > 1e-8 * max(1.0, np.max(np.abs(logA))):
         raise LogDomainError("matrix logarithm left the real branch")
     theta = -np.real(logA) / h

@@ -32,7 +32,9 @@ So is a critical limit draw whose limit functional is singular: its row has
 aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An experiment and a gap study run with scipy's
 OpenBLAS pool held at one thread (``_matfun.one_blas_thread``), so that
-its small matrix functions do not starve numpy's threaded reductions.
+its small matrix functions do not starve numpy's threaded reductions.  An
+``n = 1`` run never loads scipy; an ``n >= 2`` run loads it at its first
+matrix function, and the pool is held from then on.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream

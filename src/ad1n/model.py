@@ -94,9 +94,10 @@ class ModelParams:
 
     Raises DimensionMismatchError, naming the field, when n < 1 or a
     vector or matrix does not have the shape n gives it, and
-    InadmissibleParamsError naming the field when a vector, matrix or
-    initial value is not numeric, or listing every violation when the
-    point is outside the admissible set (see :func:`validate`).
+    InadmissibleParamsError naming the field when n is not an integer or a
+    rate, vector, matrix or initial value is not numeric, or listing every
+    violation when the point is outside the admissible set (see
+    :func:`validate`).
     """
 
     n: int
@@ -110,10 +111,14 @@ class ModelParams:
     x0: np.ndarray = 0.0  # broadcast to (n,)
 
     def __post_init__(self):
-        n = self.n
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise InadmissibleParamsError(f"n must be an integer, got {self.n!r}")
+        n = int(self.n)
         if n < 1:
             raise DimensionMismatchError(f"n must be at least 1, got {n}")
-        fields = [("m", np.atleast_1d, (n,)), ("kappa", np.atleast_1d, (n,)),
+        object.__setattr__(self, "n", n)
+        fields = [("a", np.asarray, ()), ("b", np.asarray, ()),
+                  ("m", np.atleast_1d, (n,)), ("kappa", np.atleast_1d, (n,)),
                   ("theta", np.atleast_2d, (n, n)), ("rho", np.atleast_2d, (n + 1, n + 1)),
                   ("y0", np.asarray, ()), ("x0", np.atleast_1d, (n,))]
         for name, as_nd, shape in fields:
@@ -127,7 +132,7 @@ class ModelParams:
             if value.shape != shape:
                 raise DimensionMismatchError(
                     f"{name} must have shape {shape} for n = {n}, got {value.shape}")
-            object.__setattr__(self, name, float(value) if name == "y0" else _as_readonly(value))
+            object.__setattr__(self, name, float(value) if shape == () else _as_readonly(value))
         validate(self)
 
     @property

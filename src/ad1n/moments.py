@@ -27,7 +27,8 @@ b*k + sum lambda_j l_j positive, and :func:`_index_set` orders the keys by
 ascending sum(l), then ascending k, so that each entry comes after
 everything it needs.  Every table and system here is built in that order.
 Transient moments integrate the assembled constant-coefficient system with
-a matrix exponential.
+a matrix exponential, :func:`ad1n._matfun.expm`, which hands every system
+it does not port to ``scipy.linalg`` and loads scipy at that first call.
 
 The asymptotic covariance of sqrt(T) times the estimation error is the
 sandwich EG^-1 EH EG^-1, where EG is block diagonal with
@@ -40,7 +41,8 @@ the martingale error term, assembled from E[Y], E[Y^2], E[Y^3], E[X],
 E[Y X], E[Y^2 X], E[X X^T], E[Y X X^T] with the diffusion loadings
 sigma_1^2, sigma_1 * rho_J1 and rho_tilde rho_tilde^T.  The block layout of
 both is owned by :func:`ad1n.model.gram_blocks` and
-:func:`ad1n.model.qv_matrix`.
+:func:`ad1n.model.qv_matrix`.  The two solves with EG are numpy's LU
+solves, so the sandwich needs no scipy.
 
 The stationary law itself is pinned down by its Fourier-Laplace transform
 E exp(-lam*Y + i mu.X) = exp(a * int_0^inf Ks ds + i mu . theta^-1 m) with
@@ -59,8 +61,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._matfun import expm
 from .errors import (
     DimensionMismatchError,
     IncompleteTableError,
@@ -234,7 +236,7 @@ def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: fl
         if key not in initial:
             raise MissingInitialMomentError(f"initial table lacks entry {key}")
         v0[pos[key]] = initial[key]
-    v = scipy.linalg.expm(A * float(t)) @ v0
+    v = expm(A * float(t)) @ v0
     return float(v[pos[(k, l)]])
 
 
@@ -314,15 +316,16 @@ def asymptotic_covariance(params: ModelParams) -> CovarianceReport:
     _require_subcritical(params)
     ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = stationary_x_moments(params)
     G1, G2 = gram_blocks(1.0, ey, ey2, ex, eyx, exx)
-    EG = scipy.linalg.block_diag(G1, np.kron(np.eye(params.n), G2))
+    EG = np.zeros((2 + len(G2) * params.n,) * 2)
+    EG[:2, :2] = G1
+    EG[2:, 2:] = np.kron(np.eye(params.n), G2)
     EH = qv_matrix(params, *gram_blocks(ey, ey2, ey3, eyx, ey2x, eyxx))
 
     cond = symmetric_cond(EG)
     if not cond <= COND_LIMIT:
         raise SingularEGError(f"EG condition number {cond:.3g} exceeds {COND_LIMIT:g}")
-    cho = scipy.linalg.cho_factor(EG)
-    inner = scipy.linalg.cho_solve(cho, EH)
-    sandwich = scipy.linalg.cho_solve(cho, inner.T).T
+    inner = np.linalg.solve(EG, EH)
+    sandwich = np.linalg.solve(EG, inner.T).T
     sandwich = 0.5 * (sandwich + sandwich.T)
     return CovarianceReport(EG=EG, EH=EH, sandwich=sandwich, cond_EG=cond)
 

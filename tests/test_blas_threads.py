@@ -1,7 +1,12 @@
 """scipy's OpenBLAS pool runs on one thread inside an experiment and a gap
-study; numpy's pool is left as found, and both counts come back after."""
+study, also when the run itself loads scipy; numpy's pool is left as found,
+and both counts come back after."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 import scipy
@@ -13,6 +18,7 @@ from ad1n import (
     experiment_config_from_text,
     run_experiment,
 )
+from test_golden import _N2_EXACT
 
 _MODEL = """\
 n = 1
@@ -142,3 +148,61 @@ def test_scipy_openblas_build_resolves():
         pytest.skip(f"scipy's BLAS is {blas.get('name')!r}")
     get, _ = _matfun._scipy_openblas()
     assert get() >= 1
+
+
+# the golden n = 2 exact-flavor config, on a shorter horizon
+_N2_MODEL = _N2_EXACT.replace("horizons = 20", "horizons = 5")
+
+# runs in a fresh interpreter: ad1n loads scipy only during the n = 2 run,
+# and the pool count is read from the loaded module, never by importing it
+_FRESH_N2_RUN = """\
+import ctypes, json, sys
+import ad1n
+from ad1n import estimate
+
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+
+def pool():
+    blas = sys.modules.get("scipy.linalg.cython_blas")
+    get = blas and getattr(ctypes.CDLL(blas.__file__), "scipy_openblas_get_num_threads", None)
+    if not get:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+seen = []
+original = estimate.g_inverse
+
+
+def spy(*args):
+    seen.append(pool())
+    return original(*args)
+
+
+estimate.g_inverse = spy
+ad1n.run_experiment(ad1n.experiment_config_from_text(sys.stdin.read()))
+print(json.dumps({"seen": seen, "after": pool()}))
+"""
+
+
+def test_pool_held_when_a_run_loads_scipy():
+    # scipy's pool starts at OPENBLAS_NUM_THREADS = 2, so one thread inside
+    # the run is a change, and 2 after it is the count put back
+    import ad1n
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_N2_RUN], input=_N2_MODEL, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout.splitlines()[-1])
+    if got["after"] is None:
+        pytest.skip("scipy's BLAS is not a scipy-openblas")
+    if got["after"] == 1:
+        pytest.skip("scipy's OpenBLAS runs one thread on this machine")
+    assert len(got["seen"]) >= 3
+    assert set(got["seen"]) == {1}
+    assert got["after"] == 2

@@ -22,7 +22,10 @@ simulated on its own, before a horizon's paths were streamed side by side
 and before only the used prefix of the fresh dB^1 block was drawn.
 The tau-layout and moment digest was pinned while the tau layout was still
 indexed by hand in each stacking loop and the moment table had its own
-key-order loop.  ``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
+key-order loop, and re-pinned once since, when the sandwich covariance
+moved from scipy's Cholesky solves to numpy's LU solves (its last bits
+moved; ``test_moments`` holds it within 1e-13 of scipy's).  Every other
+value in that digest was unchanged.  ``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
 process with OPENBLAS_NUM_THREADS=1.
 """
 
@@ -395,4 +398,4 @@ def test_tau_layout_and_moment_digest():
             for t in (0.3, 2.0):
                 put(transient_moment(p, initial, k, l, t))
     assert h.hexdigest() == (
-        "928fc168e78c0623f374acb14e7f37357eada4c3688eea8ca17b9a38315a3f86")
+        "7c9227f00695ca00d8d561099b371e7efbde01a484b89c4494edd75f7c2fa674")

@@ -25,6 +25,7 @@ from ad1n.harness import (
     skewness,
 )
 from ad1n.simulate import STREAM_CHUNK
+from test_golden import _CRITICAL
 
 SUB_CFG = """
 # reference subcritical point
@@ -91,44 +92,42 @@ class TestStatsHelpers:
         )
 
 
-def _modules_after_small_run(*modules):
-    """Run a small n = 1 exact subcritical experiment in a fresh interpreter
-    and report, per module name, whether it ended up imported."""
+#: small n = 1 runs of each kind the benchmark times, and a statistic each
+#: reports only after the stage that needs a matrix function or a law
+SMALL_N1_RUNS = {
+    "subcritical_exact": (SUB_CFG.replace("horizons = 40", "horizons = 10").replace(
+        "replications = 24", "replications = 3"), "ks_vs_sandwich_normal"),
+    "critical": (_CRITICAL, "ks_vs_limit"),
+}
+
+
+def _modules_after_small_run(text, statistic):
+    """Import ad1n and run the experiment of config ``text`` in a fresh
+    interpreter; the sorted names of the scipy modules loaded by then."""
     import ad1n
 
     code = (
         "import sys, ad1n\n"
-        "text = sys.stdin.read()\n"
-        "report = ad1n.run_experiment(ad1n.experiment_config_from_text(text))\n"
-        "assert 'ks_vs_sandwich_normal' in report.per_horizon[0]\n"
+        "report = ad1n.run_experiment(ad1n.experiment_config_from_text(sys.stdin.read()))\n"
+        f"assert {statistic!r} in report.per_horizon[0]\n"
         "assert not any(r.aborted for r in report.rows)\n"
-        f"print(*[m in sys.modules for m in {list(modules)!r}])\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    text = SUB_CFG.replace("horizons = 40", "horizons = 10").replace(
-        "replications = 24", "replications = 3")
     out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return dict(zip(modules, (w == "True" for w in out.stdout.split())))
+    return out.stdout.split()
 
 
-def test_subcritical_run_does_not_import_scipy_stats():
-    # importing scipy.stats would add ~0.8 s and ~40 MB to every run
-    assert _modules_after_small_run("scipy.stats") == {"scipy.stats": False}
-
-
-def test_n1_exact_run_does_not_import_scipy_sparse():
-    # at n = 1 the exact flavor's logarithm is np.log; scipy.linalg.logm
-    # imports scipy.sparse.linalg on its first call (~28 ms, ~3.4 MB)
-    assert _modules_after_small_run("scipy.sparse") == {"scipy.sparse": False}
-
-
-def test_subcritical_run_does_not_import_scipy_special():
-    # ks_vs_normal's normal cdf comes from math.erfc, not scipy.special.ndtr
-    assert _modules_after_small_run("scipy.special") == {"scipy.special": False}
+@pytest.mark.parametrize("kind", sorted(SMALL_N1_RUNS))
+def test_n1_run_loads_no_scipy(kind):
+    # an n = 1 run computes its matrix functions and statistics without
+    # scipy: importing scipy.linalg alone costs ~0.3 s and ~28 MB, and
+    # scipy.stats, scipy.special and scipy.sparse more on top
+    assert _modules_after_small_run(*SMALL_N1_RUNS[kind]) == []
 
 
 class TestConfigParsing:

@@ -1,0 +1,85 @@
+"""``_matfun.expm`` against ``scipy.linalg.expm``: bit for bit on the
+matrices it computes itself (1 x 1 and the one-step blocks [[c, h], [0, 0]]
+that ``expm_integral`` builds for n = 1), and scipy's own result on every
+other matrix."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from ad1n import _matfun
+
+#: every (Pade order, squared?) branch of the port, and both LU pivotings
+BRANCHES = {(3, False), (5, False), (7, False), (9, False), (13, False), (13, True)}
+
+
+def _branch(c, h):
+    A = (c, h, 0.0)
+    A2 = _matfun._mul(A, A)
+    A4 = _matfun._mul(A2, A2)
+    m, s = _matfun._pade_order(c, h, A4, _matfun._mul(A2, A4), _matfun._mul(A4, A4))
+    return m, s > 0
+
+
+def _blocks(rng, count):
+    """Augmented blocks of ``expm_integral`` for n = 1: [[a h, h], [0, 0]],
+    with the rate a in (-8, 8) and the step h in (1e-5, 8), both log-spread."""
+    for _ in range(count):
+        h = 10.0 ** rng.uniform(-5.0, np.log10(8.0))
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, np.log10(8.0))
+        yield np.array([[a * h, h], [0.0, 0.0]])
+
+
+def test_step_blocks_bit_equal_to_scipy():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    pivoted = 0
+    for M in _blocks(rng, 6000):
+        got, want = _matfun.expm(M), scipy.linalg.expm(M)
+        assert got.tobytes() == want.tobytes(), M
+        m, squared = _branch(M[0, 0], M[0, 1])
+        seen.add((m, squared))
+        pivoted += M[0, 1] > 2.0 and not squared  # the solve's LU swaps rows
+    assert seen == BRANCHES
+    assert pivoted > 100
+
+
+@pytest.mark.parametrize("c, h", [
+    (0.0, 0.0), (-2.0, 0.0), (0.0, 0.02), (0.0, 3.0), (1e-300, 1e-300),
+    (-0.04, 0.02), (7.5, 0.5), (-30.0, 4.0), (3.0, 0.5), (-3.9, 0.6),
+])
+def test_edge_blocks_bit_equal_to_scipy(c, h):
+    M = np.array([[c, h], [0.0, 0.0]])
+    assert _matfun.expm(M).tobytes() == scipy.linalg.expm(M).tobytes()
+
+
+def test_one_by_one_is_np_exp():
+    for x in np.random.default_rng(7).normal(scale=4.0, size=200):
+        M = np.array([[x]])
+        assert _matfun.expm(M).tobytes() == scipy.linalg.expm(M).tobytes()
+
+
+@pytest.mark.parametrize("M", [
+    [[0.3, 0.1], [0.2, -0.4]],                      # full 2 x 2
+    [[0.3, 0.1], [0.0, -0.4]],                      # upper triangular, not a block
+    [[np.nan, 0.1], [0.0, 0.0]],                    # a block the port refuses
+    [[2e30, 1.0], [0.0, 0.0]],
+    np.diag([0.1, -0.2, 0.3]) + np.triu(np.full((3, 3), 0.05), 1),
+])
+def test_other_matrices_go_to_scipy(M, monkeypatch):
+    M = np.asarray(M, dtype=float)
+
+    def refuse(*args):
+        raise AssertionError("the port ran")
+
+    monkeypatch.setattr(_matfun, "_expm_step_block", refuse)
+    with np.errstate(all="ignore"):
+        got, want = _matfun.expm(M), scipy.linalg.expm(M)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_fused_multiply_add_rounds_once():
+    # 1 + 2^-52 times 1 - 2^-52 is 1 - 2^-104: rounded alone it is 1.0
+    a, b = 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52
+    assert a * b - 1.0 == 0.0
+    assert _matfun._fma(a, b, -1.0) == -(2.0 ** -104)

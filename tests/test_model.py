@@ -67,6 +67,23 @@ class TestValidate:
             with pytest.raises(InadmissibleParamsError, match=f"^{field} must be numeric"):
                 ModelParams(**{**base, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", "x"), ("b", lambda rng: 1.0), ("b", "1.0.0"),
+    ])
+    def test_non_numeric_rate_is_rejected(self, field, value):
+        # a string or a callable died with a bare TypeError from np.isfinite
+        base = dict(n=1, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
+                    rho=[[1.0, 0.0], [0.1, 1.0]])
+        with pytest.raises(InadmissibleParamsError, match=f"^{field} must be numeric"):
+            ModelParams(**{**base, field: value})
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
+    def test_non_integer_n_is_rejected(self, n):
+        # n = 1.5 was reported as "m must have shape (1.5,)"
+        with pytest.raises(InadmissibleParamsError, match="^n must be an integer"):
+            ModelParams(n=n, a=2.0, b=1.0, m=[0.5], kappa=[0.2], theta=[[2.0]],
+                        rho=[[1.0, 0.0], [0.1, 1.0]])
+
     @pytest.mark.parametrize("changes, violation", [
         ({"rho": [[1.0, 0.5], [0.2, 0.9]]}, "rho must be lower triangular"),
         ({"rho": [[-1.0, 0.0], [0.2, 0.9]]}, "rho diagonal must be positive"),
@@ -113,6 +130,14 @@ class TestShapes:
             q = ModelParams(**{**p.__dict__, "y0": y0})
             assert type(q.y0) is float and q.y0 == 2.0
             assert q.digest() == ModelParams(**{**p.__dict__, "y0": 2.0}).digest()
+
+    def test_rates_and_n_are_stored_as_python_numbers(self):
+        p = _params()
+        q = ModelParams(**{**p.__dict__, "n": np.int64(1), "a": 2, "b": np.float32(1.0)})
+        assert (type(q.n), type(q.a), type(q.b)) == (int, float, float)
+        assert q.digest() == p.digest()
+        with pytest.raises(DimensionMismatchError, match=r"^a must have shape \(\)"):
+            ModelParams(**{**p.__dict__, "a": [2.0]})
 
 
 class TestClassify:

@@ -266,6 +266,24 @@ class TestAsymptoticCovariance:
         with pytest.raises(NotSubcriticalError):
             asymptotic_covariance(supercritical_params)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sandwich_matches_scipy_cholesky_solves(self, n):
+        # EG is G1 and I (x) G2 placed in a zero array and solved with
+        # numpy's LU; scipy's block_diag and Cholesky solves agree to 1e-13
+        # of the largest entry (entries near zero differ relatively more)
+        import scipy.linalg
+
+        from test_golden import LAYOUT_MODELS
+
+        rep = asymptotic_covariance(LAYOUT_MODELS[n][0])
+        G2 = rep.EG[2:n + 4, 2:n + 4]
+        assert np.array_equal(rep.EG, scipy.linalg.block_diag(rep.EG[:2, :2],
+                                                              np.kron(np.eye(n), G2)))
+        cho = scipy.linalg.cho_factor(rep.EG)
+        want = scipy.linalg.cho_solve(cho, scipy.linalg.cho_solve(cho, rep.EH).T).T
+        want = 0.5 * (want + want.T)
+        assert np.max(np.abs(rep.sandwich - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_cond_agrees_with_svd(self, subcritical_params_n2):
         rep = asymptotic_covariance(subcritical_params_n2)
         assert rep.cond_EG == pytest.approx(np.linalg.cond(rep.EG), rel=1e-5)
