@@ -88,10 +88,10 @@ _ELL_C = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
 
 # The port below works on upper-triangular 2 x 2 blocks (x, y, z) =
 # [[x, y], [0, z]] and rounds every operation as scipy's compiled expm and
-# the OpenBLAS under it do: sums and products of the polynomial terms one at
-# a time, the off-diagonal entry of a matrix product and a gemm with beta
-# != 0 with one fused multiply-add, and the final solve through LAPACK's LU
-# of the transpose.
+# the OpenBLAS under it do on a CPU with fused multiply-add: sums and
+# products of the polynomial terms one at a time, the off-diagonal entry of
+# a matrix product and a gemm with beta != 0 with one fused multiply-add,
+# and the final solve through LAPACK's LU of the transpose.
 
 
 def _fma(a: float, b: float, c: float) -> float:
