@@ -5,11 +5,11 @@ An experiment takes matrix functions of small matrices only.  For an
 ``n = 1`` model these are the exponentials of 1 x 1 matrices and of the
 2 x 2 one-step blocks [[c, h], [0, 0]] of ``expm_integral``, and
 :func:`expm` computes both without scipy, bit for bit what
-``scipy.linalg.expm`` returns.  Larger matrices come only from ``n >= 2``
-models: their exponentials and logarithms, the transient moment systems,
-and nothing else, go to ``scipy.linalg``, which :func:`scipy_linalg`
-imports on first use.  So ``import ad1n`` and every ``n = 1`` experiment
-run without loading scipy.
+``scipy.linalg.expm`` returns.  Every other matrix function (those of
+``n >= 2`` models, and the exponentials of the transient moment systems)
+goes to ``scipy.linalg``, which :func:`scipy_linalg` imports on first use.
+So ``import ad1n`` and every ``n = 1`` experiment run without loading
+scipy.
 
 scipy links its own OpenBLAS, beside the one numpy links, and each keeps
 its own worker pool.  At these sizes a second scipy thread splits no work;
