@@ -130,6 +130,22 @@ def test_n1_run_loads_no_scipy(kind):
     assert _modules_after_small_run(*SMALL_N1_RUNS[kind]) == []
 
 
+def test_subcritical_run_does_not_import_scipy_stats():
+    # importing scipy.stats would add ~0.8 s and ~40 MB to every run
+    assert "scipy.stats" not in _modules_after_small_run(*SMALL_N1_RUNS["subcritical_exact"])
+
+
+def test_n1_exact_run_does_not_import_scipy_sparse():
+    # at n = 1 the exact flavor's logarithm is np.log; scipy.linalg.logm
+    # imports scipy.sparse.linalg on its first call (~28 ms, ~3.4 MB)
+    assert "scipy.sparse" not in _modules_after_small_run(*SMALL_N1_RUNS["subcritical_exact"])
+
+
+def test_subcritical_run_does_not_import_scipy_special():
+    # ks_vs_normal's normal cdf comes from math.erfc, not scipy.special.ndtr
+    assert "scipy.special" not in _modules_after_small_run(*SMALL_N1_RUNS["subcritical_exact"])
+
+
 class TestConfigParsing:
     def test_full_round_trip(self):
         cfg = experiment_config_from_text(SUB_CFG)
