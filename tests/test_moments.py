@@ -329,6 +329,35 @@ RICCATI_PINS_N2 = [
     (5.0, 0.75, 0.006325230769793698, 0.017834674896943563),
 ]
 
+# The same at step 5e-4 out to t* = ln(1/eps) / theta, plus the closed-form
+# tail, for two n = 1 models with slow mean reversion (a = 2, m = 1,
+# kappa = 0.5 and the fixture's rho): (lam, mu, Re CF, Im CF) per (theta, b).
+RICCATI_PINS_SLOW = {
+    (0.2, 2.0): [
+        (3.13, -1.48, -0.011786583251216355, 0.006609905770219157),
+        (4.49, 0.96, -0.014807905539390095, 0.015205029810920177),
+        (3.88, 0.89, -0.018172834770248673, 0.026325864762737492),
+        (1.13, -0.1, 0.354913305498396, -0.08949465000327084),
+        (1.5, -0.59, 0.02292747860825193, -0.19854534894245315),
+        (4.37, -0.66, -0.0012658777580075286, -0.03487613259354544),
+    ],
+    (0.05, 1.0): [
+        (1.63, -0.06, 0.08933810123288446, -0.0004878280491232891),
+        (4.94, -0.13, 0.00598581254837431, -0.00012460895415010296),
+        (1.59, -0.39, 0.026434134413142407, -0.00315651451445404),
+        (3.94, -0.02, 0.012808793636000163, -3.251674208249363e-05),
+        (4.35, -0.26, 0.005587808410834763, -0.00033072604639402143),
+        (1.96, -0.24, 0.03981876682920882, -0.0017178949024149123),
+    ],
+}
+
+
+def _slow_model(theta, b):
+    return ModelParams(
+        n=1, a=2.0, b=b, m=[1.0], kappa=[0.5], theta=[[theta]],
+        rho=[[1.0, 0.0], [0.2, 0.9]], y0=1.0, x0=0.0,
+    )
+
 
 class TestRiccatiCf:
     def test_default_step_matches_fine_step_pins_n1(self, subcritical_params):
@@ -344,6 +373,14 @@ class TestRiccatiCf:
         mus = [[v, -v / 2] for _, v, _, _ in RICCATI_PINS_N2]
         got = riccati_cf_batch(subcritical_params_n2, lams, mus)
         want = np.array([complex(re, im) for _, _, re, im in RICCATI_PINS_N2])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("theta, b", list(RICCATI_PINS_SLOW))
+    def test_matches_fine_step_pins_slow_theta(self, theta, b):
+        pins = RICCATI_PINS_SLOW[(theta, b)]
+        got = riccati_cf_batch(_slow_model(theta, b), [lam for lam, _, _, _ in pins],
+                               [[mu] for _, mu, _, _ in pins])
+        want = np.array([complex(re, im) for _, _, re, im in pins])
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_origin_is_exactly_one(self, subcritical_params):
