@@ -529,9 +529,13 @@ def increment_moment_probe(
     """Monte Carlo estimates of E ||Z_t - Z_s||_1^q for each (s, t) pair.
 
     All pairs are evaluated on the same replication paths; s and t are
-    snapped to the simulation grid.  s = t returns exactly zero.
+    snapped to the simulation grid.  s = t returns exactly zero.  A q that
+    is not finite and positive is an InvalidGridError, as are the other
+    bad arguments.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
+    if not 0 < q < math.inf:
+        raise InvalidGridError(f"q must be finite and positive, got {q!r}")
     if not delta > 0:
         raise InvalidGridError("delta must be positive")
     if not pairs:

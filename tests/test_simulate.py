@@ -287,6 +287,14 @@ class TestIncrementProbe:
             increment_moment_probe(subcritical_params, 2.0, [(0.0, 0.5)], delta=delta,
                                    replications=4, seed=4)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_q_not_finite_and_positive_is_a_grid_error(self, subcritical_params, q):
+        # q = 0 gave 1.0 at s = t, q = -1 divided by zero and q = nan
+        # returned nan
+        with pytest.raises(InvalidGridError, match="q must be"):
+            increment_moment_probe(subcritical_params, q, [(0.5, 0.5), (0.0, 0.5)],
+                                   delta=0.01, replications=4, seed=4)
+
     def test_negative_s_is_a_grid_error(self, subcritical_params):
         # s = -0.1 used to snap to index -10 and read states[-10], counted
         # from the end of the path
