@@ -46,10 +46,11 @@ with the same configuration are byte-identical.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
-Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons, delta or
-gamma (step rule delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]),
-replications, seed, flavor, fine_delta, limit_draws, horizon (single-path
-commands).  Any other key, a value that does not parse, or a vector or
+Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons (strictly
+increasing, since the supercritical checks and the gap study compare
+consecutive horizons in the order given), delta or gamma (step rule
+delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]), replications,
+seed, flavor, fine_delta, limit_draws, horizon (single-path commands).  Any other key, a value that does not parse, or a vector or
 matrix whose shape does not fit n, is a ``ConfigError`` naming the key; a
 model outside the admissible set is one listing every violation.
 """
@@ -173,6 +174,8 @@ class ExperimentConfig:
         for T in self.horizons:
             if not (0 < T < math.inf and 0 < self.delta_for(T) <= T):
                 raise ConfigError(f"horizon {T!r} must be finite, with its step in (0, {T!r}]")
+        if any(T1 <= T0 for T0, T1 in zip(self.horizons, self.horizons[1:])):
+            raise ConfigError(f"horizons {self.horizons!r} must be strictly increasing")
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
         if not 0 <= self.seed < 2**64:

@@ -148,6 +148,15 @@ def test_nonpositive_delta_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_decreasing_horizons_exit_code(tmp_path, capsys):
+    # ran, and compared the horizons in the order given
+    f = tmp_path / "decreasing.cfg"
+    f.write_text(EXP_CFG.replace("horizons = 20", "horizons = 24,12"))
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizons") and err.count("\n") == 1, err
+
+
 def test_bad_config_value_exit_code(tmp_path, capsys):
     f = tmp_path / "bad_value.cfg"
     f.write_text(EXP_CFG.replace("replications = 10", "replications = abc"))

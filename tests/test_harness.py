@@ -210,6 +210,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # 25,15 failed median_b_err_decreasing and iqr_a_not_contracting of the
+    # golden supercritical model, which pass with 15,25; 15,15 let the gap
+    # study call medians "decreasing" without the horizon growing
+    @pytest.mark.parametrize("horizons", ["25,15", "15,15", "10,30,20"])
+    def test_horizons_not_strictly_increasing_rejected(self, horizons):
+        text = SUB_CFG.replace("horizons = 40", f"horizons = {horizons}")
+        with pytest.raises(ConfigError, match="horizons"):
+            experiment_config_from_text(text).validate()
+        with pytest.raises(ConfigError, match="horizons"):
+            discrete_vs_continuous_gap(
+                experiment_config_from_text(text.replace("delta = 0.02", "gamma = 1.1")))
+
     def test_delta_equal_to_smallest_horizon_accepted(self):
         experiment_config_from_text(SUB_CFG.replace("delta = 0.02", "delta = 40")).validate()
 
