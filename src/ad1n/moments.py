@@ -384,14 +384,14 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
 
     t_star = math.log(1.0 / np.finfo(float).eps) / lam_t[0]
     rates = np.concatenate([lam_t, 2.0 * lam_t, [b]])
-    log_h0 = np.log(2.5e-3 * rates.max() / rates)
+    log_step0 = np.log(2.5e-3 * rates.max() / rates)  # see riccati_cf
     K = (-lams).astype(complex)  # K_0(u1, u2) = u1 = -lam
     integral = np.zeros(B, dtype=complex)
     alpha = 0.5 * s1 * s1
     (f0,), (h0,) = coefficients([0.0])
     t = 0.0
     while t < t_star:
-        step = min(1.0 / b, math.exp(np.min(log_h0 + rates * (t / 5.0))))
+        step = min(1.0 / b, math.exp(np.min(log_step0 + rates * (t / 5.0))))
         (fm, f1), (hm, h1) = coefficients([t + 0.5 * step, t + step])
         k1 = alpha * K * K - h0 * K + f0
         K2 = K + 0.5 * step * k1

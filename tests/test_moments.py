@@ -441,10 +441,7 @@ class TestRiccatiCf:
     def test_slow_theta_means(self):
         # with theta = 0.2, K is still 7e-7 at t = 60 / b = 30 once mu != 0;
         # t* = ln(1/eps) / 0.2 = 180
-        p = ModelParams(
-            n=1, a=2.0, b=2.0, m=[1.0], kappa=[0.5], theta=[[0.2]],
-            rho=[[1.0, 0.0], [0.2, 0.9]], y0=1.0, x0=0.0,
-        )
+        p = _slow_model(0.2, 2.0)
         h = 1e-4
         vals = riccati_cf_batch(p, [h, -h, 0.0, 0.0], [[0.0], [0.0], [h], [-h]])
         ey = -(vals[0] - vals[1]).real / (2 * h)
