@@ -352,11 +352,18 @@ RICCATI_PINS_SLOW = {
 }
 
 
-def _slow_model(theta, b):
+def _n1_model(theta, b):
     return ModelParams(
         n=1, a=2.0, b=b, m=[1.0], kappa=[0.5], theta=[[theta]],
         rho=[[1.0, 0.0], [0.2, 0.9]], y0=1.0, x0=0.0,
     )
+
+
+@pytest.fixture
+def fast_theta_slow_b_params():
+    # at mu = 0 the ODE is K' = K (K - 1) / 2 while the coefficients decay
+    # at 20 and 40, so K's own transient sets the early steps
+    return _n1_model(20.0, 0.5)
 
 
 class TestRiccatiCf:
@@ -378,7 +385,7 @@ class TestRiccatiCf:
     @pytest.mark.parametrize("theta, b", list(RICCATI_PINS_SLOW))
     def test_matches_fine_step_pins_slow_theta(self, theta, b):
         pins = RICCATI_PINS_SLOW[(theta, b)]
-        got = riccati_cf_batch(_slow_model(theta, b), [lam for lam, _, _, _ in pins],
+        got = riccati_cf_batch(_n1_model(theta, b), [lam for lam, _, _, _ in pins],
                                [[mu] for _, mu, _, _ in pins])
         want = np.array([complex(re, im) for _, _, re, im in pins])
         assert np.max(np.abs(got - want)) <= 1e-10
@@ -411,37 +418,49 @@ class TestRiccatiCf:
 
     @pytest.mark.parametrize("theta, b", list(RICCATI_PINS_SLOW))
     def test_single_point_calls_match_the_slow_theta_pins(self, theta, b):
-        # the grid depends on the model alone, so a point alone lands on
-        # its pin as it does in a batch
-        p = _slow_model(theta, b)
+        # a point alone gets its own grid (K's transient depends on its
+        # lam) and lands on its pin as it does in a batch
+        p = _n1_model(theta, b)
         for lam, mu, re, im in RICCATI_PINS_SLOW[(theta, b)][:2]:
             assert abs(riccati_cf(p, lam, [mu]) - complex(re, im)) <= 1e-10
 
-    def test_slow_theta_batch_runs_in_under_a_second(self):
+    def test_slow_theta_batch_runs_in_under_a_second(self, monkeypatch):
         # a fixed step of 5e-3 took 144,175 steps and 3.5 s for this call
+        steps = []
+        grid = moments._riccati_grid
+
+        def counting_grid(*args):
+            times = grid(*args)
+            steps.append(times.size - 1)
+            return times
+
+        monkeypatch.setattr(moments, "_riccati_grid", counting_grid)
         rng = np.random.default_rng(20)
         lams = rng.uniform(0.0, 5.0, 20)
         mus = [[v] for v in rng.uniform(-0.5, 0.5, 20)]
         t0 = time.perf_counter()
-        vals = riccati_cf_batch(_slow_model(0.05, 1.0), lams, mus)
+        vals = riccati_cf_batch(_n1_model(0.05, 1.0), lams, mus)
         elapsed = time.perf_counter() - t0
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+        assert len(steps) == 1 and steps[0] <= 5000  # 2,615 steps
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("fixture", ["subcritical_params", "subcritical_params_n2"])
+    @pytest.mark.parametrize(
+        "fixture", ["subcritical_params", "subcritical_params_n2", "fast_theta_slow_b_params"])
     def test_mu_zero_is_the_gamma_laplace_transform(self, fixture, request):
-        # the stationary Y is Gamma(2a / sigma1^2, scale sigma1^2 / (2b))
+        # the stationary Y is Gamma(2a / sigma1^2, scale sigma1^2 / (2b)),
+        # finite for lam > -2b / sigma1^2
         p = request.getfixturevalue(fixture)
-        lams = np.linspace(-1.9, 5.0, 24)
-        got = riccati_cf_batch(p, lams, [np.zeros(p.n)] * len(lams))
         s2 = p.sigma1**2
+        lams = np.linspace(max(-1.9, -1.9 * p.b / s2), 5.0, 24)
+        got = riccati_cf_batch(p, lams, [np.zeros(p.n)] * len(lams))
         want = (1.0 + lams * s2 / (2.0 * p.b)) ** (-2.0 * p.a / s2)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-8
 
     def test_slow_theta_means(self):
         # with theta = 0.2, K is still 7e-7 at t = 60 / b = 30 once mu != 0;
         # t* = ln(1/eps) / 0.2 = 180
-        p = _slow_model(0.2, 2.0)
+        p = _n1_model(0.2, 2.0)
         h = 1e-4
         vals = riccati_cf_batch(p, [h, -h, 0.0, 0.0], [[0.0], [0.0], [h], [-h]])
         ey = -(vals[0] - vals[1]).real / (2 * h)
