@@ -1,51 +1,60 @@
 """Matrix integral helpers shared by the simulator and the estimators, the
-small matrix exponential behind them, and the thread setting of scipy's BLAS.
+small matrix exponential behind them, and the one way in to scipy.
 
 An experiment takes matrix functions of small matrices only.  For an
 ``n = 1`` model these are the exponentials of 1 x 1 matrices and of the
 2 x 2 one-step blocks [[c, h], [0, 0]] of ``expm_integral``, and
 :func:`expm` computes both without scipy, bit for bit what
-``scipy.linalg.expm`` returns.  Every other matrix function (those of
-``n >= 2`` models, and the exponentials of the transient moment systems)
-goes to ``scipy.linalg``, which :func:`scipy_linalg` imports on first use.
-So ``import ad1n`` and every ``n = 1`` experiment run without loading
-scipy.
+``scipy.linalg.expm`` returns, for every block that scipy takes at Pade
+order 9 or below without squaring (|c| up to about 2.1).  Every other
+matrix function (larger blocks, those of ``n >= 2`` models, and the
+exponentials of the transient moment systems) goes through
+:func:`scipy_call`, which imports ``scipy.linalg`` on first use.  So
+``import ad1n`` and every ``n = 1`` experiment whose blocks stay at order 9
+or below run without loading scipy.
 
 scipy links its own OpenBLAS, beside the one numpy links, and each keeps
 its own worker pool.  At these sizes a second scipy thread splits no work;
 it only spins on the core that numpy's threaded reductions over long paths
-need, and the two pools starve each other.  ``one_blas_thread`` holds
-scipy's pool at one thread while an experiment runs, also when scipy is
-first loaded inside it.  numpy's pool stays as found: the last bits of
-those reductions depend on its count.
+need, and the two pools starve each other.  :func:`scipy_call` holds
+scipy's pool at one thread for each call and puts back the count it found;
+restoring the count does not wake the pool's workers.  numpy's pool stays
+as found: the last bits of those reductions depend on its count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
 
 
-def scipy_linalg():
-    """``scipy.linalg``, imported on first use.  Inside
-    :func:`one_blas_thread` the import also holds its BLAS pool at one
-    thread until the outermost scope ends."""
+def scipy_call(name: str, A) -> np.ndarray:
+    """``scipy.linalg.<name>(A)``, with scipy imported on first use and its
+    OpenBLAS pool held at one thread for the call; the count it had comes
+    back after, also when the call raises.  Holds nothing when scipy's BLAS
+    is not an OpenBLAS, and never touches numpy's pool."""
     import scipy.linalg
-    import scipy.linalg.cython_blas  # noqa: F401  (the BLAS whose pool is held)
 
-    if _scope_depth and not _held:
-        _hold()
-    return scipy.linalg
+    fn = getattr(scipy.linalg, name)
+    pool = _scipy_openblas()
+    if pool is None:
+        return fn(A)
+    get, set_ = pool
+    found = get()
+    set_(1)
+    try:
+        return fn(A)
+    finally:
+        set_(found)
 
 
 #: Largest entry modulus of a one-step block that :func:`expm` computes
-#: itself; A^10 of a larger one may overflow.  NaN fails the test too.
+#: itself: A^8 of a larger one may overflow, and the ``Fraction`` arithmetic
+#: of :func:`_fma` takes no nan or inf.  NaN fails the test too.
 STEP_BLOCK_MAX = 1e30
 
 
@@ -55,14 +64,14 @@ def expm(A) -> np.ndarray:
     A 1 x 1 matrix is ``np.exp``, as in scipy.  A one-step block
     [[c, h], [0, 0]] with finite entries of modulus at most
     ``STEP_BLOCK_MAX`` runs :func:`_expm_step_block`; every other matrix
-    goes to scipy."""
+    goes to :func:`scipy_call`."""
     A = np.asarray(A, dtype=float)
     if A.shape == (1, 1):
         return np.exp(A)
     if (A.shape == (2, 2) and A[1, 0] == 0.0 and A[1, 1] == 0.0
             and abs(A[0, 0]) <= STEP_BLOCK_MAX and abs(A[0, 1]) <= STEP_BLOCK_MAX):
         return _expm_step_block(float(A[0, 0]), float(A[0, 1]))
-    return scipy_linalg().expm(A)
+    return scipy_call("expm", A)
 
 
 # scipy.linalg.expm is the scaling and squaring algorithm of Al-Mohy and
@@ -70,21 +79,19 @@ def expm(A) -> np.ndarray:
 # SIAM J. Matrix Anal. Appl. 31 (2009): the Pade coefficients b_0..b_m, the
 # bounds theta_m on eta = max(||A^2k||^(1/2k)) up to which order m is used
 # unscaled, and the 1/c_m of the truncation-error bound behind ``_ell``.
+# Only the orders it picks without squaring below 13 are ported; a block
+# that needs order 13, scaled or not, goes to scipy.
 _PADE = {
     3: (120., 60., 12., 1.),
     5: (30240., 15120., 3360., 420., 30., 1.),
     7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
     9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
         2162160., 110880., 3960., 90., 1.),
-    13: (64764752532480000., 32382376266240000., 7771770303897600.,
-         1187353796428800., 129060195264000., 10559470521600.,
-         670442572800., 33522128640., 1323241920., 40840800., 960960.,
-         16380., 182., 1.),
 }
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+          7: 9.504178996162932e-1, 9: 2.097847961257068}
 _ELL_C = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
-          9: 5914384781877411840000., 13: 113250775606021113483283660800000000.}
+          9: 5914384781877411840000.}
 
 # The port below works on upper-triangular 2 x 2 blocks (x, y, z) =
 # [[x, y], [0, z]] and rounds every operation as scipy's compiled expm and
@@ -131,45 +138,32 @@ def _ell(c: float, h: float, m: int) -> int:
 
 
 def _pade_order(c: float, h: float, A4, A6, A8):
-    """(m, s): the Pade order and the number of squarings."""
+    """The Pade order 3, 5, 7 or 9 that scipy picks for [[c, h], [0, 0]]
+    without squaring, or None where it picks order 13."""
     # d_k = ||A^k||_1^(1/k); the second row of every power is zero
     d4 = max(abs(A4[0]), abs(A4[1])) ** 0.25
     d6 = max(abs(A6[0]), abs(A6[1])) ** (1 / 6)
     eta = max(d4, d6)
     for m in (3, 5):
         if eta < _THETA[m] and _ell(c, h, m) == 0:
-            return m, 0
+            return m
     d8 = max(abs(A8[0]), abs(A8[1])) ** 0.125
     eta = max(d6, d8)
     for m in (7, 9):
         if eta < _THETA[m] and _ell(c, h, m) == 0:
-            return m, 0
-    A10 = _mul(A4, A6)
-    eta = min(eta, max(d8, max(abs(A10[0]), abs(A10[1])) ** 0.1))
-    s = 0 if eta == 0 else max(int(math.ceil(math.log2(eta / _THETA[13]))), 0)
-    return 13, s + _ell(2.0 ** -s * c, 2.0 ** -s * h, 13)
+            return m
+    return None
 
 
 def _pade_uv(A, powers, m: int):
     """(U, V), the odd and even parts of the order-m Pade numerator; powers
     are A^2, A^4, A^6, A^8."""
     b = _PADE[m]
-    A2, A4, A6, _ = powers
+    A2 = powers[0]
     if m == 3:
         # U = A @ A^2 + b1 A, one gemm with beta = b1
         U = tuple(_fma(b[1], a, p) for a, p in zip(A, _mul(A, A2)))
         return U, _poly([(b[2], A2)], b[0])
-    if m == 13:
-        # V = A^6 @ (b12 A^6 + b10 A^4 + b8 A^2) + (b6 A^6 + ... + b0 I) and
-        # U = A @ [A^6 @ (A^6 + b11 A^4 + b9 A^2) + (b7 A^6 + ... + b1 I)],
-        # each gemm adding onto the matrix in its output (beta = 1); the
-        # last one's output held A^6, which scipy leaves in U
-        add = lambda P, R: tuple(p + r for p, r in zip(P, R))  # noqa: E731
-        V = add(_mul(A6, _poly([(b[12], A6), (b[10], A4), (b[8], A2)])),
-                _poly([(b[6], A6), (b[4], A4), (b[2], A2)], b[0]))
-        inner = add(_mul(A6, _poly([(1.0, A6), (b[11], A4), (b[9], A2)])),
-                    _poly([(b[7], A6), (b[5], A4), (b[3], A2)], b[1]))
-        return add(_mul(A, inner), A6), V
     # U = A @ (A^(m-1) + b_(m-2) A^(m-3) + ... + b1 I),
     # V = b_(m-1) A^(m-1) + ... + b0 I, each summed from the highest power
     k = (m - 1) // 2
@@ -205,9 +199,7 @@ def _pade_solve(U, V):
 
 def _expm_step_block(c: float, h: float) -> np.ndarray:
     """expm([[c, h], [0, 0]]) as ``scipy.linalg.expm`` computes it, on Python
-    floats.  With s > 0 squarings the diagonal and the corner are reset to
-    their closed forms after each squaring, so the result is
-    [[e^c, h (e^0 - e^c) / (0 - c)], [0, 1]] with numpy's exp."""
+    floats up to Pade order 9 and by :func:`scipy_call` beyond."""
     if h == 0.0:
         return np.diag(np.exp(np.array([c, 0.0])))
     A = (c, h, 0.0)
@@ -215,11 +207,9 @@ def _expm_step_block(c: float, h: float) -> np.ndarray:
     A4 = _mul(A2, A2)
     A6 = _mul(A2, A4)
     A8 = _mul(A4, A4)
-    m, s = _pade_order(c, h, A4, A6, A8)
-    if s:
-        x = np.array([c, 0.0])
-        e = np.exp(x)
-        return np.array([[e[0], float(np.diff(e)[0] / np.diff(x)[0] * h)], [0.0, e[1]]])
+    m = _pade_order(c, h, A4, A6, A8)
+    if m is None:
+        return scipy_call("expm", np.array([[c, h], [0.0, 0.0]]))
     x00, x01, x11 = _pade_solve(*_pade_uv(A, (A2, A4, A6, A8), m))
     return np.array([[x00, x01], [0.0, x11]])
 
@@ -279,17 +269,15 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
     E[X_{t+h} | F_t] = E_theta @ X_t + m~ - k~ * Y_t, with
     E_theta = e^{-theta h}.
 
-    Kept per value of the arguments and returned read-only: every path of an
-    experiment asks for the same coefficients, and for n >= 2 outside
-    ``one_blas_thread`` each small scipy ``expm`` wakes scipy's OpenBLAS
-    pool, which then starves numpy's pool of a core, and the other way round.
-    """
+    Kept per value of the arguments and returned read-only."""
     args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
     return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))
 
 
 @functools.lru_cache(maxsize=32)
 def _mean_coeffs_of(key):
+    """The coefficients of one value: a loop of one-seed ``simulate_path``
+    calls asks for the same ones on every call."""
     a, b, m, kappa, theta, h = (np.frombuffer(raw).reshape(shape) for shape, raw in key)
     a, b, h = float(a), float(b), float(h)
     m = np.atleast_1d(m)
@@ -323,43 +311,3 @@ def _scipy_openblas():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
-
-
-#: open ``one_blas_thread`` scopes, whether the outermost one holds scipy's
-#: pool, and the (set, count) that restores it when that scope ends
-_scope_depth = 0
-_held = False
-_restore = None
-
-
-def _hold():
-    global _held, _restore
-    _held = True
-    fns = _scipy_openblas()
-    if fns is not None:
-        get, set_ = fns
-        _restore = (set_, get())
-        set_(1)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold scipy's OpenBLAS pool at one thread for the body, then restore
-    the count it had, also when the body raises.  The pool is held from the
-    start when scipy's BLAS is already loaded, else from the moment
-    :func:`scipy_linalg` loads it; nothing here imports scipy.  Does
-    nothing when scipy's BLAS is not an OpenBLAS, and never touches numpy's
-    pool.  Only the outermost of nested scopes sets and restores."""
-    global _scope_depth, _held, _restore
-    _scope_depth += 1
-    try:
-        if _scope_depth == 1 and "scipy.linalg.cython_blas" in sys.modules:
-            _hold()
-        yield
-    finally:
-        _scope_depth -= 1
-        if _scope_depth == 0:
-            if _restore is not None:
-                set_, count = _restore
-                set_(count)
-            _held, _restore = False, None

@@ -37,8 +37,9 @@ and its inverse recovers b = -log(1 - b~)/h, theta = -logm(I - th~)/h and
 then a, kappa, m by solving the displayed integral relations at the
 recovered (b, theta).  Matrix exponentials use Pade scaling-and-squaring
 (:func:`ad1n._matfun.expm`) and the matrix logarithm its principal branch:
-np.log of the entry for n = 1, and for n >= 2 ``scipy.linalg.logm``, which
-loads scipy at its first call.
+np.log of the entry for n = 1, and for n >= 2 ``scipy.linalg.logm`` through
+:func:`ad1n._matfun.scipy_call`, which loads scipy at its first call and
+holds scipy's BLAS pool at one thread for each call.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matfun import (cir_mean_coeffs, one_step_conditional_mean_coeffs, scipy_linalg,
+from ._matfun import (cir_mean_coeffs, one_step_conditional_mean_coeffs, scipy_call,
                       step_integrals)
 from .errors import (
     ConfigError,
@@ -111,7 +112,7 @@ def g_inverse(tilde: TildeParams, h: float):
         raise LogDomainError("I - theta-tilde has an eigenvalue on (-inf, 0]")
     # for n = 1 scipy's logm reduces to np.log of the entry, bit for bit;
     # calling it directly keeps scipy out of n = 1 runs
-    logA = np.log(A) if n == 1 else scipy_linalg().logm(A)
+    logA = np.log(A) if n == 1 else scipy_call("logm", A)
     if np.max(np.abs(np.imag(logA))) > 1e-8 * max(1.0, np.max(np.abs(logA))):
         raise LogDomainError("matrix logarithm left the real branch")
     theta = -np.real(logA) / h

@@ -30,11 +30,11 @@ simulation.  A replication whose design blocks or solve raise an
 recorded as aborted.
 So is a critical limit draw whose limit functional is singular: its row has
 aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
-the share of such draws.  An experiment and a gap study run with scipy's
-OpenBLAS pool held at one thread (``_matfun.one_blas_thread``), so that
-its small matrix functions do not starve numpy's threaded reductions.  An
-``n = 1`` run never loads scipy; an ``n >= 2`` run loads it at its first
-matrix function, and the pool is held from then on.
+the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
+Pade order 9 or below never loads scipy; any other run loads it at its
+first scipy matrix function, and ``_matfun.scipy_call`` holds scipy's
+OpenBLAS pool at one thread for each such call, so that they do not starve
+numpy's threaded reductions.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
@@ -68,7 +68,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, estimate
-from ._matfun import one_blas_thread
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
 from .errors import (Ad1nError, ConfigError, DimensionMismatchError, InadmissibleParamsError,
                      RegimeMismatchError)
@@ -351,7 +350,6 @@ def _limit_draw(path, params: ModelParams):
         return None
 
 
-@one_blas_thread()
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Simulate, estimate and compare against the regime's limit theory.
 
@@ -546,7 +544,6 @@ class GapReport:
         }
 
 
-@one_blas_thread()
 def discrete_vs_continuous_gap(config: ExperimentConfig) -> GapReport:
     """Median sqrt(t_N) * max-abs gap between the discrete estimate and the
     exact-conditional (one-step inverse) estimate on the same paths."""

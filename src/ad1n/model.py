@@ -31,7 +31,6 @@ are reported as unsupported.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -178,19 +177,9 @@ def _try_real_eig(theta: np.ndarray):
     """Eigendecomposition with reality and diagonalizability checks.
 
     Returns (eigenvalues ascending, row transform P with P theta P^-1 = D),
-    both read-only, or raises ComplexSpectrumError / NonDiagonalizableError.
-    Results are kept per value of theta: every path of an experiment
-    validates the same theta, and these small LAPACK calls run on numpy's
-    OpenBLAS, whose worker pool and scipy's starve each other when both
-    are awake on a busy machine (see ``_matfun``).
+    or raises ComplexSpectrumError / NonDiagonalizableError.
     """
-    theta = np.ascontiguousarray(theta, dtype=float)
-    return _real_eig_of(theta.shape, theta.tobytes())
-
-
-@functools.lru_cache(maxsize=32)
-def _real_eig_of(shape: tuple, raw: bytes):
-    theta = np.frombuffer(raw).reshape(shape)
+    theta = np.asarray(theta, dtype=float)
     norm2 = float(np.linalg.norm(theta, 2)) if theta.size else 0.0
     w, v = np.linalg.eig(theta)
     imag_tol = IMAG_TOL * max(norm2, 1.0)
@@ -215,8 +204,6 @@ def _real_eig_of(shape: tuple, raw: bytes):
         v = np.stack([np.linalg.svd(theta - wi * eye)[2][-1] for wi in w], axis=1)
         vinv = _inverse_eigenvectors(theta, w, v)
     # convention: P X diagonalizes, i.e. P theta P^-1 = D with P = V^-1
-    w.setflags(write=False)
-    vinv.setflags(write=False)
     return w, vinv
 
 

@@ -28,7 +28,8 @@ ascending sum(l), then ascending k, so that each entry comes after
 everything it needs.  Every table and system here is built in that order.
 Transient moments integrate the assembled constant-coefficient system with
 a matrix exponential, :func:`ad1n._matfun.expm`, which hands every system
-it does not port to ``scipy.linalg`` and loads scipy at that first call.
+it does not port to ``scipy.linalg`` through ``_matfun.scipy_call`` and
+loads scipy at that first call.
 
 The asymptotic covariance of sqrt(T) times the estimation error is the
 sandwich EG^-1 EH EG^-1, where EG is block diagonal with
@@ -69,6 +70,7 @@ from ._matfun import expm
 from .errors import (
     DimensionMismatchError,
     IncompleteTableError,
+    InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
     OrderTooHighError,
@@ -187,12 +189,21 @@ def stationary_moment_table(params: ModelParams, max_order: int = MAX_ORDER) -> 
     return table
 
 
+def _moment_key(params: ModelParams, k: int, l) -> MomentKey:
+    """(k, l) as a table key, after the checks that l has one entry per X
+    coordinate and that the total order is at most MAX_ORDER."""
+    l = tuple(int(v) for v in np.atleast_1d(l))
+    if len(l) != params.n:
+        raise DimensionMismatchError(f"l has {len(l)} entries, the model has n = {params.n}")
+    if k + sum(l) > MAX_ORDER:
+        raise OrderTooHighError(f"total order {k + sum(l)} exceeds {MAX_ORDER}")
+    return k, l
+
+
 def stationary_moment(params: ModelParams, k: int, l) -> float:
     """Stationary E[Y^k prod (Xt^i)^{l_i}] (tilde coordinates); 0 at a negative index."""
-    l = tuple(int(v) for v in np.atleast_1d(l))
+    k, l = _moment_key(params, k, l)
     order = k + sum(l)
-    if order > MAX_ORDER:
-        raise OrderTooHighError(f"total order {order} exceeds {MAX_ORDER}")
     table = stationary_moment_table(params, max_order=max(order, 0))
     return float(table.get((k, l), 0.0))
 
@@ -226,11 +237,12 @@ def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: fl
 
     ``initial`` maps (k, l) keys of total order <= k + sum(l) to the
     corresponding moments of (Y_0, Xt_0); see :func:`point_initial_moments`.
+    The time t must be finite and nonnegative.
     """
-    l = tuple(int(v) for v in np.atleast_1d(l))
+    k, l = _moment_key(params, k, l)
+    if not 0.0 <= t < math.inf:
+        raise InvalidGridError(f"t must be finite and nonnegative, got {t}")
     order = k + sum(l)
-    if order > MAX_ORDER:
-        raise OrderTooHighError(f"total order {order} exceeds {MAX_ORDER}")
     frame = TildeFrame.from_params(params)
     keys, pos, A = _transient_system(frame, float(params.a), float(params.b), params.n, order)
     v0 = np.empty(len(keys))
@@ -363,10 +375,10 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     _require_subcritical(params)
     a, b = float(params.a), float(params.b)
     lams = np.asarray(lams, dtype=float)
-    MU = np.column_stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in mus])  # (n, B)
     B = lams.shape[0]
-    if MU.shape[1] != B:
-        raise DimensionMismatchError("lams and mus must have equal batch length")
+    if B == 0 or len(mus) != B:
+        raise DimensionMismatchError("lams and mus must have one equal, nonzero batch length")
+    MU = np.column_stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in mus])  # (n, B)
 
     frame = TildeFrame.from_params(params)
     s1 = params.sigma1

@@ -133,11 +133,12 @@ def substream(master_seed: int, index: int) -> tuple[int, int]:
 
 def generator(seed) -> np.random.Generator:
     """Philox generator for a seed given as an int or a (master, index) key,
-    each in [0, 2^64)."""
-    key = np.array(seed if isinstance(seed, (tuple, list)) else [int(seed), 0], dtype=object)
-    if key.shape != (2,) or not all(0 <= k < 2**64 for k in key):
+    each an int or numpy integer (not a bool) in [0, 2^64)."""
+    key = seed if isinstance(seed, (tuple, list)) else (seed, 0)
+    if len(key) != 2 or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                                and 0 <= k < 2**64 for k in key):
         raise InvalidGridError("seed must be an int or a pair of ints, each in [0, 2^64)")
-    return np.random.Generator(np.random.Philox(key=key.astype(np.uint64)))
+    return np.random.Generator(np.random.Philox(key=np.array([int(k) for k in key], np.uint64)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""scipy's OpenBLAS pool runs on one thread inside an experiment and a gap
-study, also when the run itself loads scipy; numpy's pool is left as found,
-and both counts come back after."""
+"""scipy's OpenBLAS pool runs on one thread inside each scipy matrix
+function that ad1n calls, from a run or from a single entry point, also
+when the run itself loads scipy; numpy's pool is left as found, and both
+counts come back after each call, also when it raises."""
 
 import ctypes
 import json
@@ -10,38 +11,32 @@ import sys
 
 import pytest
 import scipy
+import scipy.linalg
 
 from ad1n import (
     _matfun,
     discrete_vs_continuous_gap,
     estimate,
     experiment_config_from_text,
+    point_initial_moments,
     run_experiment,
+    simulate_path,
+    transient_moment,
 )
 from test_golden import _N2_EXACT
 
-_MODEL = """\
-n = 1
-a = 2.0
-b = 1.0
-m = 1.0
-kappa = 0.5
-theta = 2.0
-rho = 1,0; 0.2,0.9
-y0 = 2.0
-x0 = 0.25
-regime = subcritical
-horizons = 10
-replications = 4
-seed = 4242
-flavor = exact
-"""
+# the golden n = 2 exact-flavor config, on a shorter horizon: an n = 1 run
+# makes no scipy call (test_harness.py::test_n1_run_loads_no_scipy)
+_N2_MODEL = _N2_EXACT.replace("horizons = 20", "horizons = 5")
 
-# each calls estimate.g_inverse once per replication
+# each calls scipy's logm once per replication, and expm from g_inverse
 RUNS = {
-    "experiment": (run_experiment, _MODEL + "delta = 0.02\n"),
-    "gap": (discrete_vs_continuous_gap, _MODEL + "gamma = 1.1\n"),
+    "experiment": (run_experiment, _N2_MODEL),
+    "gap": (discrete_vs_continuous_gap, _N2_MODEL.replace("delta = 0.02", "gamma = 1.1")),
 }
+
+#: the matrix functions ad1n takes from scipy.linalg
+SCIPY_FUNCTIONS = ("expm", "logm")
 
 
 def _symbol(module_file, name, argtypes, restype):
@@ -66,8 +61,8 @@ def _numpy_pool():
 @pytest.fixture
 def scipy_pool():
     """Reader of scipy's OpenBLAS thread count, looked up here and not
-    through ad1n, and set to 2 for the test so that one thread inside a run
-    is a change; the count it had comes back after."""
+    through ad1n, and set to 2 for the test so that one thread inside a
+    call is a change; the count it had comes back after."""
     import scipy.linalg.cython_blas as blas
 
     get = _symbol(blas.__file__, "scipy_openblas_get_num_threads", [], ctypes.c_int)
@@ -80,15 +75,21 @@ def scipy_pool():
     set_(found)
 
 
-def _spy_g_inverse(monkeypatch, read):
+def _spy_scipy(monkeypatch, read, fail=False):
+    """Record ``read()`` inside every scipy.linalg.expm and logm call, and
+    raise from each one when ``fail`` is set."""
     seen = []
-    original = estimate.g_inverse
 
-    def spy(*args):
-        seen.append(read())
-        return original(*args)
+    def spy(original):
+        def call(*args, **kwargs):
+            seen.append(read())
+            if fail:
+                raise RuntimeError("injected")
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(estimate, "g_inverse", spy)
+    for name in SCIPY_FUNCTIONS:
+        monkeypatch.setattr(scipy.linalg, name, spy(getattr(scipy.linalg, name)))
     return seen
 
 
@@ -97,9 +98,9 @@ def test_scipy_pool_is_one_thread_inside_a_run(monkeypatch, scipy_pool, kind):
     run, text = RUNS[kind]
     numpy_pool = _numpy_pool()
     before = (scipy_pool(), numpy_pool())
-    seen = _spy_g_inverse(monkeypatch, lambda: (scipy_pool(), numpy_pool()))
+    seen = _spy_scipy(monkeypatch, lambda: (scipy_pool(), numpy_pool()))
     run(experiment_config_from_text(text))
-    assert len(seen) >= 4
+    assert len(seen) >= 3
     assert set(seen) == {(1, before[1])}
     assert (scipy_pool(), numpy_pool()) == before
 
@@ -109,25 +110,49 @@ def test_counts_restored_after_an_error(monkeypatch, scipy_pool, kind):
     run, text = RUNS[kind]
     numpy_pool = _numpy_pool()
     before = (scipy_pool(), numpy_pool())
-
-    def boom(*args):
-        raise RuntimeError("injected")
-
-    monkeypatch.setattr(estimate, "g_inverse", boom)
+    seen = _spy_scipy(monkeypatch, scipy_pool, fail=True)
     with pytest.raises(RuntimeError, match="injected"):
         run(experiment_config_from_text(text))
+    assert seen == [1]
     assert (scipy_pool(), numpy_pool()) == before
 
 
-def test_scope_restores_the_count_it_found(scipy_pool):
-    with pytest.raises(ValueError):
-        with _matfun.one_blas_thread():
-            assert scipy_pool() == 1
-            with _matfun.one_blas_thread():
-                assert scipy_pool() == 1
-            assert scipy_pool() == 1
-            raise ValueError
-    assert scipy_pool() == 2
+def _simulate_path(p):
+    # the one-step coefficients are kept per value; drop them so that
+    # this call computes them with scipy
+    _matfun._mean_coeffs_of.cache_clear()
+    simulate_path(p, 1.0, 0.05, seed=(7, 0))
+
+
+def _g_inverse(p):
+    estimate.g_inverse(estimate.g_map(p.a, p.b, p.m, p.kappa, p.theta, 0.05), 0.05)
+
+
+def _transient_moment(p):
+    transient_moment(p, point_initial_moments(p, float(p.y0), p.x0, 2), 1, [1, 0], 0.5)
+
+
+#: entry points that reach scipy outside any run
+ENTRY_POINTS = {"simulate_path": _simulate_path, "g_inverse": _g_inverse,
+                "transient_moment": _transient_moment}
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_hold_the_pool_per_call(monkeypatch, scipy_pool, subcritical_params_n2,
+                                             entry, fail):
+    numpy_pool = _numpy_pool()
+    before = (scipy_pool(), numpy_pool())
+    seen = _spy_scipy(monkeypatch, lambda: (scipy_pool(), numpy_pool()), fail=fail)
+    if fail:
+        with pytest.raises(RuntimeError, match="injected"):
+            ENTRY_POINTS[entry](subcritical_params_n2)
+        assert len(seen) == 1
+    else:
+        ENTRY_POINTS[entry](subcritical_params_n2)
+        assert seen
+    assert set(seen) == {(1, before[1])}
+    assert (scipy_pool(), numpy_pool()) == before
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
@@ -135,10 +160,10 @@ def test_without_openblas_the_report_is_unchanged(monkeypatch, scipy_pool, kind)
     run, text = RUNS[kind]
     want = run(experiment_config_from_text(text)).csv_text()
     monkeypatch.setattr(_matfun, "_scipy_openblas", lambda: None)
-    seen = _spy_g_inverse(monkeypatch, scipy_pool)
+    seen = _spy_scipy(monkeypatch, scipy_pool)
     got = run(experiment_config_from_text(text)).csv_text()
     assert got == want
-    assert set(seen) == {2}  # nothing was set
+    assert seen and set(seen) == {2}  # nothing was set
 
 
 def test_scipy_openblas_build_resolves():
@@ -150,15 +175,13 @@ def test_scipy_openblas_build_resolves():
     assert get() >= 1
 
 
-# the golden n = 2 exact-flavor config, on a shorter horizon
-_N2_MODEL = _N2_EXACT.replace("horizons = 20", "horizons = 5")
-
 # runs in a fresh interpreter: ad1n loads scipy only during the n = 2 run,
-# and the pool count is read from the loaded module, never by importing it
+# and the pool count is read from the loaded module, never by importing
+# it, inside every call of scipy.linalg's expm and logm (a profile hook
+# sees those calls without importing scipy first)
 _FRESH_N2_RUN = """\
 import ctypes, json, sys
 import ad1n
-from ad1n import estimate
 
 assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
@@ -173,23 +196,25 @@ def pool():
 
 
 seen = []
-original = estimate.g_inverse
 
 
-def spy(*args):
-    seen.append(pool())
-    return original(*args)
+def profile(frame, event, arg):
+    code = frame.f_code
+    if (event == "call" and code.co_name in ("expm", "logm")
+            and "scipy" in code.co_filename and "linalg" in code.co_filename):
+        seen.append(pool())
 
 
-estimate.g_inverse = spy
+sys.setprofile(profile)
 ad1n.run_experiment(ad1n.experiment_config_from_text(sys.stdin.read()))
+sys.setprofile(None)
 print(json.dumps({"seen": seen, "after": pool()}))
 """
 
 
 def test_pool_held_when_a_run_loads_scipy():
     # scipy's pool starts at OPENBLAS_NUM_THREADS = 2, so one thread inside
-    # the run is a change, and 2 after it is the count put back
+    # each scipy call is a change, and 2 after the run is the count put back
     import ad1n
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))

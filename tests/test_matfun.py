@@ -1,24 +1,25 @@
 """``_matfun.expm`` against ``scipy.linalg.expm``: bit for bit on the
 matrices it computes itself (1 x 1 and the one-step blocks [[c, h], [0, 0]]
-that ``expm_integral`` builds for n = 1), and scipy's own result on every
-other matrix."""
+that ``expm_integral`` builds for n = 1, up to Pade order 9), and scipy's
+own result, through ``_matfun.scipy_call``, on every other matrix."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ad1n import _matfun
+from ad1n._matfun import scipy_call
 
-#: every (Pade order, squared?) branch of the port, and both LU pivotings
-BRANCHES = {(3, False), (5, False), (7, False), (9, False), (13, False), (13, True)}
+#: every Pade order of the port, and the blocks it hands to scipy
+BRANCHES = {3, 5, 7, 9, "scipy"}
 
 
 def _branch(c, h):
     A = (c, h, 0.0)
     A2 = _matfun._mul(A, A)
     A4 = _matfun._mul(A2, A2)
-    m, s = _matfun._pade_order(c, h, A4, _matfun._mul(A2, A4), _matfun._mul(A4, A4))
-    return m, s > 0
+    m = _matfun._pade_order(c, h, A4, _matfun._mul(A2, A4), _matfun._mul(A4, A4))
+    return "scipy" if m is None else m
 
 
 def _blocks(rng, count):
@@ -37,20 +38,33 @@ def test_step_blocks_bit_equal_to_scipy():
     for M in _blocks(rng, 6000):
         got, want = _matfun.expm(M), scipy.linalg.expm(M)
         assert got.tobytes() == want.tobytes(), M
-        m, squared = _branch(M[0, 0], M[0, 1])
-        seen.add((m, squared))
-        pivoted += M[0, 1] > 2.0 and not squared  # the solve's LU swaps rows
+        branch = _branch(M[0, 0], M[0, 1])
+        seen.add(branch)
+        pivoted += M[0, 1] > 2.0 and branch != "scipy"  # the solve's LU swaps rows
     assert seen == BRANCHES
     assert pivoted > 100
 
 
+#: edge blocks that scipy takes at order 13, with squarings at (7.5, 0.5)
+#: and (-30, 4); the port hands them to scipy_call
+ORDER_13 = [(7.5, 0.5), (-30.0, 4.0), (3.0, 0.5), (-3.9, 0.6)]
+
+
 @pytest.mark.parametrize("c, h", [
-    (0.0, 0.0), (-2.0, 0.0), (0.0, 0.02), (0.0, 3.0), (1e-300, 1e-300),
-    (-0.04, 0.02), (7.5, 0.5), (-30.0, 4.0), (3.0, 0.5), (-3.9, 0.6),
+    (0.0, 0.0), (-2.0, 0.0), (0.0, 0.02), (0.0, 3.0), (1e-300, 1e-300), (-0.04, 0.02),
+    *ORDER_13,
 ])
-def test_edge_blocks_bit_equal_to_scipy(c, h):
+def test_edge_blocks_bit_equal_to_scipy(c, h, monkeypatch):
+    calls = []
+
+    def spy(name, A):
+        calls.append(name)
+        return scipy_call(name, A)
+
+    monkeypatch.setattr(_matfun, "scipy_call", spy)
     M = np.array([[c, h], [0.0, 0.0]])
     assert _matfun.expm(M).tobytes() == scipy.linalg.expm(M).tobytes()
+    assert calls == (["expm"] if (c, h) in ORDER_13 else [])
 
 
 def test_one_by_one_is_np_exp():

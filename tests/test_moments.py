@@ -23,6 +23,7 @@ from ad1n import (
 from ad1n.errors import (
     DimensionMismatchError,
     IncompleteTableError,
+    InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
     OrderTooHighError,
@@ -138,8 +139,15 @@ class TestStationaryMoments:
             stationary_moment(subcritical_params, 5, [0])
 
     def test_batch_length_mismatch(self, subcritical_params):
+        # the empty batch raised a bare ValueError from np.column_stack
+        for lams, mus in [([0.1, 0.2], [[0.0]]), ([], [])]:
+            with pytest.raises(DimensionMismatchError):
+                riccati_cf_batch(subcritical_params, lams, mus)
+
+    def test_index_of_the_wrong_length_is_a_dimension_error(self, subcritical_params):
+        # l = [0, 0] on an n = 1 model returned 0.0
         with pytest.raises(DimensionMismatchError):
-            riccati_cf_batch(subcritical_params, [0.1, 0.2], [[0.0]])
+            stationary_moment(subcritical_params, 1, [0, 0])
 
     def test_moment_matrix_psd(self, subcritical_params_n2):
         from ad1n.moments import stationary_x_moments
@@ -213,6 +221,13 @@ class TestTransientMoments:
         init = point_initial_moments(subcritical_params, 1.0, [0.0], 1)
         with pytest.raises(MissingInitialMomentError):
             transient_moment(subcritical_params, init, 2, [0], 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_time_not_finite_and_nonnegative_is_a_grid_error(self, subcritical_params, t):
+        # t = -1 integrated backwards; nan and inf returned nan with a warning
+        init = point_initial_moments(subcritical_params, 1.0, [0.0], 1)
+        with pytest.raises(InvalidGridError):
+            transient_moment(subcritical_params, init, 1, [0], t)
 
 
 class TestTildeConversion:

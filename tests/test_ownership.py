@@ -6,8 +6,9 @@ augmented-block integrals of the one-step map are called only inside
 ``model.stack_drift_fields`` and read only by ``model.unstack_tau``, and
 the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
-``ModelParams`` constructor calls ``validate``.  A second copy fails
-here."""
+``ModelParams`` constructor calls ``validate``, and scipy is imported only
+by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``.  A second copy
+fails here."""
 
 import ast
 import pathlib
@@ -89,3 +90,28 @@ def test_admission_check_lives_in_model():
         assert ".violations" not in text, name
         if name != "model.py":
             assert not any(_calls_model_validate(n) for n in ast.walk(ast.parse(text))), name
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+
+def test_scipy_is_reached_only_through_scipy_call():
+    # _matfun.scipy_call holds scipy's BLAS pool around each call, and
+    # _scipy_openblas finds that pool; any other import of scipy would call
+    # it unheld, or load it into an n = 1 run
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        owned = set()
+        if name == "_matfun.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("scipy_call", "_scipy_openblas"):
+                    owned |= {id(node) for node in ast.walk(fn) if _imports_scipy(node)}
+            assert owned
+        assert {id(node) for node in ast.walk(tree) if _imports_scipy(node)} <= owned, name
