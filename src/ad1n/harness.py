@@ -28,8 +28,23 @@ back to back keeps them off the cold start that follows each long
 simulation.  A replication whose design blocks or solve raise an
 ``Ad1nError`` or a ``LinAlgError``, or whose estimate is not finite, is
 recorded as aborted.
-So is a critical limit draw whose limit functional is singular: its row has
-aborted=1, it is left out of the KS sample, and ``limit_abort_rate`` bounds
+
+A critical run has a third phase, the limit draws: the zero-started limit
+process simulated ``limit_draws`` times and each path's limit functional
+drawn.  It is independent of the estimation paths, so it runs in a child
+forked before the first horizon's path phase, on another core, and the
+parent joins it where the KS check first needs its sample (``_in_child``:
+the child sends its draws back as one pickle, its exception is re-raised
+in the parent, and a child that dies makes the run raise).  The fork is
+used on Linux only, since macOS's Accelerate BLAS is not fork-safe;
+elsewhere the draws run in-process at the same point.  Path phases stay
+in-process: a forked 25,000-step subcritical path phase kept its bits,
+but its run's median went from 180 ms to 344-400 ms on a 2-vCPU VM, since
+its threaded ``left_point_sums`` reductions wake OpenBLAS workers that
+spin against the other process.  That holds until those sums stop going
+through threaded BLAS.
+A critical limit draw whose limit functional is singular has a row with
+aborted=1, is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
 Pade order 9 or below never loads scipy; any other run loads it at its
 first scipy matrix function, and ``_matfun.scipy_call`` holds scipy's
@@ -57,11 +72,15 @@ model outside the admissible set is one listing every violation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -350,15 +369,110 @@ def _limit_draw(path, params: ModelParams):
         return None
 
 
+def _limit_phase(config: ExperimentConfig) -> list:
+    """The critical limit draws of ``config``, one per limit substream
+    (None where ``_limit_draw`` fails)."""
+    params = config.params
+    M = config.replications
+    base = len(config.horizons) * M
+    seeds = [substream(config.seed, base + j) for j in range(config.limit_draws or M)]
+    paths = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
+    # map holds no path past its draw, so one batch is alive at a time
+    return list(map(_limit_draw, paths, itertools.repeat(params)))
+
+
+#: whether ``_in_child`` forks: os.fork exists and the platform is Linux
+#: (macOS's Accelerate BLAS is not fork-safe)
+_FORKS = hasattr(os, "fork") and sys.platform.startswith("linux")
+
+
+@contextlib.contextmanager
+def _in_child(fn):
+    """Run ``fn()`` in a forked child beside the caller's block, which gets
+    a ``join()`` that returns the child's value or re-raises its exception.
+
+    The child sends ``(ok, value_or_exception)`` back through a pipe as one
+    pickle and always ends with ``os._exit``, so it never returns into the
+    caller's frames and never flushes the parent's stdio.  ``join()`` reads
+    the whole payload, then reaps the child; a child that died or sent
+    nothing is a ChildProcessError naming its exit status.  A child not yet
+    joined when the block exits, by an exception or otherwise, is killed
+    and reaped.  Without ``_FORKS``, ``fn()`` runs in-process on entry.
+    The parent may hold OpenBLAS worker threads: numpy's OpenBLAS stops its
+    pool at a fork (a ``pthread_atfork`` handler) and each process starts
+    it again when it next needs it.
+    """
+    if not _FORKS:
+        value = fn()
+        yield lambda: value
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                payload = (True, fn())
+            except BaseException as exc:  # join() re-raises it in the parent
+                payload = (False, exc)
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    running = True
+
+    def join():
+        nonlocal running
+        with os.fdopen(r, "rb", closefd=False) as fh:
+            data = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        running = False
+        if code != 0 or not data:
+            raise ChildProcessError(
+                f"forked child exited with status {code} after sending {len(data)} bytes")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        os.close(r)
+        if running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Simulate, estimate and compare against the regime's limit theory.
 
     Deterministic given the configuration (including the master seed).
     """
-    # runs are sequential; threads=1 is still accepted because bench/worker.py passes it
+    # replications run one after another in this process, and a critical
+    # run's limit draws in one forked child beside them; threads=1 is still
+    # accepted because bench/worker.py passes it
     if threads != 1:
         raise ConfigError("replications run sequentially; only threads=1 is accepted")
     cls = config.validate_for_limit_theorem()
+    limits = contextlib.nullcontext()
+    if config.regime == Regime.CRITICAL:
+        limits = _in_child(lambda: _limit_phase(config))
+    with limits as join_limits:
+        return _experiment(config, cls, join_limits)
+
+
+def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> ExperimentReport:
+    """The body of :func:`run_experiment`; ``join_limits()`` returns the
+    critical limit draws (see :func:`_limit_phase`)."""
     params = config.params
     truth = stack_tau(params)
     L = tau_length(params.n)
@@ -371,15 +485,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     is_super = config.regime == Regime.SUPERCRITICAL
 
     limit_draws = limit_sample = None
-    if config.regime == Regime.CRITICAL:
-        n_draws = config.limit_draws or M
-        base = len(config.horizons) * M
-        seeds = [substream(config.seed, base + j) for j in range(n_draws)]
-        paths = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
-        # map holds no path past its draw, so one batch is alive at a time
-        limit_draws = list(map(_limit_draw, paths, itertools.repeat(params)))
-        limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
-
     sandwich = None
     if config.regime == Regime.SUBCRITICAL:
         sandwich = asymptotic_covariance(params).sandwich
@@ -452,6 +557,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             )
         elif config.regime == Regime.CRITICAL:
             ks = [math.nan] * L
+            if limit_draws is None:  # the first horizon's path and solve phases are done
+                limit_draws = join_limits()
+                limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
             if n_ok > 1 and limit_sample.size:
                 ks = [
                     ks_two_sample(E[:, i], limit_sample[:, i]) for i in range(L)

@@ -210,8 +210,11 @@ def stationary_moment(params: ModelParams, k: int, l) -> float:
 
 def point_initial_moments(params: ModelParams, y0: float, x0, max_order: int = MAX_ORDER) -> MomentTable:
     """Initial moment table of a deterministic start (y0, x0), tilde coords."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (params.n,):
+        raise DimensionMismatchError(f"x0 has {x0.size} entries, the model has n = {params.n}")
     frame = TildeFrame.from_params(params)
-    x0t = frame.P @ np.atleast_1d(np.asarray(x0, dtype=float))
+    x0t = frame.P @ x0
     table: MomentTable = {}
     for key in _index_set(params.n, max_order):
         k, l = key
@@ -365,6 +368,8 @@ def riccati_cf(params: ModelParams, lam: float, mu) -> complex:
     0.05 and for n = 2, and the Gamma Laplace transform at mu = 0 holds to
     rel 2e-10 for lam up to 50, also at theta = 20, b = 0.5.  Where the
     transform is infinite (lam below -2b / sigma1^2) the result is nan.
+    A lam or mu that is not finite is an InvalidGridError, and a mu
+    without one entry per X coordinate a DimensionMismatchError.
     """
     return riccati_cf_batch(params, [float(lam)], [np.atleast_1d(mu)])[0]
 
@@ -378,7 +383,12 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     B = lams.shape[0]
     if B == 0 or len(mus) != B:
         raise DimensionMismatchError("lams and mus must have one equal, nonzero batch length")
-    MU = np.column_stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in mus])  # (n, B)
+    MU = [np.atleast_1d(np.asarray(m, dtype=float)) for m in mus]
+    if any(mu.shape != (params.n,) for mu in MU):
+        raise DimensionMismatchError(f"every mu must have n = {params.n} entries")
+    MU = np.column_stack(MU)  # (n, B)
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(MU))):
+        raise InvalidGridError("every lam and mu must be finite")
 
     frame = TildeFrame.from_params(params)
     s1 = params.sigma1

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +68,14 @@ flavor = discrete
 """
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every run reaps what it forks, whether it returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestStatsHelpers:
     def test_ks_two_sample_matches_scipy(self):
         rng = np.random.default_rng(0)
@@ -106,11 +116,16 @@ def _modules_after_small_run(text, statistic):
     interpreter; the sorted names of the scipy modules loaded by then."""
     import ad1n
 
+    # a critical run's limit draws run in a forked child, whose imports
+    # never reach this process's sys.modules: run them here too
     code = (
         "import sys, ad1n\n"
-        "report = ad1n.run_experiment(ad1n.experiment_config_from_text(sys.stdin.read()))\n"
+        "cfg = ad1n.experiment_config_from_text(sys.stdin.read())\n"
+        "report = ad1n.run_experiment(cfg)\n"
         f"assert {statistic!r} in report.per_horizon[0]\n"
         "assert not any(r.aborted for r in report.rows)\n"
+        "if cfg.regime is ad1n.Regime.CRITICAL:\n"
+        "    assert all(d is not None for d in ad1n.harness._limit_phase(cfg))\n"
         "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
@@ -578,6 +593,57 @@ limit_draws = 8
         assert want.checks["limit_abort_rate<0.01"]
         assert not got.checks["limit_abort_rate<0.01"]
         assert not got.passed
+
+
+class LimitPhaseBug(RuntimeError):
+    """An exception outside REP_FAILURES, raised in the limit phase."""
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not harness._FORKS, reason="the limit draws run in-process")
+class TestLimitPhaseChild:
+    """A critical run's limit draws run in a forked child; its failures
+    reach the caller and it never outlives the run."""
+
+    CFG = experiment_config_from_text(TestLimitDrawFailures.CFG)
+
+    def test_same_report_in_process(self, monkeypatch):
+        forked = run_experiment(self.CFG)
+        monkeypatch.setattr(harness, "_FORKS", False)
+        assert run_experiment(self.CFG).csv_text() == forked.csv_text()
+
+    def test_exception_reaches_the_caller_with_its_class(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise LimitPhaseBug("in the child", os.getpid())
+
+        monkeypatch.setattr(harness, "simulate_critical_limits", boom)
+        fds = _open_fds()
+        with pytest.raises(LimitPhaseBug, match="in the child") as info:
+            run_experiment(self.CFG)
+        assert info.value.args[1] != os.getpid()
+        assert _open_fds() == fds
+
+    def test_killed_child_makes_the_run_raise(self, monkeypatch):
+        monkeypatch.setattr(harness, "_limit_phase",
+                            lambda config: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(ChildProcessError, match=f"status {-signal.SIGKILL} "):
+            run_experiment(self.CFG)
+
+    def test_failing_path_phase_kills_the_child(self, monkeypatch):
+        def path_phase(*args):
+            raise LimitPhaseBug("in the parent")
+
+        monkeypatch.setattr(harness, "_limit_phase", lambda config: time.sleep(60))
+        monkeypatch.setattr(harness, "_path_phase", path_phase)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(LimitPhaseBug, match="in the parent"):
+            run_experiment(self.CFG)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert _open_fds() == fds
 
 
 #: two inadmissible models: rho not lower triangular, and a negative

@@ -217,6 +217,12 @@ class TestTransientMoments:
         slope = np.polyfit(ts, np.log(gaps), 1)[0]
         assert slope < 0
 
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], []])
+    def test_x0_of_the_wrong_length_is_a_dimension_error(self, subcritical_params, x0):
+        # a bare numpy ValueError from the matmul with P
+        with pytest.raises(DimensionMismatchError):
+            point_initial_moments(subcritical_params, 1.0, x0, 2)
+
     def test_missing_initial_entry(self, subcritical_params):
         init = point_initial_moments(subcritical_params, 1.0, [0.0], 1)
         with pytest.raises(MissingInitialMomentError):
@@ -493,6 +499,26 @@ class TestRiccatiCf:
     def test_not_subcritical(self, critical_params):
         with pytest.raises(NotSubcriticalError):
             riccati_cf(critical_params, 0.5, [0.0])
+
+    @pytest.mark.parametrize("mu", [[0.0, 0.0], []])
+    def test_mu_of_the_wrong_length_is_a_dimension_error(self, subcritical_params, mu):
+        # a bare numpy ValueError from the solve for P^-T mu
+        with pytest.raises(DimensionMismatchError):
+            riccati_cf(subcritical_params, 0.1, mu)
+        with pytest.raises(DimensionMismatchError):
+            riccati_cf_batch(subcritical_params, [0.1, 0.2], [[0.0], mu])
+
+    @pytest.mark.parametrize("lam, mu", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                         (0.1, math.nan)])
+    def test_point_not_finite_is_a_grid_error(self, subcritical_params, lam, mu):
+        # lam = nan returned nan+nanj; lam = +-inf failed in math.log
+        with pytest.raises(InvalidGridError):
+            riccati_cf_batch(subcritical_params, [0.1, lam], [[0.0], [mu]])
+
+    def test_negative_finite_lam_is_the_stationary_mgf(self, subcritical_params):
+        # Y is stationary Gamma(2a / s1^2 = 4, scale s1^2 / 2b = 1/2): E e^Y = 2^4
+        got = riccati_cf_batch(subcritical_params, [-1.0], [[0.0]])[0]
+        assert got == pytest.approx(16.0, rel=1e-9)
 
 
 def test_stationary_table_n3_builds_without_gaps():

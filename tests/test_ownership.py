@@ -7,8 +7,8 @@ augmented-block integrals of the one-step map are called only inside
 the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
 ``ModelParams`` constructor calls ``validate``, and scipy is imported only
-by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``.  A second copy
-fails here."""
+by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, and a process
+is forked only by ``harness._in_child``.  A second copy fails here."""
 
 import ast
 import pathlib
@@ -115,3 +115,28 @@ def test_scipy_is_reached_only_through_scipy_call():
                     owned |= {id(node) for node in ast.walk(fn) if _imports_scipy(node)}
             assert owned
         assert {id(node) for node in ast.walk(tree) if _imports_scipy(node)} <= owned, name
+
+
+def _forks(node):
+    # os.fork(...), or fork(...) after "from os import fork"
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "fork") or (
+        isinstance(f, ast.Attribute) and f.attr == "fork"
+        and isinstance(f.value, ast.Name) and f.value.id == "os")
+
+
+def test_fork_lives_in_one_helper():
+    # harness._in_child reaps its child, kills it when the caller raises and
+    # never lets it return into the caller's frames; a second fork would
+    # have to get all three right again
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        owned = set()
+        if name == "harness.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_in_child":
+                    owned |= {id(node) for node in ast.walk(fn) if _forks(node)}
+            assert len(owned) == 1
+        assert {id(node) for node in ast.walk(tree) if _forks(node)} <= owned, name
