@@ -34,15 +34,21 @@ process simulated ``limit_draws`` times and each path's limit functional
 drawn.  It is independent of the estimation paths, so it runs in a child
 forked before the first horizon's path phase, on another core, and the
 parent joins it where the KS check first needs its sample (``_in_child``:
-the child sends its draws back as one pickle, its exception is re-raised
-in the parent, and a child that dies makes the run raise).  The fork is
-used on Linux only, since macOS's Accelerate BLAS is not fork-safe;
-elsewhere the draws run in-process at the same point.  Path phases stay
-in-process: a forked 25,000-step subcritical path phase kept its bits,
-but its run's median went from 180 ms to 344-400 ms on a 2-vCPU VM, since
-its threaded ``left_point_sums`` reductions wake OpenBLAS workers that
-spin against the other process.  That holds until those sums stop going
-through threaded BLAS.
+the child sends its draws back one pickle each, its exception is re-raised
+in the parent, and a child that dies makes the run raise).  A path phase
+whose paths ``simulate_paths`` runs one at a time (``batch_width`` 1, as
+for 25,000-step horizons) simulates them in forked children too: in
+rounds of two children, each holding at most the paths whose states fit
+``simulate.BATCH_BYTES``, so at most two path children are alive at once.
+A child only simulates and sends its paths back; the parent runs ``keep``
+(the design blocks) on each, in seed order.  Every threaded
+``left_point_sums`` reduction stays in the parent, so its OpenBLAS thread
+count, and with it every bit, is what it is in-process, and no two
+OpenBLAS pools spin against each other (children that reduced their own
+paths made a 16-path run slower than in-process on 2 vCPUs).  Path phases
+that run side by side stay in-process.  Forks are used on Linux only, since
+macOS's Accelerate BLAS is not fork-safe, and only where a second CPU is
+usable; elsewhere everything runs in-process at the same points.
 A critical limit draw whose limit functional is singular has a row with
 aborted=1, is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
@@ -65,9 +71,11 @@ Keys: n, a, b, m, kappa, theta, rho, y0, x0, regime, horizons (strictly
 increasing, since the supercritical checks and the gap study compare
 consecutive horizons in the order given), delta or gamma (step rule
 delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]), replications,
-seed, flavor, fine_delta, limit_draws, horizon (single-path commands).  Any other key, a value that does not parse, or a vector or
-matrix whose shape does not fit n, is a ``ConfigError`` naming the key; a
-model outside the admissible set is one listing every violation.
+seed, flavor, fine_delta (in (0, 1e-3]), limit_draws, horizon (single-path
+commands).  Any other key, a value that does not parse or lies outside its
+range, or a vector or matrix whose shape does not fit n, is a
+``ConfigError`` naming the key; a model outside the admissible set is one
+listing every violation.
 """
 
 from __future__ import annotations
@@ -95,6 +103,9 @@ from .model import Classification, ModelParams, Regime, classify, stack_tau, tau
 from .moments import asymptotic_covariance
 # simulate_path and simulate_critical_limit stay bound here for bench/spans.py
 from .simulate import (  # noqa: F401
+    BATCH_BYTES,
+    batch_width,
+    grid_steps,
     simulate_critical_limit,
     simulate_critical_limits,
     simulate_path,
@@ -194,6 +205,8 @@ class ExperimentConfig:
                 raise ConfigError(f"horizon {T!r} must be finite, with its step in (0, {T!r}]")
         if any(T1 <= T0 for T0, T1 in zip(self.horizons, self.horizons[1:])):
             raise ConfigError(f"horizons {self.horizons!r} must be strictly increasing")
+        if not 0 < self.fine_delta <= 1e-3:  # the limit draws' grid rule
+            raise ConfigError(f"fine_delta = {self.fine_delta!r} must be in (0, 1e-3]")
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -330,9 +343,18 @@ REP_FAILURES = (Ad1nError, np.linalg.LinAlgError)
 
 
 def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
-    """Simulate every replication of horizon ``h_idx`` side by side
-    (``simulate_paths``) and return ``keep(path)`` per replication, or None
-    where ``keep`` raises one of ``REP_FAILURES``."""
+    """Simulate every replication of horizon ``h_idx`` and return
+    ``keep(path)`` per replication, in seed order, or None where ``keep``
+    raises one of ``REP_FAILURES``.
+
+    Paths that ``simulate_paths`` runs side by side are simulated here.
+    Paths it runs one at a time (``batch_width`` 1) are simulated, with
+    ``_FORKS`` and more than one replication, in rounds of two forked
+    children (``_in_child``) of at most K paths each, where K paths' states
+    fit ``BATCH_BYTES``; each child sends its paths once all are simulated,
+    and ``keep`` runs here on each, so that every BLAS reduction stays in
+    this process."""
+    params = config.params
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
     M = config.replications
@@ -344,8 +366,24 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         except REP_FAILURES:
             return None
 
-    # map holds no path past its keep, so a batch is freed early
-    return list(map(kept, simulate_paths(config.params, T, delta, seeds)))
+    N = grid_steps(T, delta)
+    if not (_FORKS and M > 1 and batch_width(N) == 1):
+        # map holds no path past its keep, so a batch is freed early
+        return list(map(kept, simulate_paths(params, T, delta, seeds)))
+
+    def simulated(part):
+        return lambda: list(simulate_paths(params, T, delta, part))
+
+    K = max(1, BATCH_BYTES // (8 * (N + 1) * params.d))
+    out = []
+    for lo in range(0, M, 2 * K):
+        rnd = seeds[lo:lo + 2 * K]
+        mid = (len(rnd) + 1) // 2
+        with contextlib.ExitStack() as children:
+            joins = [children.enter_context(_in_child(simulated(half)))
+                     for half in (rnd[:mid], rnd[mid:]) if half]
+            out.extend(map(kept, itertools.chain.from_iterable(j() for j in joins)))
+    return out
 
 
 def _solve(blocks, flavor: str):
@@ -381,30 +419,35 @@ def _limit_phase(config: ExperimentConfig) -> list:
     return list(map(_limit_draw, paths, itertools.repeat(params)))
 
 
-#: whether ``_in_child`` forks: os.fork exists and the platform is Linux
-#: (macOS's Accelerate BLAS is not fork-safe)
-_FORKS = hasattr(os, "fork") and sys.platform.startswith("linux")
+#: whether ``_in_child`` forks: os.fork exists, the platform is Linux
+#: (macOS's Accelerate BLAS is not fork-safe) and a second CPU is usable
+_FORKS = (hasattr(os, "fork") and sys.platform.startswith("linux")
+          and len(os.sched_getaffinity(0)) >= 2)
 
 
 @contextlib.contextmanager
 def _in_child(fn):
     """Run ``fn()`` in a forked child beside the caller's block, which gets
-    a ``join()`` that returns the child's value or re-raises its exception.
+    a ``join()`` that iterates over the items of the child's value and then
+    re-raises the child's exception, if it raised.
 
-    The child sends ``(ok, value_or_exception)`` back through a pipe as one
-    pickle and always ends with ``os._exit``, so it never returns into the
-    caller's frames and never flushes the parent's stdio.  ``join()`` reads
-    the whole payload, then reaps the child; a child that died or sent
-    nothing is a ChildProcessError naming its exit status.  A child not yet
-    joined when the block exits, by an exception or otherwise, is killed
-    and reaped.  Without ``_FORKS``, ``fn()`` runs in-process on entry.
-    The parent may hold OpenBLAS worker threads: numpy's OpenBLAS stops its
-    pool at a fork (a ``pthread_atfork`` handler) and each process starts
-    it again when it next needs it.
+    The child sends one pickle per item of ``fn()``'s value through a pipe,
+    then one end mark that carries its exception (or None), and always ends
+    with ``os._exit``, so it never returns into the caller's frames and
+    never flushes the parent's stdio.  ``join()`` reads one item at a time,
+    so the parent never holds the whole payload; after the end mark it
+    reaps the child.  A child that died, or whose stream was cut short, is
+    a ChildProcessError naming its exit status, raised once the items it
+    sent are read, never a short sequence.  A child not yet joined when the
+    block exits, by an exception or otherwise, is killed and reaped.
+    Without ``_FORKS``, ``fn()`` runs in-process on entry.  The parent may
+    hold OpenBLAS worker threads: numpy's OpenBLAS stops its pool at a fork
+    (a ``pthread_atfork`` handler) and each process starts it again when it
+    next needs it.
     """
     if not _FORKS:
         value = fn()
-        yield lambda: value
+        yield lambda: iter(value)
         return
     r, w = os.pipe()
     try:
@@ -417,12 +460,15 @@ def _in_child(fn):
         code = 1
         try:
             os.close(r)
-            try:
-                payload = (True, fn())
-            except BaseException as exc:  # join() re-raises it in the parent
-                payload = (False, exc)
             with os.fdopen(w, "wb") as fh:
-                pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+                try:
+                    for item in fn():
+                        # pickled whole first, so that a failing item sends nothing
+                        fh.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
+                    end = None
+                except BaseException as exc:  # join() re-raises it in the parent
+                    end = exc
+                pickle.dump((False, end), fh, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -431,17 +477,25 @@ def _in_child(fn):
 
     def join():
         nonlocal running
+
+        def message(fh):
+            try:
+                return pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):  # the stream ends early
+                return None
+
+        sent = 0
         with os.fdopen(r, "rb", closefd=False) as fh:
-            data = fh.read()
+            while (msg := message(fh)) is not None and msg[0]:
+                sent += 1
+                yield msg[1]
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         running = False
-        if code != 0 or not data:
+        if code != 0 or msg is None:
             raise ChildProcessError(
-                f"forked child exited with status {code} after sending {len(data)} bytes")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
+                f"forked child exited with status {code} after sending {sent} items")
+        if msg[1] is not None:
+            raise msg[1]
 
     try:
         yield join
@@ -457,11 +511,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
 
     Deterministic given the configuration (including the master seed).
     """
-    # replications run one after another in this process, and a critical
-    # run's limit draws in one forked child beside them; threads=1 is still
-    # accepted because bench/worker.py passes it
+    # the parent keeps and solves the replications one after another; only
+    # the simulation of path-by-path horizons and a critical run's limit
+    # draws run in forked children (see the module docstring); threads=1 is
+    # still accepted because bench/worker.py passes it
     if threads != 1:
-        raise ConfigError("replications run sequentially; only threads=1 is accepted")
+        raise ConfigError("replications are kept and solved in one process; "
+                          "only threads=1 is accepted")
     cls = config.validate_for_limit_theorem()
     limits = contextlib.nullcontext()
     if config.regime == Regime.CRITICAL:
@@ -558,7 +614,7 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
         elif config.regime == Regime.CRITICAL:
             ks = [math.nan] * L
             if limit_draws is None:  # the first horizon's path and solve phases are done
-                limit_draws = join_limits()
+                limit_draws = list(join_limits())
                 limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
             if n_ok > 1 and limit_sample.size:
                 ks = [

@@ -199,7 +199,7 @@ def simulate_paths(
     if not 0 < delta <= horizon < math.inf:
         raise InvalidGridError(f"need 0 < delta <= horizon < inf, got {delta:g} and {horizon:g}")
 
-    N = int(math.floor(horizon / delta + 1e-9))
+    N = grid_steps(horizon, delta)
     n, d = params.n, params.d
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
     emb, a_t = cir_mean_coeffs(a, b, delta)
@@ -305,6 +305,11 @@ def simulate_paths(
     width = batch_width(N)
     for i in range(0, len(seeds), width):
         yield from run(seeds[i:i + width])
+
+
+def grid_steps(horizon: float, delta: float) -> int:
+    """Steps N of the grid k*delta, k = 0..N, that a path on [0, horizon] takes."""
+    return int(math.floor(horizon / delta + 1e-9))
 
 
 def batch_width(n_steps: int) -> int:

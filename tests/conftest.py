@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from ad1n import ModelParams
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps what it forks, whether it returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

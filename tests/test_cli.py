@@ -157,6 +157,17 @@ def test_decreasing_horizons_exit_code(tmp_path, capsys):
     assert err.startswith("error: horizons") and err.count("\n") == 1, err
 
 
+def test_fine_delta_out_of_range_exit_code(tmp_path, capsys):
+    # passed validation: a subcritical run ignored it, and a critical run
+    # raised in its limit-draw child after the first horizon's path and
+    # solve phases
+    f = tmp_path / "fine_delta.cfg"
+    f.write_text(EXP_CFG + "fine_delta = 0.01\n")
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fine_delta") and err.count("\n") == 1, err
+
+
 def test_bad_config_value_exit_code(tmp_path, capsys):
     f = tmp_path / "bad_value.cfg"
     f.write_text(EXP_CFG.replace("replications = 10", "replications = abc"))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import signal
@@ -66,14 +67,6 @@ replications = 1
 seed = 707
 flavor = discrete
 """
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Every run reaps what it forks, whether it returns or raises."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestStatsHelpers:
@@ -196,6 +189,20 @@ class TestConfigParsing:
         cfg = experiment_config_from_text(SUB_CFG + f"limit_draws = {draws}\n")
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("fine_delta", ["0.01", "0", "-0.001", "nan"])
+    def test_fine_delta_outside_its_range_fails_at_the_parent(self, monkeypatch, fine_delta):
+        # 0.01 used to pass validate() and fail only in the forked limit
+        # child, after the first horizon's path and solve phases
+        cfg = experiment_config_from_text(
+            _CRITICAL.replace("fine_delta = 0.001", f"fine_delta = {fine_delta}"))
+        with pytest.raises(ConfigError, match="fine_delta"):
+            cfg.validate()
+        seen = _count_children(monkeypatch)
+        monkeypatch.setattr(harness, "_path_phase", None)
+        with pytest.raises(ConfigError, match="fine_delta"):
+            run_experiment(cfg)
+        assert seen["started"] == 0
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -643,6 +650,160 @@ class TestLimitPhaseChild:
         with pytest.raises(LimitPhaseBug, match="in the parent"):
             run_experiment(self.CFG)
         assert time.monotonic() - start < 30  # killed, not waited for
+        assert _open_fds() == fds
+
+
+class PathPhaseBug(RuntimeError):
+    """An exception outside REP_FAILURES, raised in a path phase."""
+
+
+class _DiesWhenSent:
+    """An item whose pickling kills the process that sends it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _count_children(monkeypatch):
+    """Wrap harness._in_child; the returned dict counts the children started
+    and the most alive at once."""
+    seen = {"started": 0, "alive": 0, "most": 0}
+    in_child = harness._in_child
+
+    @contextlib.contextmanager
+    def counted(fn):
+        with in_child(fn) as join:
+            seen["started"] += 1
+            seen["alive"] += 1
+            seen["most"] = max(seen["most"], seen["alive"])
+            try:
+                yield join
+            finally:
+                seen["alive"] -= 1
+
+    monkeypatch.setattr(harness, "_in_child", counted)
+    return seen
+
+
+#: 25 replications of 20,000 steps: simulate_paths runs them one at a time,
+#: and 11 paths' states fit BATCH_BYTES, so the path phase forks a round of
+#: 11 + 11 paths and one of 2 + 1
+LONG_CFG = SUB_CFG.replace("horizons = 40", "horizons = 400").replace(
+    "replications = 24", "replications = 25")
+
+
+@pytest.mark.skipif(not harness._FORKS, reason="the path phases run in-process")
+class TestPathPhaseChildren:
+    """Path-by-path horizons are simulated in rounds of two forked children
+    while the parent keeps each path; the report is the in-process one, and
+    no child outlives the run, whether it returns or raises."""
+
+    CFG = experiment_config_from_text(LONG_CFG)
+
+    def test_shape_of_the_rounds(self):
+        N = simulate.grid_steps(400, 0.02)
+        assert N >= 18_602 and simulate.batch_width(N) == 1
+        assert simulate.BATCH_BYTES // (8 * (N + 1) * 2) == 11
+
+    def test_same_report_in_process(self, monkeypatch):
+        seen = _count_children(monkeypatch)
+        kept_by = []  # the process that keeps each path
+        design_blocks = harness.estimate.design_blocks
+        monkeypatch.setattr(harness.estimate, "design_blocks",
+                            lambda path: kept_by.append(os.getpid()) or design_blocks(path))
+        fds = _open_fds()
+        forked = run_experiment(self.CFG)
+        assert seen == {"started": 4, "alive": 0, "most": 2}
+        assert kept_by == [os.getpid()] * 25
+        assert _open_fds() == fds
+        monkeypatch.setattr(harness, "_FORKS", False)
+        alone = run_experiment(self.CFG)
+        assert seen["started"] == 4
+        assert alone.csv_text() == forked.csv_text()
+        assert alone.summary() == forked.summary()
+
+    def test_same_gap_report_in_process(self, monkeypatch):
+        # delta(T) = T^-1.1 gives 23,264 and 42,799 steps: one round each
+        cfg = experiment_config_from_text(
+            SUB_CFG.replace("delta = 0.02", "gamma = 1.1")
+            .replace("horizons = 40", "horizons = 120,160")
+            .replace("replications = 24", "replications = 5"))
+        seen = _count_children(monkeypatch)
+        forked = discrete_vs_continuous_gap(cfg)
+        assert seen["started"] == 4 and seen["most"] == 2
+        monkeypatch.setattr(harness, "_FORKS", False)
+        assert discrete_vs_continuous_gap(cfg).csv_text() == forked.csv_text()
+
+    def test_lockstep_phases_start_no_path_child(self, monkeypatch):
+        seen = _count_children(monkeypatch)
+        run_experiment(experiment_config_from_text(SUB_CFG))
+        assert seen["started"] == 0
+        run_experiment(experiment_config_from_text(_CRITICAL))
+        assert seen["started"] == 1  # the limit draws
+
+    def test_one_replication_runs_in_process(self, monkeypatch):
+        seen = _count_children(monkeypatch)
+        run_experiment(experiment_config_from_text(LONG_CFG.replace(
+            "replications = 25", "replications = 1")))
+        assert seen["started"] == 0
+
+    def test_failed_design_blocks_is_one_aborted_row(self, monkeypatch):
+        want = run_experiment(self.CFG).csv_text().splitlines()
+        _fail_call(monkeypatch, "design_blocks", 13, _raise_linalg)
+        got = run_experiment(self.CFG).csv_text().splitlines()
+        changed = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert len(got) == len(want) and changed == [14]
+        assert got[14].split(",")[:5] == ["estimate", "400", "13", "1", "0"]
+
+    def test_exception_reaches_the_caller_with_its_class(self, monkeypatch):
+        def boom(*args):
+            raise PathPhaseBug("in the child", os.getpid())
+
+        monkeypatch.setattr(harness, "simulate_paths", boom)
+        fds = _open_fds()
+        with pytest.raises(PathPhaseBug, match="in the child") as info:
+            run_experiment(self.CFG)
+        assert info.value.args[1] != os.getpid()
+        assert _open_fds() == fds
+
+    def test_child_killed_mid_stream_makes_the_run_raise(self, monkeypatch):
+        simulate_paths = harness.simulate_paths
+        kept = []
+
+        def dying(*args):
+            return [next(simulate_paths(*args)), _DiesWhenSent()]
+
+        design_blocks = harness.estimate.design_blocks
+        monkeypatch.setattr(harness, "simulate_paths", dying)
+        monkeypatch.setattr(harness.estimate, "design_blocks",
+                            lambda path: kept.append(path) or design_blocks(path))
+        fds = _open_fds()
+        with pytest.raises(ChildProcessError,
+                           match=f"status {-signal.SIGKILL} after sending 1 items"):
+            run_experiment(self.CFG)
+        assert len(kept) == 1
+        assert _open_fds() == fds
+
+    def test_failing_keep_kills_the_round(self, monkeypatch):
+        simulate_paths = harness.simulate_paths
+        first = simulate.substream(self.CFG.seed, 0)
+
+        def slow_second_half(params, T, delta, seeds):
+            if seeds[0] != first:
+                time.sleep(60)
+            return simulate_paths(params, T, delta, seeds)
+
+        def keep_bug(path):
+            raise PathPhaseBug("in the parent", os.getpid())
+
+        monkeypatch.setattr(harness, "simulate_paths", slow_second_half)
+        monkeypatch.setattr(harness.estimate, "design_blocks", keep_bug)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(PathPhaseBug, match="in the parent") as info:
+            run_experiment(self.CFG)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert info.value.args[1] == os.getpid()
         assert _open_fds() == fds
 
 
