@@ -34,21 +34,25 @@ process simulated ``limit_draws`` times and each path's limit functional
 drawn.  It is independent of the estimation paths, so it runs in a child
 forked before the first horizon's path phase, on another core, and the
 parent joins it where the KS check first needs its sample (``_in_child``:
-the child sends its draws back one pickle each, its exception is re-raised
+the child sends its draws back as one pickle, its exception is re-raised
 in the parent, and a child that dies makes the run raise).  A path phase
 whose paths ``simulate_paths`` runs one at a time (``batch_width`` 1, as
 for 25,000-step horizons) simulates them in forked children too: in
-rounds of two children, each holding at most the paths whose states fit
+rounds of two children, each simulating at most the paths whose states fit
 ``simulate.BATCH_BYTES``, so at most two path children are alive at once.
-A child only simulates and sends its paths back; the parent runs ``keep``
-(the design blocks) on each, in seed order.  Every threaded
-``left_point_sums`` reduction stays in the parent, so its OpenBLAS thread
-count, and with it every bit, is what it is in-process, and no two
-OpenBLAS pools spin against each other (children that reduced their own
-paths made a 16-path run slower than in-process on 2 vCPUs).  Path phases
-that run side by side stay in-process.  Forks are used on Linux only, since
-macOS's Accelerate BLAS is not fork-safe, and only where a second CPU is
-usable; elsewhere everything runs in-process at the same points.
+A child writes each path's states into its slot of the round's anonymous
+shared mapping and sends back only its end mark.  Once both children are
+joined, the parent runs ``keep`` (the design blocks) on each path, in seed
+order, and then releases its slot's pages, so that it holds about one
+slot at a time.  Every threaded ``left_point_sums`` reduction stays in the
+parent, so its OpenBLAS thread count, and with it every bit, is what it is
+in-process; and none runs beside a simulating child, since numpy's
+OpenBLAS worker spins a core for about 120 ms after each reduction
+(children that reduced their own paths made a 16-path run slower than
+in-process on 2 vCPUs).  Path phases that run side by side stay
+in-process.  Forks are used on Linux only, since macOS's Accelerate BLAS is
+not fork-safe, and only where a second CPU is usable; elsewhere everything
+runs in-process at the same points.
 A critical limit draw whose limit functional is singular has a row with
 aborted=1, is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
@@ -81,10 +85,12 @@ listing every violation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -106,6 +112,7 @@ from .simulate import (  # noqa: F401
     BATCH_BYTES,
     batch_width,
     grid_steps,
+    path_maker,
     simulate_critical_limit,
     simulate_critical_limits,
     simulate_path,
@@ -171,6 +178,10 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return f"{float(v):.17g}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -320,7 +331,10 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
-        csv_hash = hashlib.sha256(self.csv_text().encode()).hexdigest()
+        return self._summary(self.csv_text())
+
+    def _summary(self, csv: str) -> dict:
+        """The summary of a report whose CSV text is ``csv``."""
         return {
             "package_version": __version__,
             "config_digest": self.config_digest,
@@ -334,7 +348,7 @@ class ExperimentReport:
             "per_horizon": self.per_horizon,
             "checks": {k: bool(v) for k, v in self.checks.items()},
             "passed": self.passed,
-            "csv_sha256": csv_hash,
+            "csv_sha256": _sha256(csv),
         }
 
 
@@ -351,9 +365,15 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
     Paths it runs one at a time (``batch_width`` 1) are simulated, with
     ``_FORKS`` and more than one replication, in rounds of two forked
     children (``_in_child``) of at most K paths each, where K paths' states
-    fit ``BATCH_BYTES``; each child sends its paths once all are simulated,
-    and ``keep`` runs here on each, so that every BLAS reduction stays in
-    this process."""
+    fit ``BATCH_BYTES``.  A round's states go through one anonymous shared
+    mapping with a page-aligned slot per seed: a child copies each path's
+    states into its slot as soon as the path is simulated and sends back
+    only its end mark.  Once both children are joined, ``keep`` runs here
+    on each path, rebuilt around its slot by ``simulate.path_maker``, so
+    that every BLAS reduction stays in this process and none runs beside a
+    child; once ``keep`` returns or raises, the slot's pages are released.
+    A kept Path's states are a view of the mapping that holds it open, so
+    a Path that outlives its ``keep`` (in a traceback, say) stays valid."""
     params = config.params
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
@@ -371,18 +391,43 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         # map holds no path past its keep, so a batch is freed early
         return list(map(kept, simulate_paths(params, T, delta, seeds)))
 
-    def simulated(part):
-        return lambda: list(simulate_paths(params, T, delta, part))
+    d = params.d
+    K = max(1, BATCH_BYTES // (8 * (N + 1) * d))
+    slot = -(-8 * (N + 1) * d // mmap.PAGESIZE) * mmap.PAGESIZE
+    new_path = path_maker(params, T, delta)
 
-    K = max(1, BATCH_BYTES // (8 * (N + 1) * params.d))
+    def states(mm, i):
+        # frombuffer holds a buffer export, so the mapping cannot be closed
+        # under a live view (np.ndarray(buffer=mm) would let it be)
+        return np.frombuffer(mm, count=(N + 1) * d, offset=i * slot).reshape(N + 1, d)
+
+    def fill(mm, first, part):
+        """In a child: copy each path of ``part`` into its slot as soon as
+        it is simulated."""
+        for i, path in enumerate(simulate_paths(params, T, delta, part), first):
+            states(mm, i)[:] = path.states
+            del path  # not held while the next path is simulated
+
     out = []
     for lo in range(0, M, 2 * K):
         rnd = seeds[lo:lo + 2 * K]
         mid = (len(rnd) + 1) // 2
-        with contextlib.ExitStack() as children:
-            joins = [children.enter_context(_in_child(simulated(half)))
-                     for half in (rnd[:mid], rnd[mid:]) if half]
-            out.extend(map(kept, itertools.chain.from_iterable(j() for j in joins)))
+        mm = mmap.mmap(-1, len(rnd) * slot)  # MAP_SHARED: the children write here
+        try:
+            with contextlib.ExitStack() as children:
+                joins = [children.enter_context(_in_child(functools.partial(fill, mm, i, part)))
+                         for i, part in ((0, rnd[:mid]), (mid, rnd[mid:])) if part]
+                for join in joins:
+                    join()
+            for i, seed in enumerate(rnd):
+                try:
+                    out.append(kept(new_path(seed, states(mm, i))))
+                finally:
+                    mm.madvise(mmap.MADV_DONTNEED, i * slot, slot)
+        finally:
+            # a live view refuses the close; the mapping goes with the view
+            with contextlib.suppress(BufferError):
+                mm.close()
     return out
 
 
@@ -428,26 +473,22 @@ _FORKS = (hasattr(os, "fork") and sys.platform.startswith("linux")
 @contextlib.contextmanager
 def _in_child(fn):
     """Run ``fn()`` in a forked child beside the caller's block, which gets
-    a ``join()`` that iterates over the items of the child's value and then
-    re-raises the child's exception, if it raised.
+    a ``join()`` that returns the child's value or re-raises its exception.
 
-    The child sends one pickle per item of ``fn()``'s value through a pipe,
-    then one end mark that carries its exception (or None), and always ends
-    with ``os._exit``, so it never returns into the caller's frames and
-    never flushes the parent's stdio.  ``join()`` reads one item at a time,
-    so the parent never holds the whole payload; after the end mark it
-    reaps the child.  A child that died, or whose stream was cut short, is
-    a ChildProcessError naming its exit status, raised once the items it
-    sent are read, never a short sequence.  A child not yet joined when the
-    block exits, by an exception or otherwise, is killed and reaped.
-    Without ``_FORKS``, ``fn()`` runs in-process on entry.  The parent may
-    hold OpenBLAS worker threads: numpy's OpenBLAS stops its pool at a fork
-    (a ``pthread_atfork`` handler) and each process starts it again when it
-    next needs it.
+    The child sends ``(ok, value_or_exception)`` back through a pipe as one
+    pickle and always ends with ``os._exit``, so it never returns into the
+    caller's frames and never flushes the parent's stdio.  ``join()`` reads
+    the whole payload, then reaps the child; a child that died or sent
+    nothing is a ChildProcessError naming its exit status.  A child not yet
+    joined when the block exits, by an exception or otherwise, is killed
+    and reaped.  Without ``_FORKS``, ``fn()`` runs in-process on entry.
+    The parent may hold OpenBLAS worker threads: numpy's OpenBLAS stops its
+    pool at a fork (a ``pthread_atfork`` handler) and each process starts
+    it again when it next needs it.
     """
     if not _FORKS:
         value = fn()
-        yield lambda: iter(value)
+        yield lambda: value
         return
     r, w = os.pipe()
     try:
@@ -460,15 +501,12 @@ def _in_child(fn):
         code = 1
         try:
             os.close(r)
+            try:
+                payload = (True, fn())
+            except BaseException as exc:  # join() re-raises it in the parent
+                payload = (False, exc)
             with os.fdopen(w, "wb") as fh:
-                try:
-                    for item in fn():
-                        # pickled whole first, so that a failing item sends nothing
-                        fh.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
-                    end = None
-                except BaseException as exc:  # join() re-raises it in the parent
-                    end = exc
-                pickle.dump((False, end), fh, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -477,25 +515,17 @@ def _in_child(fn):
 
     def join():
         nonlocal running
-
-        def message(fh):
-            try:
-                return pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError):  # the stream ends early
-                return None
-
-        sent = 0
         with os.fdopen(r, "rb", closefd=False) as fh:
-            while (msg := message(fh)) is not None and msg[0]:
-                sent += 1
-                yield msg[1]
+            data = fh.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         running = False
-        if code != 0 or msg is None:
+        if code != 0 or not data:
             raise ChildProcessError(
-                f"forked child exited with status {code} after sending {sent} items")
-        if msg[1] is not None:
-            raise msg[1]
+                f"forked child exited with status {code} after sending {len(data)} bytes")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
 
     try:
         yield join
@@ -614,7 +644,7 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
         elif config.regime == Regime.CRITICAL:
             ks = [math.nan] * L
             if limit_draws is None:  # the first horizon's path and solve phases are done
-                limit_draws = list(join_limits())
+                limit_draws = join_limits()
                 limit_sample = np.array([v for v in limit_draws if v is not None]).reshape(-1, L)
             if n_ok > 1 and limit_sample.size:
                 ks = [
@@ -694,6 +724,10 @@ class GapReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
+        return self._summary(self.csv_text())
+
+    def _summary(self, csv: str) -> dict:
+        """The summary of a report whose CSV text is ``csv``."""
         return {
             "package_version": __version__,
             "config_digest": self.config_digest,
@@ -704,7 +738,7 @@ class GapReport:
             "median_gap": [float(v) for v in self.medians],
             "median_ratios": [float(v) for v in self.ratios],
             "decreasing": self.decreasing,
-            "csv_sha256": hashlib.sha256(self.csv_text().encode()).hexdigest(),
+            "csv_sha256": _sha256(csv),
         }
 
 
@@ -842,13 +876,15 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def write_report(report, out_dir: str, stem: str = "experiment") -> dict:
-    """Write the per-replication CSV and the JSON summary; returns paths."""
+    """Write the per-replication CSV and the JSON summary; returns paths.
+    The CSV is rendered once, for the file and for the summary's hash."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     json_path = os.path.join(out_dir, f"{stem}.json")
+    csv = report.csv_text()
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.csv_text())
+        fh.write(csv)
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary(), fh, indent=2, sort_keys=True)
+        json.dump(report._summary(csv), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return {"csv": csv_path, "json": json_path}

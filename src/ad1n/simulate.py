@@ -217,9 +217,7 @@ def simulate_paths(
         eth, mt0, kt0 = float(emth[0, 0]), float(m_t[0]), float(k_t[0])
         rj1, rjj = float(params.rho_J1[0]), float(params.rho_JJ[0, 0])
     rho_JJ = params.rho_JJ
-    times = np.arange(N + 1) * delta
-    times.flags.writeable = False  # one grid shared by every path
-    params_hash = params.digest()
+    new_path = path_maker(params, horizon, delta)
 
     def y_blocks(Y, rngs):
         """Fill Y[1:] of a batch, time-major (N+1, B): each path draws its N
@@ -298,8 +296,7 @@ def simulate_paths(
         if df >= 1.0:
             y_blocks(Y, rngs)
         for j, rng in enumerate(rngs):
-            yield Path(delta=float(delta), times=times, states=finish(Y[:, j], rng),
-                       seed=batch[j], params_hash=params_hash)
+            yield new_path(batch[j], finish(Y[:, j], rng))
 
     seeds = list(seeds)
     width = batch_width(N)
@@ -310,6 +307,21 @@ def simulate_paths(
 def grid_steps(horizon: float, delta: float) -> int:
     """Steps N of the grid k*delta, k = 0..N, that a path on [0, horizon] takes."""
     return int(math.floor(horizon / delta + 1e-9))
+
+
+def path_maker(params: ModelParams, horizon: float, delta: float):
+    """``new_path(seed, states)``: the Path that ``simulate_paths(params,
+    horizon, delta, ...)`` yields for ``seed``, around (N+1, d) ``states``.
+    The paths of one maker share one read-only time grid."""
+    times = np.arange(grid_steps(horizon, delta) + 1) * delta
+    times.flags.writeable = False
+    params_hash = params.digest()
+
+    def new_path(seed, states: np.ndarray) -> Path:
+        return Path(delta=float(delta), times=times, states=states, seed=seed,
+                    params_hash=params_hash)
+
+    return new_path
 
 
 def batch_width(n_steps: int) -> int:

@@ -425,6 +425,27 @@ class TestRunExperiment:
         with open(paths["csv"]) as fh:
             assert fh.read() == rep.csv_text()
 
+    @pytest.mark.parametrize("kind", ["experiment", "gap"])
+    def test_report_renders_its_csv_once(self, kind, tmp_path, monkeypatch):
+        if kind == "experiment":
+            rep = run_experiment(experiment_config_from_text(SUB_CFG))
+        else:
+            rep = discrete_vs_continuous_gap(experiment_config_from_text(
+                SUB_CFG.replace("delta = 0.02", "gamma = 1.1")
+                .replace("horizons = 40", "horizons = 16,32")
+                .replace("replications = 24", "replications = 4")))
+        csv, summary = rep.csv_text(), rep.summary()
+        renders = []
+        csv_text = type(rep).csv_text
+        monkeypatch.setattr(type(rep), "csv_text",
+                            lambda self: renders.append(1) or csv_text(self))
+        paths = write_report(rep, str(tmp_path), stem=kind)
+        assert len(renders) == 1
+        with open(paths["csv"], encoding="utf-8") as fh:
+            assert fh.read() == csv
+        with open(paths["json"], encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
     def test_critical_run_includes_limit_rows(self):
         text = """
 n = 1
@@ -657,13 +678,6 @@ class PathPhaseBug(RuntimeError):
     """An exception outside REP_FAILURES, raised in a path phase."""
 
 
-class _DiesWhenSent:
-    """An item whose pickling kills the process that sends it."""
-
-    def __reduce__(self):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _count_children(monkeypatch):
     """Wrap harness._in_child; the returned dict counts the children started
     and the most alive at once."""
@@ -766,45 +780,146 @@ class TestPathPhaseChildren:
         assert info.value.args[1] != os.getpid()
         assert _open_fds() == fds
 
-    def test_child_killed_mid_stream_makes_the_run_raise(self, monkeypatch):
+    def test_child_killed_during_simulation_makes_the_run_raise(self, monkeypatch):
         simulate_paths = harness.simulate_paths
+        first = simulate.substream(self.CFG.seed, 0)
         kept = []
 
-        def dying(*args):
-            return [next(simulate_paths(*args)), _DiesWhenSent()]
+        def second_half_dies(params, T, delta, seeds):
+            paths = simulate_paths(params, T, delta, seeds)
+            if seeds[0] == first:
+                yield from paths
+                return
+            yield next(paths)
+            os.kill(os.getpid(), signal.SIGKILL)
 
         design_blocks = harness.estimate.design_blocks
-        monkeypatch.setattr(harness, "simulate_paths", dying)
+        monkeypatch.setattr(harness, "simulate_paths", second_half_dies)
         monkeypatch.setattr(harness.estimate, "design_blocks",
                             lambda path: kept.append(path) or design_blocks(path))
         fds = _open_fds()
-        with pytest.raises(ChildProcessError,
-                           match=f"status {-signal.SIGKILL} after sending 1 items"):
+        with pytest.raises(ChildProcessError, match=f"status {-signal.SIGKILL} "):
             run_experiment(self.CFG)
-        assert len(kept) == 1
+        assert kept == []  # no path is kept before every child of its round is joined
         assert _open_fds() == fds
 
-    def test_failing_keep_kills_the_round(self, monkeypatch):
+    def test_child_error_kills_its_sibling(self, monkeypatch):
         simulate_paths = harness.simulate_paths
         first = simulate.substream(self.CFG.seed, 0)
 
-        def slow_second_half(params, T, delta, seeds):
-            if seeds[0] != first:
-                time.sleep(60)
+        def failing_first_half(params, T, delta, seeds):
+            if seeds[0] == first:
+                raise PathPhaseBug("in the child", os.getpid())
+            time.sleep(60)
             return simulate_paths(params, T, delta, seeds)
 
+        monkeypatch.setattr(harness, "simulate_paths", failing_first_half)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(PathPhaseBug, match="in the child") as info:
+            run_experiment(self.CFG)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert info.value.args[1] != os.getpid()
+        assert _open_fds() == fds
+
+    def test_failing_keep_reaches_the_caller_with_its_class(self, monkeypatch):
+        # the failing keep's frame still holds its Path, a view of the
+        # round's mapping, so closing the mapping must not raise over it
         def keep_bug(path):
             raise PathPhaseBug("in the parent", os.getpid())
 
-        monkeypatch.setattr(harness, "simulate_paths", slow_second_half)
         monkeypatch.setattr(harness.estimate, "design_blocks", keep_bug)
-        fds = _open_fds()
-        start = time.monotonic()
         with pytest.raises(PathPhaseBug, match="in the parent") as info:
             run_experiment(self.CFG)
-        assert time.monotonic() - start < 30  # killed, not waited for
         assert info.value.args[1] == os.getpid()
-        assert _open_fds() == fds
+        assert info.value.__context__ is None
+
+    def test_kept_paths_equal_the_in_process_paths(self, monkeypatch):
+        seen = []
+        design_blocks = harness.estimate.design_blocks
+
+        def recording(path):
+            seen.append((path.delta, path.times.copy(), path.times.flags.writeable,
+                         path.states.copy(), path.seed, path.params_hash))
+            return design_blocks(path)
+
+        monkeypatch.setattr(harness.estimate, "design_blocks", recording)
+        run_experiment(self.CFG)
+        cfg = self.CFG
+        seeds = [simulate.substream(cfg.seed, r) for r in range(cfg.replications)]
+        assert [s[4] for s in seen] == seeds
+        for got, path in zip(seen, simulate.simulate_paths(cfg.params, 400.0, 0.02, seeds)):
+            delta, times, writeable, states, seed, params_hash = got
+            assert delta == path.delta and seed == path.seed
+            assert params_hash == path.params_hash
+            assert not writeable and np.array_equal(times, path.times)
+            assert states.shape == path.states.shape
+            assert np.array_equal(states, path.states)
+
+    def test_parent_holds_one_slot_at_a_time(self):
+        # 16 paths of 25,000 steps are one round of 8 + 8; a parent that kept
+        # every slot's pages until the round ended would grow by 16 slots.
+        # The peak is VmHWM, the high-water mark behind ru_maxrss: a process
+        # started by this one inherits this one's ru_maxrss across exec
+        code = (
+            "import mmap, sys, ad1n\n"
+            "text = sys.stdin.read()\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return 1024 * int(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
+            "# a two-path round first: lazy imports, OpenBLAS's buffers, the grid\n"
+            "ad1n.run_experiment(ad1n.experiment_config_from_text(\n"
+            "    text.replace('replications = 16', 'replications = 2')))\n"
+            "before = peak()\n"
+            "ad1n.run_experiment(ad1n.experiment_config_from_text(text))\n"
+            "slot = -(-8 * 25_001 * 2 // mmap.PAGESIZE) * mmap.PAGESIZE\n"
+            "print(peak() - before, slot)\n"
+        )
+        import ad1n
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        text = SUB_CFG.replace("horizons = 40", "horizons = 500").replace(
+            "replications = 24", "replications = 16")
+        out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        grown, slot = map(int, out.stdout.split())
+        assert grown < 2 * slot
+
+    def test_no_mapping_outlives_the_run(self, monkeypatch):
+        run_experiment(self.CFG)  # OpenBLAS's threads and lazy imports map their pages
+        maps = _mapped_regions()
+        run_experiment(self.CFG)
+        assert _mapped_regions() == maps
+
+        def boom(*args):
+            raise PathPhaseBug("in the child")
+
+        simulate_paths = harness.simulate_paths
+        monkeypatch.setattr(harness, "simulate_paths", boom)
+        with pytest.raises(PathPhaseBug) as info:
+            run_experiment(self.CFG)
+        # info holds the traceback, and with it the path phase's frame
+        assert info.traceback and _mapped_regions() == maps
+        monkeypatch.setattr(harness, "simulate_paths", simulate_paths)
+
+        def keep_bug(path):
+            raise PathPhaseBug("in the parent")
+
+        monkeypatch.setattr(harness.estimate, "design_blocks", keep_bug)
+        try:
+            run_experiment(self.CFG)
+        except PathPhaseBug:
+            pass
+        # the failing keep's Path held the mapping until the exception was dropped
+        assert _mapped_regions() == maps
+
+
+def _mapped_regions():
+    with open("/proc/self/maps") as fh:
+        return len(fh.readlines())
 
 
 #: two inadmissible models: rho not lower triangular, and a negative

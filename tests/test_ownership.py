@@ -7,8 +7,9 @@ augmented-block integrals of the one-step map are called only inside
 the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
 ``ModelParams`` constructor calls ``validate``, and scipy is imported only
-by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, and a process
-is forked only by ``harness._in_child``.  A second copy fails here."""
+by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, a process
+is forked only by ``harness._in_child``, and a shared mapping is made only
+by ``harness._path_phase``.  A second copy fails here."""
 
 import ast
 import pathlib
@@ -117,26 +118,41 @@ def test_scipy_is_reached_only_through_scipy_call():
         assert {id(node) for node in ast.walk(tree) if _imports_scipy(node)} <= owned, name
 
 
-def _forks(node):
-    # os.fork(...), or fork(...) after "from os import fork"
-    if not isinstance(node, ast.Call):
-        return False
-    f = node.func
-    return (isinstance(f, ast.Name) and f.id == "fork") or (
-        isinstance(f, ast.Attribute) and f.attr == "fork"
-        and isinstance(f.value, ast.Name) and f.value.id == "os")
+def _calls(module, name):
+    """Whether a node calls module.name(...), or name(...) after
+    "from module import name"."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == name) or (
+            isinstance(f, ast.Attribute) and f.attr == name
+            and isinstance(f.value, ast.Name) and f.value.id == module)
+    return match
+
+
+def _assert_only_in(function, calls):
+    """``calls`` nodes appear once, in ``harness.<function>``, and nowhere else."""
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        owned = set()
+        if name == "harness.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == function:
+                    owned |= {id(node) for node in ast.walk(fn) if calls(node)}
+            assert len(owned) == 1
+        assert {id(node) for node in ast.walk(tree) if calls(node)} <= owned, name
 
 
 def test_fork_lives_in_one_helper():
     # harness._in_child reaps its child, kills it when the caller raises and
     # never lets it return into the caller's frames; a second fork would
     # have to get all three right again
-    for name, text in _sources().items():
-        tree = ast.parse(text)
-        owned = set()
-        if name == "harness.py":
-            for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name == "_in_child":
-                    owned |= {id(node) for node in ast.walk(fn) if _forks(node)}
-            assert len(owned) == 1
-        assert {id(node) for node in ast.walk(tree) if _forks(node)} <= owned, name
+    _assert_only_in("_in_child", _calls("os", "fork"))
+
+
+def test_shared_mapping_lives_in_the_path_phase():
+    # harness._path_phase releases each slot's pages once its path is kept
+    # and closes the mapping whether the round returns or raises; a second
+    # mapping would have to get both right again
+    _assert_only_in("_path_phase", _calls("mmap", "mmap"))
