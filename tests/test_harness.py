@@ -104,11 +104,23 @@ SMALL_N1_RUNS = {
 }
 
 
+def _in_fresh_interpreter(code, text):
+    """Run ``code`` with config ``text`` on stdin in a fresh interpreter
+    that imports this ad1n; its standard output, split into words."""
+    import ad1n
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def _modules_after_small_run(text, statistic):
     """Import ad1n and run the experiment of config ``text`` in a fresh
     interpreter; the sorted names of the scipy modules loaded by then."""
-    import ad1n
-
     # a critical run's limit draws run in a forked child, whose imports
     # never reach this process's sys.modules: run them here too
     code = (
@@ -121,13 +133,7 @@ def _modules_after_small_run(text, statistic):
         "    assert all(d is not None for d in ad1n.harness._limit_phase(cfg))\n"
         "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
+    return _in_fresh_interpreter(code, text)
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_N1_RUNS))
@@ -875,17 +881,9 @@ class TestPathPhaseChildren:
             "slot = -(-8 * 25_001 * 2 // mmap.PAGESIZE) * mmap.PAGESIZE\n"
             "print(peak() - before, slot)\n"
         )
-        import ad1n
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ad1n.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         text = SUB_CFG.replace("horizons = 40", "horizons = 500").replace(
             "replications = 24", "replications = 16")
-        out = subprocess.run([sys.executable, "-c", code], input=text, env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        grown, slot = map(int, out.stdout.split())
+        grown, slot = map(int, _in_fresh_interpreter(code, text))
         assert grown < 2 * slot
 
     def test_no_mapping_outlives_the_run(self, monkeypatch):
