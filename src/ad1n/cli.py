@@ -13,9 +13,10 @@ All subcommands read the flat key = value config format documented in
 :mod:`ad1n.harness`; ``--seed`` overrides the config seed.  ``simulate``
 needs an explicit ``delta``.  Replications are estimated one after
 another in one process; on Linux with a second usable CPU, horizons whose
-paths are simulated one at a time are simulated in two forked children,
-and a critical run's limit draws in a third.  A bad input, or a file that
-cannot be read or written, prints one ``error:`` line and exits 2.
+paths are simulated one at a time are simulated by the process and one
+forked child at a time, and a critical run's limit draws in another
+child.  A bad input, or a file that cannot be read or written, prints
+one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations

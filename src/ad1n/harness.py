@@ -37,22 +37,22 @@ parent joins it where the KS check first needs its sample (``_in_child``:
 the child sends its draws back as one pickle, its exception is re-raised
 in the parent, and a child that dies makes the run raise).  A path phase
 whose paths ``simulate_paths`` runs one at a time (``batch_width`` 1, as
-for 25,000-step horizons) simulates them in forked children too: in
-rounds of two children, each simulating at most the paths whose states fit
-``simulate.BATCH_BYTES``, so at most two path children are alive at once.
-A child writes each path's states into its slot of the round's anonymous
-shared mapping and sends back only its end mark.  Once both children are
-joined, the parent runs ``keep`` (the design blocks) on each path, in seed
-order, and then releases its slot's pages, so that it holds about one
-slot at a time.  Every threaded ``left_point_sums`` reduction stays in the
-parent, so its OpenBLAS thread count, and with it every bit, is what it is
-in-process; and none runs beside a simulating child, since numpy's
-OpenBLAS worker spins a core for about 120 ms after each reduction
-(children that reduced their own paths made a 16-path run slower than
-in-process on 2 vCPUs).  Path phases that run side by side stay
-in-process.  Forks are used on Linux only, since macOS's Accelerate BLAS is
-not fork-safe, and only where a second CPU is usable; elsewhere everything
-runs in-process at the same points.
+for 25,000-step horizons) runs in rounds of at most twice the paths
+whose states fit ``simulate.BATCH_BYTES``, each simulated by the parent
+and one forked child side by side, so at most one path child is alive at
+a time.  Both take the round's seeds one at a time from one pipe, so the
+faster process takes more of them, and write each path's states into the
+round's memfd, which neither maps.  Once the child is joined, the parent
+reads each path back and runs ``keep`` (the design blocks) on it, in seed
+order, holding one path at a time.  Every threaded ``left_point_sums``
+reduction stays in the parent, so its OpenBLAS thread count, and with it
+every bit, is what it is in-process; and none runs beside a simulating
+process, since numpy's OpenBLAS worker spins a core for about 120 ms
+after each reduction (children that reduced their own paths made a
+16-path run slower than in-process on 2 vCPUs).  Path phases that run
+side by side stay in-process.  Forks are used on Linux only, since
+macOS's Accelerate BLAS is not fork-safe, and only where a second CPU is
+usable; elsewhere everything runs in-process at the same points.
 A critical limit draw whose limit functional is singular has a row with
 aborted=1, is left out of the KS sample, and ``limit_abort_rate`` bounds
 the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
@@ -90,7 +90,6 @@ import hashlib
 import itertools
 import json
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -363,17 +362,22 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
 
     Paths that ``simulate_paths`` runs side by side are simulated here.
     Paths it runs one at a time (``batch_width`` 1) are simulated, with
-    ``_FORKS`` and more than one replication, in rounds of two forked
-    children (``_in_child``) of at most K paths each, where K paths' states
-    fit ``BATCH_BYTES``.  A round's states go through one anonymous shared
-    mapping with a page-aligned slot per seed: a child copies each path's
-    states into its slot as soon as the path is simulated and sends back
-    only its end mark.  Once both children are joined, ``keep`` runs here
-    on each path, rebuilt around its slot by ``simulate.path_maker``, so
-    that every BLAS reduction stays in this process and none runs beside a
-    child; once ``keep`` returns or raises, the slot's pages are released.
-    A kept Path's states are a view of the mapping that holds it open, so
-    a Path that outlives its ``keep`` (in a traceback, say) stays valid."""
+    ``_FORKS`` and more than one replication, in rounds of at most 2K
+    seeds, where K paths' states fit ``BATCH_BYTES``: this process and one
+    forked child (``_in_child``) simulate a round side by side.  Before the
+    fork, the round's indices go into a pipe, 4 bytes each, whose write end
+    is then closed; each process reads one index at a time until the pipe
+    is empty, so the faster one takes more seeds.  Each writes a path's
+    states with ``os.pwrite`` at its index's offset in the round's memfd,
+    which no process maps, and the child returns the indices it wrote.
+    Once the child is joined and the two lists are found to cover the
+    round exactly once, ``keep`` runs here on each path in seed order, read
+    back with ``os.preadv`` into its own array and built by
+    ``simulate.path_maker``, so that every BLAS reduction stays in this
+    process and none runs beside a simulating one.  A write or read of
+    fewer bytes than a path's states raises ``OSError``; the memfd is not
+    sized in advance, so a slot left unwritten at its end reads short
+    rather than as zeros."""
     params = config.params
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
@@ -391,43 +395,56 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         # map holds no path past its keep, so a batch is freed early
         return list(map(kept, simulate_paths(params, T, delta, seeds)))
 
-    d = params.d
-    K = max(1, BATCH_BYTES // (8 * (N + 1) * d))
-    slot = -(-8 * (N + 1) * d // mmap.PAGESIZE) * mmap.PAGESIZE
+    shape = (N + 1, params.d)
+    size = 8 * shape[0] * shape[1]
+    K = max(1, BATCH_BYTES // size)
     new_path = path_maker(params, T, delta)
 
-    def states(mm, i):
-        # frombuffer holds a buffer export, so the mapping cannot be closed
-        # under a live view (np.ndarray(buffer=mm) would let it be)
-        return np.frombuffer(mm, count=(N + 1) * d, offset=i * slot).reshape(N + 1, d)
+    def share(queue, fd, rnd):
+        """Simulate the seeds of ``rnd`` whose indices this process takes
+        from ``queue``, write each path's states into ``fd`` and return the
+        indices written, in the order taken."""
+        def taken():
+            while index := os.read(queue, 4):
+                yield rnd[int.from_bytes(index, "little")]
 
-    def fill(mm, first, part):
-        """In a child: copy each path of ``part`` into its slot as soon as
-        it is simulated."""
-        for i, path in enumerate(simulate_paths(params, T, delta, part), first):
-            states(mm, i)[:] = path.states
+        slot = {seed: i for i, seed in enumerate(rnd)}
+        wrote = []
+        for path in simulate_paths(params, T, delta, taken()):
+            i = slot[path.seed]
+            n = os.pwrite(fd, path.states, i * size)
+            if n != size:
+                raise OSError(f"wrote {n} of {size} bytes of path {i}")
+            wrote.append(i)
             del path  # not held while the next path is simulated
+        return wrote
 
     out = []
     for lo in range(0, M, 2 * K):
         rnd = seeds[lo:lo + 2 * K]
-        mid = (len(rnd) + 1) // 2
-        mm = mmap.mmap(-1, len(rnd) * slot)  # MAP_SHARED: the children write here
+        fd = os.memfd_create("ad1n-paths")
         try:
-            with contextlib.ExitStack() as children:
-                joins = [children.enter_context(_in_child(functools.partial(fill, mm, i, part)))
-                         for i, part in ((0, rnd[:mid]), (mid, rnd[mid:])) if part]
-                for join in joins:
-                    join()
-            for i, seed in enumerate(rnd):
+            queue, w = os.pipe()
+            try:
                 try:
-                    out.append(kept(new_path(seed, states(mm, i))))
+                    os.write(w, np.arange(len(rnd), dtype="<u4").tobytes())
                 finally:
-                    mm.madvise(mmap.MADV_DONTNEED, i * slot, slot)
+                    os.close(w)  # the pipe reads empty once its indices are taken
+                with _in_child(functools.partial(share, queue, fd, rnd)) as join:
+                    wrote = share(queue, fd, rnd) + join()
+            finally:
+                os.close(queue)
+            if sorted(wrote) != list(range(len(rnd))):
+                raise ChildProcessError(
+                    f"a round of {len(rnd)} paths wrote indices {sorted(wrote)}")
+            for i, seed in enumerate(rnd):
+                states = np.empty(shape)
+                n = os.preadv(fd, [states], i * size)
+                if n != size:
+                    raise OSError(f"read {n} of {size} bytes of path {i}")
+                out.append(kept(new_path(seed, states)))
         finally:
-            # a live view refuses the close; the mapping goes with the view
-            with contextlib.suppress(BufferError):
-                mm.close()
+            os.close(fd)
     return out
 
 
@@ -481,7 +498,10 @@ def _in_child(fn):
     the whole payload, then reaps the child; a child that died or sent
     nothing is a ChildProcessError naming its exit status.  A child not yet
     joined when the block exits, by an exception or otherwise, is killed
-    and reaped.  Without ``_FORKS``, ``fn()`` runs in-process on entry.
+    and reaped.  The child inherits the caller's open file descriptors, so
+    it can work beside the block on what both reach through them (the path
+    phase's seed queue and memfd).  Without ``_FORKS``, ``fn()`` runs
+    in-process on entry.
     The parent may hold OpenBLAS worker threads: numpy's OpenBLAS stops its
     pool at a fork (a ``pthread_atfork`` handler) and each process starts
     it again when it next needs it.

@@ -360,14 +360,16 @@ def riccati_cf(params: ModelParams, lam: float, mu) -> complex:
     2 lam~_i in the coefficients, b for K near 0) adds ~ (h r)^5 e^{-r t},
     so it allows h = (c / r) e^{r t / 5}.  K starts at -lam and, while
     alpha K^2 dominates, decays like -L / (1 + alpha L t), L = max |lam|
-    over the batch, whose fifth derivative allows h = (c / (2 alpha L))
-    (1 + alpha L t)^{6/5}.  The step is the least of these and 1/b, with
+    over the batch's points with mu != 0, whose fifth derivative allows
+    h = (c / (2 alpha L)) (1 + alpha L t)^{6/5}.  The step is the least of these and 1/b, with
     c = 5e-3.  A call takes 1,400-3,200 steps whatever theta (2,606 for 20
     points at theta = 0.05, b = 1, against t* / 5e-3 = 144,175).  The
     result is within 2e-12 of a fixed step of 5e-4 at theta = 2, 0.2 and
-    0.05 and for n = 2, and the Gamma Laplace transform at mu = 0 holds to
-    rel 2e-10 for lam up to 50, also at theta = 20, b = 0.5.  Where the
-    transform is infinite (lam below -2b / sigma1^2) the result is nan.
+    0.05 and for n = 2.  A point with mu = 0 obeys the tail's ODE from
+    t = 0, so it takes no RK4 step: its integral is -log1p(alpha lam / b)
+    / alpha, the Gamma Laplace transform to rel 1e-13, and a batch of
+    such points builds no grid.  Where the transform is infinite (lam
+    below -2b / sigma1^2) the result is nan.
     A lam or mu that is not finite is an InvalidGridError, and a mu
     without one entry per X coordinate a DimensionMismatchError.
     """
@@ -390,6 +392,25 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(MU))):
         raise InvalidGridError("every lam and mu must be finite")
 
+    K = (-lams).astype(complex)  # K_0(u1, u2) = u1 = -lam
+    integral = np.zeros(B, dtype=complex)
+    # at mu = 0 the ODE is K' = alpha K^2 - b K from t = 0 on, so the
+    # tail's closed form below is the whole integral: no RK4 step
+    live = np.any(MU != 0.0, axis=0)
+    if np.any(live):
+        K[live], integral[live] = _riccati_rk4(params, K[live], MU[:, live])
+    # the tail's log runs along the segment 1 -> 1 - z, which meets the
+    # branch cut only where z >= 1 is real: there K blows up
+    alpha = 0.5 * params.sigma1 * params.sigma1
+    z = alpha * K / b
+    integral -= np.where((z.imag == 0) & (z.real >= 1), np.nan, np.log1p(-z)) / alpha
+    return np.exp(a * integral + 1j * (MU.T @ np.linalg.solve(params.theta, params.m)))
+
+
+def _riccati_rk4(params: ModelParams, K: np.ndarray, MU: np.ndarray):
+    """K(t*) and the integral of K over [0, t*] for the points with K(0) =
+    ``K`` and mu the columns of ``MU`` (n, B), by RK4 on one graded grid."""
+    b = float(params.b)
     frame = TildeFrame.from_params(params)
     s1 = params.sigma1
     # w(t) = e^{-t theta^T} mu = P^T (e^{-t lam} * v0), v0 = P^-T mu
@@ -408,11 +429,10 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
 
     alpha = 0.5 * s1 * s1
     t_star = math.log(1.0 / np.finfo(float).eps) / frame.lam[0]
-    times = _riccati_grid(frame.lam, b, alpha * np.max(np.abs(lams)), t_star)
+    times = _riccati_grid(frame.lam, b, alpha * np.max(np.abs(K.real)), t_star)
     steps = np.diff(times)
     nodes = np.sort(np.concatenate([times, times[:-1] + 0.5 * steps]))  # ends and midpoints
-    K = (-lams).astype(complex)  # K_0(u1, u2) = u1 = -lam
-    integral = np.zeros(B, dtype=complex)
+    integral = np.zeros(K.shape[0], dtype=complex)
     for j in range(0, steps.size, 4096):
         g, hc = coefficients(nodes[2 * j:2 * (j + 4096) + 1])
         for i, step in enumerate(steps[j:j + 4096]):
@@ -426,11 +446,7 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
             k4 = alpha * K4 * K4 - h1 * K4 + f1
             integral += (step / 6.0) * (K + 2.0 * K2 + 2.0 * K3 + K4)
             K += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # the tail's log runs along the segment 1 -> 1 - z, which meets the
-    # branch cut only where z >= 1 is real: there K blows up
-    z = alpha * K / b
-    integral -= np.where((z.imag == 0) & (z.real >= 1), np.nan, np.log1p(-z)) / alpha
-    return np.exp(a * integral + 1j * (MU.T @ np.linalg.solve(params.theta, params.m)))
+    return K, integral
 
 
 def _riccati_grid(lam_t, b: float, decay: float, t_star: float) -> np.ndarray:

@@ -46,7 +46,8 @@ above.
 
 :func:`simulate_paths` simulates many seeds at once, in batches of at
 most ``BATCH_PATHS`` paths whose Y rows, time-major (N+1, B), and one
-chunk of ``STREAM_CHUNK`` normal rows fit ``BATCH_BYTES``.  The step
+chunk of ``STREAM_CHUNK`` normal rows fit ``BATCH_BYTES``; it takes a
+batch's seeds from its iterable only when it starts that batch.  The step
 constants, the parameter digest and the time grid are computed once per
 call.  A batch of at least ``LOCKSTEP_MIN`` paths advances the Y
 recursion (df >= 1, any n) in lockstep: all its paths one grid step at a
@@ -81,6 +82,7 @@ of the whole block (``TestStreamInvariants`` pins this).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -193,7 +195,9 @@ def simulate_paths(
 
     Yields the paths in seed order; each is bit-equal to
     ``simulate_path(params, horizon, delta, seed)``.  The step constants
-    are computed once for all seeds.  ``_force_general`` runs n = 1 paths
+    are computed once for all seeds.  ``seeds`` is read one batch
+    (``batch_width``) at a time, as the batch starts, so a generator may
+    hand them out as they are needed.  ``_force_general`` runs n = 1 paths
     through the matrix X recursion (same output; tests compare the two).
     """
     if not 0 < delta <= horizon < math.inf:
@@ -298,10 +302,9 @@ def simulate_paths(
         for j, rng in enumerate(rngs):
             yield new_path(batch[j], finish(Y[:, j], rng))
 
-    seeds = list(seeds)
-    width = batch_width(N)
-    for i in range(0, len(seeds), width):
-        yield from run(seeds[i:i + width])
+    seeds, width = iter(seeds), batch_width(N)
+    while batch := list(itertools.islice(seeds, width)):
+        yield from run(batch)
 
 
 def grid_steps(horizon: float, delta: float) -> int:

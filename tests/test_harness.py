@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import signal
@@ -706,17 +707,18 @@ def _count_children(monkeypatch):
 
 
 #: 25 replications of 20,000 steps: simulate_paths runs them one at a time,
-#: and 11 paths' states fit BATCH_BYTES, so the path phase forks a round of
-#: 11 + 11 paths and one of 2 + 1
+#: and 11 paths' states fit BATCH_BYTES, so the path phase runs a round of
+#: 22 paths and one of 3, each with one forked child
 LONG_CFG = SUB_CFG.replace("horizons = 40", "horizons = 400").replace(
     "replications = 24", "replications = 25")
 
 
 @pytest.mark.skipif(not harness._FORKS, reason="the path phases run in-process")
 class TestPathPhaseChildren:
-    """Path-by-path horizons are simulated in rounds of two forked children
-    while the parent keeps each path; the report is the in-process one, and
-    no child outlives the run, whether it returns or raises."""
+    """Path-by-path horizons are simulated in rounds by the parent and one
+    forked child, which take seeds from one queue, and the parent keeps
+    each path; the report is the in-process one, every seed is simulated
+    once, and no child outlives the run, whether it returns or raises."""
 
     CFG = experiment_config_from_text(LONG_CFG)
 
@@ -725,20 +727,33 @@ class TestPathPhaseChildren:
         assert N >= 18_602 and simulate.batch_width(N) == 1
         assert simulate.BATCH_BYTES // (8 * (N + 1) * 2) == 11
 
-    def test_same_report_in_process(self, monkeypatch):
+    def test_same_report_in_process(self, monkeypatch, tmp_path):
         seen = _count_children(monkeypatch)
         kept_by = []  # the process that keeps each path
         design_blocks = harness.estimate.design_blocks
         monkeypatch.setattr(harness.estimate, "design_blocks",
                             lambda path: kept_by.append(os.getpid()) or design_blocks(path))
+        simulated = tmp_path / "simulated"  # "pid index" per path, from both processes
+        simulate_paths = harness.simulate_paths
+
+        def recording(*args):
+            for path in simulate_paths(*args):
+                with open(simulated, "a") as fh:
+                    fh.write(f"{os.getpid()} {path.seed[1]}\n")
+                yield path
+
+        monkeypatch.setattr(harness, "simulate_paths", recording)
         fds = _open_fds()
         forked = run_experiment(self.CFG)
-        assert seen == {"started": 4, "alive": 0, "most": 2}
+        assert seen == {"started": 2, "alive": 0, "most": 1}
         assert kept_by == [os.getpid()] * 25
         assert _open_fds() == fds
+        lines = [line.split() for line in simulated.read_text().splitlines()]
+        assert sorted(int(index) for _, index in lines) == list(range(25))
+        assert len({pid for pid, _ in lines}) <= 3  # the parent and a child per round
         monkeypatch.setattr(harness, "_FORKS", False)
         alone = run_experiment(self.CFG)
-        assert seen["started"] == 4
+        assert seen["started"] == 2
         assert alone.csv_text() == forked.csv_text()
         assert alone.summary() == forked.summary()
 
@@ -750,7 +765,7 @@ class TestPathPhaseChildren:
             .replace("replications = 24", "replications = 5"))
         seen = _count_children(monkeypatch)
         forked = discrete_vs_continuous_gap(cfg)
-        assert seen["started"] == 4 and seen["most"] == 2
+        assert seen["started"] == 2 and seen["most"] == 1
         monkeypatch.setattr(harness, "_FORKS", False)
         assert discrete_vs_continuous_gap(cfg).csv_text() == forked.csv_text()
 
@@ -776,61 +791,126 @@ class TestPathPhaseChildren:
         assert got[14].split(",")[:5] == ["estimate", "400", "13", "1", "0"]
 
     def test_exception_reaches_the_caller_with_its_class(self, monkeypatch):
-        def boom(*args):
-            raise PathPhaseBug("in the child", os.getpid())
+        # raised once in the child's share of a round and once in the parent's
+        parent = os.getpid()
+        simulate_paths = harness.simulate_paths
+        for where in ("child", "parent"):
+            def boom(*args):
+                if (os.getpid() == parent) == (where == "parent"):
+                    raise PathPhaseBug(f"in the {where}", os.getpid())
+                return simulate_paths(*args)
 
-        monkeypatch.setattr(harness, "simulate_paths", boom)
-        fds = _open_fds()
-        with pytest.raises(PathPhaseBug, match="in the child") as info:
-            run_experiment(self.CFG)
-        assert info.value.args[1] != os.getpid()
-        assert _open_fds() == fds
+            monkeypatch.setattr(harness, "simulate_paths", boom)
+            fds = _open_fds()
+            with pytest.raises(PathPhaseBug, match=f"in the {where}") as info:
+                run_experiment(self.CFG)
+            assert (info.value.args[1] == parent) == (where == "parent")
+            assert _open_fds() == fds
 
     def test_child_killed_during_simulation_makes_the_run_raise(self, monkeypatch):
+        # the seeds are a generator that reads the round's queue
+        parent = os.getpid()
         simulate_paths = harness.simulate_paths
-        first = simulate.substream(self.CFG.seed, 0)
         kept = []
 
-        def second_half_dies(params, T, delta, seeds):
+        def child_dies(params, T, delta, seeds):
             paths = simulate_paths(params, T, delta, seeds)
-            if seeds[0] == first:
+            if os.getpid() == parent:
                 yield from paths
                 return
-            yield next(paths)
+            yield from itertools.islice(paths, 1)
             os.kill(os.getpid(), signal.SIGKILL)
 
         design_blocks = harness.estimate.design_blocks
-        monkeypatch.setattr(harness, "simulate_paths", second_half_dies)
+        monkeypatch.setattr(harness, "simulate_paths", child_dies)
         monkeypatch.setattr(harness.estimate, "design_blocks",
                             lambda path: kept.append(path) or design_blocks(path))
         fds = _open_fds()
         with pytest.raises(ChildProcessError, match=f"status {-signal.SIGKILL} "):
             run_experiment(self.CFG)
-        assert kept == []  # no path is kept before every child of its round is joined
+        assert kept == []  # no path is kept before the round's child is joined
         assert _open_fds() == fds
 
-    def test_child_error_kills_its_sibling(self, monkeypatch):
+    def test_parent_error_kills_the_child(self, monkeypatch):
+        # the no_child_left fixture checks that the child is reaped
+        parent = os.getpid()
         simulate_paths = harness.simulate_paths
-        first = simulate.substream(self.CFG.seed, 0)
 
-        def failing_first_half(params, T, delta, seeds):
-            if seeds[0] == first:
-                raise PathPhaseBug("in the child", os.getpid())
+        def failing_parent_share(params, T, delta, seeds):
+            if os.getpid() == parent:
+                raise PathPhaseBug("in the parent", os.getpid())
             time.sleep(60)
             return simulate_paths(params, T, delta, seeds)
 
-        monkeypatch.setattr(harness, "simulate_paths", failing_first_half)
+        monkeypatch.setattr(harness, "simulate_paths", failing_parent_share)
         fds = _open_fds()
         start = time.monotonic()
-        with pytest.raises(PathPhaseBug, match="in the child") as info:
+        with pytest.raises(PathPhaseBug, match="in the parent") as info:
             run_experiment(self.CFG)
         assert time.monotonic() - start < 30  # killed, not waited for
-        assert info.value.args[1] != os.getpid()
+        assert info.value.args[1] == parent
         assert _open_fds() == fds
 
+    def _handover_fails(self, monkeypatch, error, match):
+        """Run with a broken handover: the run raises ``error`` and keeps
+        no path of the first round (so no row of zeros either)."""
+        kept = []
+        design_blocks = harness.estimate.design_blocks
+        monkeypatch.setattr(harness.estimate, "design_blocks",
+                            lambda path: kept.append(path) or design_blocks(path))
+        fds = _open_fds()
+        with pytest.raises(error, match=match):
+            run_experiment(self.CFG)
+        assert kept == []
+        assert _open_fds() == fds
+
+    def _fault_at_path(self, monkeypatch, fault):
+        """Let whichever process simulates replication 5, inside the first
+        round, hand back the paths ``fault(path)`` in its place."""
+        simulate_paths = harness.simulate_paths
+        fifth = simulate.substream(self.CFG.seed, 5)
+
+        def faulty(*args):
+            for path in simulate_paths(*args):
+                yield from fault(path) if path.seed == fifth else (path,)
+
+        monkeypatch.setattr(harness, "simulate_paths", faulty)
+
+    def test_skipped_path_makes_the_run_raise(self, monkeypatch):
+        # simulated but never written: the memfd keeps a hole there
+        self._fault_at_path(monkeypatch, lambda path: ())
+        self._handover_fails(monkeypatch, ChildProcessError,
+                             r"a round of 22 paths wrote indices \[0, 1, 2, 3, 4, 6, ")
+
+    def test_duplicated_index_makes_the_run_raise(self, monkeypatch):
+        self._fault_at_path(monkeypatch, lambda path: (path, path))
+        self._handover_fails(monkeypatch, ChildProcessError,
+                             r"a round of 22 paths wrote indices \[0, 1, 2, 3, 4, 5, 5, ")
+
+    def test_short_write_makes_the_run_raise(self, monkeypatch):
+        size = 8 * (simulate.grid_steps(400, 0.02) + 1) * 2
+        pwrite = os.pwrite
+
+        def short(fd, data, offset):  # the last float of path 5 is not written
+            return pwrite(fd, memoryview(data).cast("B")[:-8] if offset == 5 * size else data,
+                          offset)
+
+        monkeypatch.setattr(os, "pwrite", short)
+        self._handover_fails(monkeypatch, OSError, f"wrote {size - 8} of {size} bytes of path 5")
+
+    def test_short_read_makes_the_run_raise(self, monkeypatch):
+        size = 8 * (simulate.grid_steps(400, 0.02) + 1) * 2
+        preadv = os.preadv
+
+        def short(fd, buffers, offset):  # the last float of each path is not read
+            return preadv(fd, [memoryview(buffers[0]).cast("B")[:-8]], offset)
+
+        monkeypatch.setattr(os, "preadv", short)
+        self._handover_fails(monkeypatch, OSError, f"read {size - 8} of {size} bytes of path 0")
+
     def test_failing_keep_reaches_the_caller_with_its_class(self, monkeypatch):
-        # the failing keep's frame still holds its Path, a view of the
-        # round's mapping, so closing the mapping must not raise over it
+        # the failing keep's frame still holds its Path while the round's
+        # memfd is closed; nothing may raise over keep's own exception
         def keep_bug(path):
             raise PathPhaseBug("in the parent", os.getpid())
 
@@ -863,8 +943,8 @@ class TestPathPhaseChildren:
             assert np.array_equal(states, path.states)
 
     def test_parent_holds_one_slot_at_a_time(self):
-        # 16 paths of 25,000 steps are one round of 8 + 8; a parent that kept
-        # every slot's pages until the round ended would grow by 16 slots.
+        # 16 paths of 25,000 steps are one round; a parent that held every
+        # path it read back until the round ended would grow by 16 slots.
         # The peak is VmHWM, the high-water mark behind ru_maxrss: a process
         # started by this one inherits this one's ru_maxrss across exec
         code = (
@@ -911,7 +991,7 @@ class TestPathPhaseChildren:
             run_experiment(self.CFG)
         except PathPhaseBug:
             pass
-        # the failing keep's Path held the mapping until the exception was dropped
+        # nor once a failing keep's exception, which holds its Path, is dropped
         assert _mapped_regions() == maps
 
 

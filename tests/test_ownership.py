@@ -8,8 +8,8 @@ the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
 ``ModelParams`` constructor calls ``validate``, and scipy is imported only
 by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, a process
-is forked only by ``harness._in_child``, and a shared mapping is made only
-by ``harness._path_phase``.  A second copy fails here."""
+is forked only by ``harness._in_child``, and a memfd is made only by
+``harness._path_phase``.  A second copy fails here."""
 
 import ast
 import pathlib
@@ -151,8 +151,8 @@ def test_fork_lives_in_one_helper():
     _assert_only_in("_in_child", _calls("os", "fork"))
 
 
-def test_shared_mapping_lives_in_the_path_phase():
-    # harness._path_phase releases each slot's pages once its path is kept
-    # and closes the mapping whether the round returns or raises; a second
-    # mapping would have to get both right again
-    _assert_only_in("_path_phase", _calls("mmap", "mmap"))
+def test_memfd_lives_in_the_path_phase():
+    # harness._path_phase checks every write into and read out of a round's
+    # memfd and closes it whether the round returns or raises; a second
+    # memfd would have to get both right again
+    _assert_only_in("_path_phase", _calls("os", "memfd_create"))

@@ -392,6 +392,29 @@ class TestBatches:
         got = [p.states.tobytes() for p in simulate_paths(critical_params, 1.0, 0.02, seeds)]
         assert got == want
 
+    @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN + 2])
+    def test_seeds_are_read_one_batch_at_a_time(self, monkeypatch, critical_params, width):
+        # a generator that reads a queue feeds the forked path phase, so a
+        # batch may take only the seeds it simulates
+        steps = 50
+        fit = width if width > 1 else LOCKSTEP_MIN - 1
+        monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * fit * ((steps + 1) + steps))
+        assert batch_width(steps) == width
+        seeds = [substream(5, j) for j in range(2 * width + 1)]
+        handed = []
+
+        def queue():
+            for seed in seeds:
+                handed.append(seed)
+                yield seed
+
+        for k, path in enumerate(simulate_paths(critical_params, 1.0, 0.02, queue())):
+            assert path.seed == seeds[k]
+            assert len(handed) == min(len(seeds), (k // width + 1) * width)
+            want = simulate_path(critical_params, 1.0, 0.02, seeds[k])
+            assert path.states.tobytes() == want.states.tobytes()
+        assert k + 1 == len(handed) == len(seeds)
+
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
     def test_streamed_batch_paths_equal_single_paths(self, monkeypatch, name, n, force):
