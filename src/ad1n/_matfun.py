@@ -225,43 +225,50 @@ def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
     return expm(M)[:p, p:]
 
 
-#: nodes of the Gauss-Legendre rule for W at b = 0 and theta != 0
+#: nodes of the Gauss-Legendre rule for W at |b| h <= SMALL_BH
 GAUSS_LEGENDRE_ORDER = 40
+#: Largest |b| h at which a~, c and W take their phi1 forms; above it they
+#: keep their difference forms, whose last bits pinned digests hold at b = 1
+SMALL_BH = 1e-6
 
 
-def gauss_legendre_matrix_integral(f, h: float, p: int) -> np.ndarray:
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
-    u = 0.5 * h * (nodes + 1.0)
-    out = np.zeros((p, p))
-    for ui, wi in zip(u, weights):
-        out += wi * f(ui)
-    return 0.5 * h * out
+def phi1(z: float) -> float:
+    """(e^z - 1) / z, taken as 1 at z = 0."""
+    return math.expm1(z) / z if z != 0.0 else 1.0
 
 
 def step_integrals(b: float, theta, h: float):
     """(e^{-theta h}, K, M, EW): the integrals of the exact one-step map over
     h, with k~ = K kappa and m~ = M m - a EW kappa.  K = e^{-theta h} int_0^h
     e^{(theta - bI)u} du, M = int_0^h e^{-theta u} du, EW = e^{-theta h} W and
-    W = int_0^h g_b(u) e^{theta u} du with g_b(u) = int_0^u e^{-b(u-v)} dv."""
+    W = int_0^h g_b(u) e^{theta u} du with g_b(u) = int_0^u e^{-b(u-v)} dv.
+
+    Above |b| h = SMALL_BH, g_b(u) = (1 - e^{-bu}) / b gives W = (Phi(theta)
+    - Phi(theta - b I)) / b.  At or below it that difference keeps only
+    ~eps / (|b| h) relative accuracy (none at b = 0), and W is the
+    Gauss-Legendre rule on g_b(u) = u phi1(-bu)."""
     theta = np.atleast_2d(theta)
     n = theta.shape[0]
     emth = expm(-theta * h)
     shifted = expm_integral(theta - b * np.eye(n), h)
-    if b != 0.0:
-        # g_b(u) = (1 - e^{-bu})/b, so W = (Phi(theta) - Phi(theta - b I))/b
+    if abs(b) * h > SMALL_BH:
         W = (expm_integral(theta, h) - shifted) / b
-    elif np.allclose(theta, 0.0):
-        W = 0.5 * h * h * np.eye(n)
     else:
-        W = gauss_legendre_matrix_integral(lambda u: u * expm(theta * u), h, n)
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
+        W = np.zeros((n, n))
+        for u, w in zip(0.5 * h * (nodes + 1.0), weights):
+            W += w * (u * phi1(-b * u) * expm(theta * u))
+        W *= 0.5 * h
     return emth, emth @ shifted, expm_integral(-theta, h), emth @ W
 
 
 def cir_mean_coeffs(a: float, b: float, h: float):
     """Coefficients (e^{-bh}, a~) of the exact one-step conditional mean
-    E[Y_{t+h} | F_t] = e^{-bh} Y_t + a~, with a~ = a * int_0^h e^{-bu} du."""
+    E[Y_{t+h} | F_t] = e^{-bh} Y_t + a~, with a~ = a * int_0^h e^{-bu} du:
+    a (1 - e^{-bh}) / b above |b| h = SMALL_BH, and a h phi1(-bh) at or
+    below it, where 1 - e^{-bh} keeps only ~eps / (|b| h) accuracy."""
     emb = math.exp(-b * h)  # exactly 1 at b = 0
-    return emb, (a * (1.0 - emb) / b if b != 0.0 else a * h)
+    return emb, (a * (1.0 - emb) / b if abs(b) * h > SMALL_BH else a * h * phi1(-b * h))
 
 
 def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):

@@ -116,12 +116,9 @@ def extract_supercritical_limits(
 
     The tail criterion requires the relative change of e^{bt} Y_t and of
     every e^{lam_min t} X^i_t over the final TAIL_FRACTION of the horizon
-    to stay below TAIL_REL_TOL.
-
-    The Euler update of X carries a growth-rate bias of order
-    ||theta||^2 * delta / 2 per unit time, so the X criterion needs
-    delta small enough that this bias over the window stays below
-    TAIL_REL_TOL (Y uses exact transitions and has no such bias).
+    to stay below TAIL_REL_TOL.  Y takes exact transitions and X its exact
+    one-step conditional mean, so the step adds no growth-rate bias to
+    either tail.
     """
     b = float(params.b)
     lam_min = float(classification.eig_theta[0])

@@ -22,9 +22,12 @@ one ``error:`` line and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from .errors import Ad1nError, ConfigError
 from .harness import (
@@ -94,21 +97,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     path = read_path_csv(args.path)
     est = estimate_path(path, args.flavor)
-    _print_json(
-        {
-            "flavor": est.flavor,
-            "tau_hat": [float(v) for v in est.tau_hat],
-            "a": est.a,
-            "b": est.b,
-            "m": [float(v) for v in est.m],
-            "kappa": [float(v) for v in est.kappa],
-            "theta": [[float(v) for v in row] for row in est.theta],
-            "cond1": est.cond1,
-            "cond2": est.cond2,
-            "horizon": est.horizon,
-            "step": est.step,
-        }
-    )
+    _print_json({k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in dataclasses.asdict(est).items()})
     return 0
 
 

@@ -76,10 +76,10 @@ increasing, since the supercritical checks and the gap study compare
 consecutive horizons in the order given), delta or gamma (step rule
 delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]), replications,
 seed, flavor, fine_delta (in (0, 1e-3]), limit_draws, horizon (single-path
-commands).  Any other key, a value that does not parse or lies outside its
-range, or a vector or matrix whose shape does not fit n, is a
-``ConfigError`` naming the key; a model outside the admissible set is one
-listing every violation.
+commands).  Any other key, a key given on two lines, a value that does not
+parse or lies outside its range, or a vector or matrix whose shape does not
+fit n, is a ``ConfigError`` naming the key; a model outside the admissible
+set is one listing every violation.
 """
 
 from __future__ import annotations
@@ -817,10 +817,11 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def parse_config_text(text: str) -> dict:
     """Flat key = value lines into a raw string dict; a key outside the list
-    in the module docstring is a ConfigError."""
+    in the module docstring, or one given on two lines, is a ConfigError."""
     known = _MODEL_KEYS + ("regime", "horizons", "delta", "gamma", "replications", "seed",
                            "flavor", "fine_delta", "limit_draws", "horizon")
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -831,6 +832,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"key {key!r} is set on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -23,10 +23,10 @@ lower triangular with positive diagonal and theta real diagonalizable.
 Functions taking a ModelParams do not check this again.
 
 Regimes are classified from the sign of b and the spectrum of theta:
-subcritical when min(b, lambda_min(theta)) > 0, critical when the mean of
-Z grows polynomially, supercritical when it grows exponentially.  Matrices
-theta outside the positive definite / negative definite / zero trichotomy
-are reported as unsupported.
+subcritical when b > 0 and theta is positive definite, critical when the
+mean of Z grows polynomially, supercritical when it grows exponentially.
+Matrices theta outside the positive definite / negative definite / zero
+trichotomy are reported as unsupported.
 """
 
 from __future__ import annotations
@@ -257,29 +257,30 @@ class Classification:
 
 
 def classify(params: ModelParams) -> Classification:
-    """Assign the regime from b and the spectrum of theta.
+    """Assign the regime from b and the trichotomy of theta's spectrum.
 
-    theta must be diagonalizable with a real spectrum.  Combinations where
-    theta is neither positive definite, negative definite nor zero fall
-    outside the supported trichotomy and are returned as UNSUPPORTED.
+    theta must be diagonalizable with a real spectrum.  An eigenvalue
+    within EIG_ZERO_TOL * max(1, max|lambda|) of 0 is 0: LAPACK finds
+    eigenvalues only to about eps * ||theta||, so a smaller one's sign is
+    rounding.  SUBCRITICAL is b > 0 and positive definite theta; CRITICAL
+    b >= 0 and zero theta, or b = 0 and positive definite theta; every
+    other b with positive definite, negative definite or zero theta is
+    SUPERCRITICAL, and any other theta UNSUPPORTED.
     """
     w, _ = _try_real_eig(params.theta)
     b = float(params.b)
     scale = max(float(np.max(np.abs(w))) if w.size else 0.0, 1.0)
     zero_tol = EIG_ZERO_TOL * scale
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    pos_def = lam_min > zero_tol
-    neg_def = lam_max < -zero_tol
+    pos_def = float(w[0]) > zero_tol
+    neg_def = float(w[-1]) < -zero_tol
     zero = np.all(np.abs(w) <= zero_tol)
-    if not (pos_def or neg_def or zero):
-        return Classification(Regime.UNSUPPORTED, b, w)
-    if min(b, lam_min) > 0:
+    if b > 0 and pos_def:
         regime = Regime.SUBCRITICAL
     elif (b >= 0 and zero) or (b == 0 and pos_def):
         regime = Regime.CRITICAL
-    elif min(b, lam_max) < 0:
+    elif pos_def or neg_def or zero:
         regime = Regime.SUPERCRITICAL
-    else:  # pragma: no cover - unreachable for pd/nd/zero theta
+    else:
         regime = Regime.UNSUPPORTED
     return Classification(regime, b, w)
 

@@ -4,7 +4,9 @@ Y is advanced with its exact transition law: conditionally on Y_t, the value
 Y_{t+dt} is c times a noncentral chi-square with df = 4a/sigma_1^2 degrees
 of freedom and noncentrality Y_t * exp(-b*dt) / c, where
 
-    c = sigma_1^2 * (1 - exp(-b*dt)) / (4b)      (c = sigma_1^2*dt/4 at b=0).
+    c = sigma_1^2 * (1 - exp(-b*dt)) / (4b),
+
+or sigma_1^2*dt/4 * phi1(-b*dt) at |b|*dt <= ``_matfun.SMALL_BH``.
 
 For df >= 1 the draw is decomposed as chi2(df-1) + (Z + sqrt(ncp))^2, which
 lets the chi-square and normal variates be drawn in vectorized blocks ahead
@@ -92,7 +94,7 @@ import numpy as np
 # its ~40 ms out of the first simulated path
 import numpy.random  # noqa: F401
 
-from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
+from ._matfun import SMALL_BH, cir_mean_coeffs, one_step_conditional_mean_coeffs, phi1
 from .errors import DimensionMismatchError, InvalidGridError
 from .model import ModelParams, validate  # noqa: F401  (bench/spans.py rebinds it)
 
@@ -207,10 +209,10 @@ def simulate_paths(
     n, d = params.n, params.d
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
     emb, a_t = cir_mean_coeffs(a, b, delta)
-    if b != 0.0:  # CIR scale c
+    if abs(b) * delta > SMALL_BH:  # CIR scale c, as a~ in cir_mean_coeffs
         c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
     else:
-        c = sigma1 * sigma1 * delta / 4.0
+        c = sigma1 * sigma1 * delta / 4.0 * phi1(-b * delta)
     df = 4.0 * a / (sigma1 * sigma1)
     sq_delta = math.sqrt(delta)
     emth, m_t, k_t = one_step_conditional_mean_coeffs(
@@ -479,13 +481,9 @@ def write_path_csv(path: Path, csv_file: str, sidecar: dict | None = None) -> No
     the generating seed, step and parameter digest."""
     import json
 
-    n = path.n
-    header = ["t", "Y"] + [f"X{i + 1}" for i in range(n)]
-    with open(csv_file, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(path.states.shape[0]):
-            row = [f"{path.times[k]:.17g}"] + [f"{v:.17g}" for v in path.states[k]]
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["t", "Y"] + [f"X{i + 1}" for i in range(path.n)])
+    np.savetxt(csv_file, np.column_stack((path.times, path.states)), fmt="%.17g",
+               delimiter=",", header=header, comments="")
     meta = {
         "delta": path.delta,
         "seed": list(path.seed) if isinstance(path.seed, (tuple, list)) else path.seed,

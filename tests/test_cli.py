@@ -157,6 +157,14 @@ def test_decreasing_horizons_exit_code(tmp_path, capsys):
     assert err.startswith("error: horizons") and err.count("\n") == 1, err
 
 
+def test_repeated_key_exit_code(tmp_path, capsys):
+    f = tmp_path / "repeated.cfg"
+    f.write_text(EXP_CFG + "delta = 0.01\n")
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'delta' is set on lines") and err.count("\n") == 1, err
+
+
 def test_fine_delta_out_of_range_exit_code(tmp_path, capsys):
     # passed validation: a subcritical run ignored it, and a critical run
     # raised in its limit-draw child after the first horizon's path and

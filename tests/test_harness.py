@@ -181,6 +181,11 @@ class TestConfigParsing:
         raw = parse_config_text("# full comment\n\na = 1.0  # trailing\n")
         assert raw == {"a": "1.0"}
 
+    def test_repeated_key_rejected(self):
+        # used to keep the last line: seed = 4242 then seed = 3 ran seed 3
+        with pytest.raises(ConfigError, match="'seed' is set on lines 16 and 19"):
+            parse_config_text(SUB_CFG + "# again\nseed = 3\n")
+
     def test_missing_model_key(self):
         with pytest.raises(ConfigError):
             experiment_config_from_text("n = 1\na = 1.0\nregime = subcritical\n")
@@ -214,7 +219,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
         # both used to end the run in an OverflowError from the generator
-        cfg = experiment_config_from_text(SUB_CFG + f"seed = {seed}\n")
+        cfg = experiment_config_from_text(SUB_CFG.replace("seed = 4242", f"seed = {seed}"))
         with pytest.raises(ConfigError, match="seed"):
             cfg.validate()
 

@@ -1,14 +1,18 @@
 """``_matfun.expm`` against ``scipy.linalg.expm``: bit for bit on the
 matrices it computes itself (1 x 1 and the one-step blocks [[c, h], [0, 0]]
 that ``expm_integral`` builds for n = 1, up to Pade order 9), and scipy's
-own result, through ``_matfun.scipy_call``, on every other matrix."""
+own result, through ``_matfun.scipy_call``, on every other matrix.  The
+one-step coefficients a~ and EW are continuous as b -> 0."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ad1n import _matfun
-from ad1n._matfun import scipy_call
+from ad1n._matfun import cir_mean_coeffs, scipy_call, step_integrals
+from ad1n.simulate import simulate_path
 
 #: every Pade order of the port, and the blocks it hands to scipy
 BRANCHES = {3, 5, 7, 9, "scipy"}
@@ -97,3 +101,29 @@ def test_fused_multiply_add_rounds_once():
     a, b = 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52
     assert a * b - 1.0 == 0.0
     assert _matfun._fma(a, b, -1.0) == -(2.0 ** -104)
+
+
+#: b values on both sides of the bound |b| h = SMALL_BH at h = 0.02
+SMALL_B = [s * b for b in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("theta", [[[2.0]], [[2.0, 0.3], [0.1, 1.2]]], ids=["n1", "n2"])
+@pytest.mark.parametrize("b", SMALL_B)
+def test_one_step_coefficients_are_continuous_at_b_zero(b, theta):
+    # a~(b) / a~(0) = 1 - b h / 2 + ... and EW(b) / EW(0) = 1 - 6.69e-3 b +
+    # ... here; the difference forms were off by 2.2e-5 (a~) and 1.1e-4
+    # (EW) at b = 1e-10, where 1 - e^{-bh} cancels
+    h, bound = 0.02, 0.02 * abs(b) + 1e-12
+    a_t, a_t0 = cir_mean_coeffs(2.0, b, h)[1], cir_mean_coeffs(2.0, 0.0, h)[1]
+    EW, EW0 = step_integrals(b, np.array(theta), h)[3], step_integrals(0.0, np.array(theta), h)[3]
+    assert abs(a_t / a_t0 - 1.0) <= bound
+    assert np.max(np.abs(EW / EW0 - 1.0)) <= bound
+
+
+@pytest.mark.parametrize("b", [1e-17, -1e-17])
+def test_y_path_at_b_below_rounding_is_the_b_zero_path(b, subcritical_params):
+    # 1 - e^{-bh} is 0 here: the CIR scale c was 0 and the step divided by it
+    def Y(b):
+        return simulate_path(dataclasses.replace(subcritical_params, b=b), 2.0, 0.02, 5).Y
+
+    assert Y(b).tobytes() == Y(0.0).tobytes()

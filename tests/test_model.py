@@ -163,6 +163,14 @@ class TestClassify:
         p = _params(n=1, b=-0.1, theta=[[2.0]])
         assert classify(p).regime == Regime.SUPERCRITICAL
 
+    @pytest.mark.parametrize("b, regime", [(1.0, Regime.CRITICAL), (0.0, Regime.CRITICAL),
+                                           (-1.0, Regime.SUPERCRITICAL)])
+    @pytest.mark.parametrize("theta", [1e-13, -1e-13])
+    def test_theta_within_the_zero_tolerance_is_zero(self, b, regime, theta):
+        # at b = 1, theta = 1e-13 was subcritical and -1e-13 critical: the
+        # trichotomy called both zero, and raw eigenvalue signs decided
+        assert classify(_params(n=1, b=b, theta=[[theta]])).regime == regime
+
     def test_mixed_spectrum_unsupported(self):
         p = _params(n=2, b=1.0, theta=np.diag([1.0, -1.0]), rho=np.eye(3))
         assert classify(p).regime == Regime.UNSUPPORTED

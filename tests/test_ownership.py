@@ -8,8 +8,11 @@ the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
 ``ModelParams`` constructor calls ``validate``, and scipy is imported only
 by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, a process
-is forked only by ``harness._in_child``, and a memfd is made only by
-``harness._path_phase``.  A second copy fails here."""
+is forked only by ``harness._in_child``, a memfd is made only by
+``harness._path_phase``, a ``Classification`` is built only by
+``model.classify``, and the |b| h bound of the one-step coefficients
+(``_matfun.SMALL_BH``) is read only in ``ad1n._matfun`` and
+``simulate.simulate_paths``.  A second copy fails here."""
 
 import ast
 import pathlib
@@ -131,15 +134,20 @@ def _calls(module, name):
     return match
 
 
-def _assert_only_in(function, calls):
-    """``calls`` nodes appear once, in ``harness.<function>``, and nowhere else."""
+def _in_function(tree, function, match):
+    """The ids of the ``match`` nodes inside ``function`` in ``tree``."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == function
+            for node in ast.walk(fn) if match(node)}
+
+
+def _assert_only_in(module, function, calls):
+    """``calls`` nodes appear once, in ``<module>.<function>``, and nowhere else."""
     for name, text in _sources().items():
         tree = ast.parse(text)
         owned = set()
-        if name == "harness.py":
-            for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name == function:
-                    owned |= {id(node) for node in ast.walk(fn) if calls(node)}
+        if name == module + ".py":
+            owned = _in_function(tree, function, calls)
             assert len(owned) == 1
         assert {id(node) for node in ast.walk(tree) if calls(node)} <= owned, name
 
@@ -148,11 +156,37 @@ def test_fork_lives_in_one_helper():
     # harness._in_child reaps its child, kills it when the caller raises and
     # never lets it return into the caller's frames; a second fork would
     # have to get all three right again
-    _assert_only_in("_in_child", _calls("os", "fork"))
+    _assert_only_in("harness", "_in_child", _calls("os", "fork"))
 
 
 def test_memfd_lives_in_the_path_phase():
     # harness._path_phase checks every write into and read out of a round's
     # memfd and closes it whether the round returns or raises; a second
     # memfd would have to get both right again
-    _assert_only_in("_path_phase", _calls("os", "memfd_create"))
+    _assert_only_in("harness", "_path_phase", _calls("os", "memfd_create"))
+
+
+def test_classification_is_built_only_by_classify():
+    # classify reads the regime off one trichotomy of theta's spectrum; a
+    # Classification built elsewhere would carry a regime of its own rule
+    _assert_only_in("model", "classify", _calls("model", "Classification"))
+
+
+def _reads_small_bh(node):
+    return (isinstance(node, ast.Name) and node.id == "SMALL_BH") or (
+        isinstance(node, ast.Attribute) and node.attr == "SMALL_BH")
+
+
+def test_small_bh_bound_is_read_in_matfun_and_simulate_paths():
+    # a~, the CIR scale c and W switch to their phi1 forms at one |b| h;
+    # a reader elsewhere would be a second switch that can disagree
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        reads = {id(node) for node in ast.walk(tree) if _reads_small_bh(node)}
+        if name == "_matfun.py":
+            assert reads
+        elif name == "simulate.py":
+            owned = _in_function(tree, "simulate_paths", _reads_small_bh)
+            assert owned and reads <= owned
+        else:
+            assert not reads, name
