@@ -237,21 +237,24 @@ def phi1(z: float) -> float:
     return math.expm1(z) / z if z != 0.0 else 1.0
 
 
-def step_integrals(b: float, theta, h: float):
+def step_integrals(b: float, theta, h: float, with_w: bool = True):
     """(e^{-theta h}, K, M, EW): the integrals of the exact one-step map over
     h, with k~ = K kappa and m~ = M m - a EW kappa.  K = e^{-theta h} int_0^h
     e^{(theta - bI)u} du, M = int_0^h e^{-theta u} du, EW = e^{-theta h} W and
     W = int_0^h g_b(u) e^{theta u} du with g_b(u) = int_0^u e^{-b(u-v)} dv.
 
-    Above |b| h = SMALL_BH, g_b(u) = (1 - e^{-bu}) / b gives W = (Phi(theta)
-    - Phi(theta - b I)) / b.  At or below it that difference keeps only
-    ~eps / (|b| h) relative accuracy (none at b = 0), and W is the
-    Gauss-Legendre rule on g_b(u) = u phi1(-bu)."""
+    W is built only when ``with_w`` is true; otherwise EW is zero, for a
+    caller whose kappa is 0.  Above |b| h = SMALL_BH, g_b(u) = (1 - e^{-bu})
+    / b gives W = (Phi(theta) - Phi(theta - b I)) / b.  At or below it that
+    difference keeps only ~eps / (|b| h) relative accuracy (none at b = 0),
+    and W is the Gauss-Legendre rule on g_b(u) = u phi1(-bu)."""
     theta = np.atleast_2d(theta)
     n = theta.shape[0]
     emth = expm(-theta * h)
     shifted = expm_integral(theta - b * np.eye(n), h)
-    if abs(b) * h > SMALL_BH:
+    if not with_w:
+        W = np.zeros((n, n))
+    elif abs(b) * h > SMALL_BH:
         W = (expm_integral(theta, h) - shifted) / b
     else:
         nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
@@ -284,12 +287,16 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
 @functools.lru_cache(maxsize=32)
 def _mean_coeffs_of(key):
     """The coefficients of one value: a loop of one-seed ``simulate_path``
-    calls asks for the same ones on every call."""
+    calls asks for the same ones on every call.
+
+    W is built only when kappa has a nonzero entry: it enters m~ only as
+    EW @ kappa, which a zero kappa makes a zero vector (critical limit
+    paths and every kappa = 0 model skip the Gauss-Legendre rule)."""
     a, b, m, kappa, theta, h = (np.frombuffer(raw).reshape(shape) for shape, raw in key)
     a, b, h = float(a), float(b), float(h)
     m = np.atleast_1d(m)
     kappa = np.atleast_1d(kappa)
-    emth, K, M, EW = step_integrals(b, theta, h)
+    emth, K, M, EW = step_integrals(b, theta, h, with_w=bool(np.any(kappa)))
     kappa_t = K @ kappa
     m_t = M @ m - a * (EW @ kappa)
     for arr in (emth, m_t, kappa_t):

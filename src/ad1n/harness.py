@@ -319,14 +319,11 @@ class ExperimentReport:
         lines = [",".join(header)]
         nanrow = [float("nan")] * L
         for r in self.rows:
-            tau = nanrow if r.tau is None else r.tau
-            err = nanrow if r.err is None else r.err
-            vals = (
-                [r.kind, _fmt(r.horizon), str(r.rep), _fmt(r.aborted), _fmt(r.stabilized)]
-                + [_fmt(v) for v in tau]
-                + [_fmt(v) for v in err]
-            )
-            lines.append(",".join(vals))
+            floats = [*(nanrow if r.tau is None else r.tau.tolist()),
+                      *(nanrow if r.err is None else r.err.tolist())]
+            fields = ",".join(["{:.17g}"] * len(floats)).format(*floats)
+            lines.append(",".join([r.kind, _fmt(r.horizon), str(r.rep), _fmt(r.aborted),
+                                   _fmt(r.stabilized), fields]))
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -740,7 +737,7 @@ class GapReport:
     def csv_text(self) -> str:
         lines = ["horizon,rep,aborted,gap"]
         for T, r, aborted, gap in self.rows:
-            lines.append(f"{_fmt(T)},{r},{_fmt(aborted)},{_fmt(gap)}")
+            lines.append(f"{T:.17g},{r},{_fmt(aborted)},{gap:.17g}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:

@@ -119,9 +119,9 @@ def _in_fresh_interpreter(code, text):
     return out.stdout.split()
 
 
-def _modules_after_small_run(text, statistic):
+def _modules_after_small_run(text, statistic, package="scipy"):
     """Import ad1n and run the experiment of config ``text`` in a fresh
-    interpreter; the sorted names of the scipy modules loaded by then."""
+    interpreter; the sorted names of the ``package`` modules loaded by then."""
     # a critical run's limit draws run in a forked child, whose imports
     # never reach this process's sys.modules: run them here too
     code = (
@@ -132,7 +132,7 @@ def _modules_after_small_run(text, statistic):
         "assert not any(r.aborted for r in report.rows)\n"
         "if cfg.regime is ad1n.Regime.CRITICAL:\n"
         "    assert all(d is not None for d in ad1n.harness._limit_phase(cfg))\n"
-        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(*sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))\n"
     )
     return _in_fresh_interpreter(code, text)
 
@@ -143,6 +143,16 @@ def test_n1_run_loads_no_scipy(kind):
     # scipy: importing scipy.linalg alone costs ~0.3 s and ~28 MB, and
     # scipy.stats, scipy.special and scipy.sparse more on top
     assert _modules_after_small_run(*SMALL_N1_RUNS[kind]) == []
+
+
+@pytest.mark.parametrize("kappa", ["0.0", "0.5"])
+def test_zero_kappa_critical_run_loads_no_numpy_polynomial(kappa):
+    # W, the only user of numpy.polynomial's Gauss-Legendre nodes (~4-5 ms
+    # to import and build), is built only when kappa != 0; the limit paths
+    # force kappa = 0, so at kappa = 0.5 only the estimation paths load it
+    text = _CRITICAL.replace("kappa = 0.0", f"kappa = {kappa}")
+    loaded = _modules_after_small_run(text, "ks_vs_limit", "numpy.polynomial")
+    assert ("numpy.polynomial" in loaded) == (kappa != "0.0")
 
 
 def test_subcritical_run_does_not_import_scipy_stats():
@@ -436,6 +446,34 @@ class TestRunExperiment:
         assert summary["config_digest"] == cfg.digest()
         with open(paths["csv"]) as fh:
             assert fh.read() == rep.csv_text()
+
+    def test_csv_rows_render_as_fmt_writes_them(self):
+        # csv_text formats a row's floats with one "{:.17g}" string; every
+        # field must still read as _fmt writes it, NaN stand-ins included
+        L = 3
+        rows = [
+            harness.Row("estimate", 40.0, 0, False, True, np.array([0.1, -0.0, np.inf]),
+                        np.array([1e-300, -np.inf, 2.0 / 3.0])),
+            harness.Row("estimate", 40.0, 1, True, False, None, None),
+            harness.Row("limit_draw", None, 0, False, True, None, np.array([-1.5, 0.0, 7e22])),
+            harness.Row("limit_draw", None, 1, True, False, None, None),
+            harness.Row("estimate", 1e-5, 2, np.bool_(False), np.bool_(True),
+                        np.array([5e-324, np.nan, -1.0]), np.array([1.0, 2.0, 3.0])),
+        ]
+        rep = harness.ExperimentReport("d", "critical", "discrete", 1, 2, [40.0], [0.02],
+                                       np.zeros(L), rows, [], {})
+        nan = [float("nan")] * L
+        assert rep.csv_text().splitlines()[1:] == [",".join(
+            [r.kind, harness._fmt(r.horizon), str(r.rep), harness._fmt(r.aborted),
+             harness._fmt(r.stabilized)]
+            + [harness._fmt(v) for v in (nan if r.tau is None else r.tau)]
+            + [harness._fmt(v) for v in (nan if r.err is None else r.err)]) for r in rows]
+        gap_rows = [(16.0, 0, False, 0.125), (16.0, 1, True, float("nan")),
+                    (32.0, 0, False, -0.0), (32.0, 1, False, float("inf"))]
+        gap = harness.GapReport("d", 1, 1.1, [16.0, 32.0], [0.1, 0.05], [], [], False, gap_rows)
+        assert gap.csv_text().splitlines()[1:] == [
+            ",".join([harness._fmt(T), str(r), harness._fmt(a), harness._fmt(g)])
+            for T, r, a, g in gap_rows]
 
     @pytest.mark.parametrize("kind", ["experiment", "gap"])
     def test_report_renders_its_csv_once(self, kind, tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 matrices it computes itself (1 x 1 and the one-step blocks [[c, h], [0, 0]]
 that ``expm_integral`` builds for n = 1, up to Pade order 9), and scipy's
 own result, through ``_matfun.scipy_call``, on every other matrix.  The
-one-step coefficients a~ and EW are continuous as b -> 0."""
+one-step coefficients a~ and EW are continuous as b -> 0, and those of a
+zero kappa, built without W, are the ones the full W gives."""
 
 import dataclasses
 
@@ -127,3 +128,29 @@ def test_y_path_at_b_below_rounding_is_the_b_zero_path(b, subcritical_params):
         return simulate_path(dataclasses.replace(subcritical_params, b=b), 2.0, 0.02, 5).Y
 
     assert Y(b).tobytes() == Y(0.0).tobytes()
+
+
+#: a zero and a non-symmetric nonzero theta for n = 1, 2 and 3
+THETAS = {
+    "n1_zero": [[0.0]], "n1": [[1.5]],
+    "n2_zero": [[0.0, 0.0], [0.0, 0.0]], "n2": [[2.0, 0.3], [-0.1, 1.2]],
+    "n3_zero": [[0.0] * 3] * 3, "n3": [[1.0, 0.2, 0.0], [-0.1, 0.8, 0.3], [0.05, 0.0, 0.6]],
+}
+
+
+@pytest.mark.parametrize("theta", THETAS.values(), ids=THETAS.keys())
+@pytest.mark.parametrize("b", [0.0, 1e-8, -1e-8, 1.0])
+def test_zero_kappa_coefficients_are_those_of_the_full_w(b, theta):
+    # kappa = 0 skips W, which reaches m~ only as EW @ kappa; at n = 1 EW > 0
+    # keeps every bit, at n >= 2 only the sign of a zero entry may differ
+    a, h, theta = 2.0, 0.02, np.array(theta)
+    n = theta.shape[0]
+    m, kappa = np.linspace(1.0, -0.5, n), np.zeros(n)
+    emth, K, M, EW = step_integrals(b, theta, h)
+    want = (emth, M @ m - a * (EW @ kappa), K @ kappa)
+    got = _matfun.one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h)
+    for g, w in zip(got, want):
+        if n == 1:
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert np.array_equal(g, w)

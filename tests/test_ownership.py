@@ -12,7 +12,9 @@ is forked only by ``harness._in_child``, a memfd is made only by
 ``harness._path_phase``, a ``Classification`` is built only by
 ``model.classify``, and the |b| h bound of the one-step coefficients
 (``_matfun.SMALL_BH``) is read only in ``ad1n._matfun`` and
-``simulate.simulate_paths``.  A second copy fails here."""
+``simulate.simulate_paths``, and ``numpy.polynomial`` and its
+Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``.  A
+second copy fails here."""
 
 import ast
 import pathlib
@@ -190,3 +192,26 @@ def test_small_bh_bound_is_read_in_matfun_and_simulate_paths():
             assert owned and reads <= owned
         else:
             assert not reads, name
+
+
+def _reaches_gauss_legendre(node):
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        names += [alias.name for alias in node.names]
+        return any("polynomial" in name or name == "leggauss" for name in names)
+    return (isinstance(node, ast.Name) and node.id == "leggauss") or (
+        isinstance(node, ast.Attribute) and node.attr in ("polynomial", "leggauss"))
+
+
+def test_gauss_legendre_nodes_live_in_step_integrals():
+    # importing numpy.polynomial costs a fresh process ~4-5 ms; only a W at
+    # |b| h <= SMALL_BH with kappa != 0 needs its nodes, and step_integrals
+    # builds W only then
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        reads = {id(node) for node in ast.walk(tree) if _reaches_gauss_legendre(node)}
+        owned = set()
+        if name == "_matfun.py":
+            owned = _in_function(tree, "step_integrals", _reaches_gauss_legendre)
+            assert owned
+        assert reads <= owned, name
