@@ -227,8 +227,9 @@ def expm_integral(A: np.ndarray, h: float) -> np.ndarray:
 
 #: nodes of the Gauss-Legendre rule for W at |b| h <= SMALL_BH
 GAUSS_LEGENDRE_ORDER = 40
-#: Largest |b| h at which a~, c and W take their phi1 forms; above it they
-#: keep their difference forms, whose last bits pinned digests hold at b = 1
+#: Largest |b| h at which a~ (the CIR scale c among them) and W take their
+#: phi1 forms; above it they keep their difference forms, whose last bits
+#: pinned digests hold at b = 1
 SMALL_BH = 1e-6
 
 
@@ -279,29 +280,14 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
     E[X_{t+h} | F_t] = E_theta @ X_t + m~ - k~ * Y_t, with
     E_theta = e^{-theta h}.
 
-    Kept per value of the arguments and returned read-only."""
-    args = [np.asarray(v, dtype=float) for v in (a, b, m, kappa, theta, h)]
-    return _mean_coeffs_of(tuple((v.shape, v.tobytes()) for v in args))
-
-
-@functools.lru_cache(maxsize=32)
-def _mean_coeffs_of(key):
-    """The coefficients of one value: a loop of one-seed ``simulate_path``
-    calls asks for the same ones on every call.
-
     W is built only when kappa has a nonzero entry: it enters m~ only as
     EW @ kappa, which a zero kappa makes a zero vector (critical limit
     paths and every kappa = 0 model skip the Gauss-Legendre rule)."""
-    a, b, m, kappa, theta, h = (np.frombuffer(raw).reshape(shape) for shape, raw in key)
-    a, b, h = float(a), float(b), float(h)
-    m = np.atleast_1d(m)
-    kappa = np.atleast_1d(kappa)
-    emth, K, M, EW = step_integrals(b, theta, h, with_w=bool(np.any(kappa)))
-    kappa_t = K @ kappa
-    m_t = M @ m - a * (EW @ kappa)
-    for arr in (emth, m_t, kappa_t):
-        arr.setflags(write=False)
-    return emth, m_t, kappa_t
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    emth, K, M, EW = step_integrals(float(b), np.asarray(theta, dtype=float), float(h),
+                                    with_w=bool(np.any(kappa)))
+    return emth, M @ m - float(a) * (EW @ kappa), K @ kappa
 
 
 @functools.cache

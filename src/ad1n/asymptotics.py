@@ -53,9 +53,13 @@ class Normalizer:
 
 
 def normalizer(classification: Classification, T: float, params: ModelParams) -> Normalizer:
-    """The regime's error scaling Q_T at horizon T."""
-    if T <= 0:
-        raise InvalidGridError("horizon must be positive")
+    """The regime's error scaling Q_T at horizon T.
+
+    Raises InvalidGridError when T is not finite and positive, or when an
+    entry of Q_T is not finite and nonzero (a supercritical e^{bT/2} or
+    e^{(b - 2 lam_min)T/2} that leaves the float range at a long T)."""
+    if not 0 < T < math.inf:
+        raise InvalidGridError(f"horizon must be finite and positive, got {T:g}")
     n = params.n
     regime = classification.regime
     if regime == Regime.SUBCRITICAL:
@@ -70,12 +74,17 @@ def normalizer(classification: Classification, T: float, params: ModelParams) ->
             raise UnsupportedRegimeError(
                 "supercritical normalization needs lam_max(theta) < b < 0"
             )
-        ebt2 = math.exp(0.5 * b * T)
-        level, rate = T * ebt2, 1.0 / ebt2
-        diag = stack_drift_fields(level, rate, np.full(n, level), np.full(n, rate),
-                                  np.full((n, n), math.exp(0.5 * (b - 2.0 * lam_min) * T)))
+        try:
+            ebt2 = math.exp(0.5 * b * T)
+            level, rate = T * ebt2, 1.0 / ebt2
+            diag = stack_drift_fields(level, rate, np.full(n, level), np.full(n, rate),
+                                      np.full((n, n), math.exp(0.5 * (b - 2.0 * lam_min) * T)))
+        except (OverflowError, ZeroDivisionError):
+            diag = None
     else:
         raise UnsupportedRegimeError(f"no normalization for regime {regime.value}")
+    if diag is None or not np.all(np.isfinite(diag) & (diag != 0.0)):
+        raise InvalidGridError(f"Q_T at horizon {T:g} leaves the float range")
     return Normalizer(regime=regime, T=float(T), diag=diag)
 
 

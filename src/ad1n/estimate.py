@@ -79,15 +79,13 @@ class TildeParams:
 
 def g_map(a: float, b: float, m, kappa, theta, h: float) -> TildeParams:
     """Drift fields -> one-step conditional-expectation coefficients."""
-    if h <= 0:
-        raise DimensionMismatchError("step h must be positive")
+    if not 0 < h < math.inf:
+        raise DimensionMismatchError(f"step h must be finite and positive, got {h:g}")
     emth, m_t, kappa_t = one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h)
     _, a_t = cir_mean_coeffs(a, b, h)
     b_t = -math.expm1(-b * h)
     theta_t = np.eye(emth.shape[0]) - emth
-    # copies: the cached coefficients are shared and read-only
-    return TildeParams(a=float(a_t), b=float(b_t), m=m_t.copy(), kappa=kappa_t.copy(),
-                       theta=theta_t)
+    return TildeParams(a=float(a_t), b=float(b_t), m=m_t, kappa=kappa_t, theta=theta_t)
 
 
 def g_inverse(tilde: TildeParams, h: float):
@@ -97,8 +95,8 @@ def g_inverse(tilde: TildeParams, h: float):
     the closed negative real axis, i.e. the regression output left the
     neighborhood where the one-step map is invertible.
     """
-    if h <= 0:
-        raise DimensionMismatchError("step h must be positive")
+    if not 0 < h < math.inf:
+        raise DimensionMismatchError(f"step h must be finite and positive, got {h:g}")
     if tilde.b >= 1.0:
         raise LogDomainError(f"b-tilde = {tilde.b:.6g} >= 1")
     n = tilde.m.shape[0]

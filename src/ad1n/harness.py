@@ -16,50 +16,35 @@ critical       two-sample KS distance below 0.15 between the normalized
 supercritical  median |b_hat - b| decreasing in the horizon and below 0.05
                at the largest one, interquartile range of a_hat - a not
                contracting (ratio within [0.5, 2]), and the exponentially
-               scaled Y tail stabilized in at least 95% of paths.
+               scaled Y tail stabilized in at least 95% of paths; a run of
+               one horizon fails the two comparisons.
 
-Each horizon runs in two phases.  The path phase simulates every
-replication's path and keeps only its design blocks (and, in the
-supercritical regime, the Y-tail stabilization flag), so no path outlives
-its replication.  The solve phase then turns each replication's blocks
-into an estimate, one replication after another, once the whole horizon
-has been simulated; running the small dense solves and matrix functions
-back to back keeps them off the cold start that follows each long
-simulation.  A replication whose design blocks or solve raise an
+Each horizon runs in two phases.  The path phase (``_path_phase``)
+simulates every replication's path and keeps only its design blocks (and,
+in the supercritical regime, the Y-tail stabilization flag), so no path
+outlives its replication.  The solve phase then turns each replication's
+blocks into an estimate, one replication after another, once the whole
+horizon has been simulated; running the small dense solves and matrix
+functions back to back keeps them off the cold start that follows each
+long simulation.  A replication whose design blocks or solve raise an
 ``Ad1nError`` or a ``LinAlgError``, or whose estimate is not finite, is
 recorded as aborted.
 
 A critical run has a third phase, the limit draws: the zero-started limit
 process simulated ``limit_draws`` times and each path's limit functional
 drawn.  It is independent of the estimation paths, so it runs in a child
-forked before the first horizon's path phase, on another core, and the
-parent joins it where the KS check first needs its sample (``_in_child``:
-the child sends its draws back as one pickle, its exception is re-raised
-in the parent, and a child that dies makes the run raise).  A path phase
-whose paths ``simulate_paths`` runs one at a time (``batch_width`` 1, as
-for 25,000-step horizons) runs in rounds of at most twice the paths
-whose states fit ``simulate.BATCH_BYTES``, each simulated by the parent
-and one forked child side by side, so at most one path child is alive at
-a time.  Both take the round's seeds one at a time from one pipe, so the
-faster process takes more of them, and write each path's states into the
-round's memfd, which neither maps.  Once the child is joined, the parent
-reads each path back and runs ``keep`` (the design blocks) on it, in seed
-order, holding one path at a time.  Every threaded ``left_point_sums``
-reduction stays in the parent, so its OpenBLAS thread count, and with it
-every bit, is what it is in-process; and none runs beside a simulating
-process, since numpy's OpenBLAS worker spins a core for about 120 ms
-after each reduction (children that reduced their own paths made a
-16-path run slower than in-process on 2 vCPUs).  Path phases that run
-side by side stay in-process.  Forks are used on Linux only, since
-macOS's Accelerate BLAS is not fork-safe, and only where a second CPU is
-usable; elsewhere everything runs in-process at the same points.
-A critical limit draw whose limit functional is singular has a row with
-aborted=1, is left out of the KS sample, and ``limit_abort_rate`` bounds
-the share of such draws.  An ``n = 1`` run whose one-step blocks stay at
-Pade order 9 or below never loads scipy; any other run loads it at its
-first scipy matrix function, and ``_matfun.scipy_call`` holds scipy's
-OpenBLAS pool at one thread for each such call, so that they do not starve
-numpy's threaded reductions.
+(``_in_child``) forked before the first horizon's path phase, and the
+parent joins it where the KS check first needs its sample.  The paths of a
+horizon that ``simulate_paths`` runs one at a time are simulated by the
+parent and one forked child side by side, in rounds that ``_path_phase``
+describes.  Where ``_FORKS`` is false, everything runs in-process at the
+same points.  A critical limit draw whose limit functional is singular has
+a row with aborted=1, is left out of the KS sample, and
+``limit_abort_rate`` bounds the share of such draws.  An ``n = 1`` run
+whose one-step blocks stay at Pade order 9 or below never loads scipy; any
+other run loads it at its first scipy matrix function, and
+``_matfun.scipy_call`` holds scipy's OpenBLAS pool at one thread for each
+such call, so that they do not starve numpy's threaded reductions.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
@@ -370,11 +355,15 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
     Once the child is joined and the two lists are found to cover the
     round exactly once, ``keep`` runs here on each path in seed order, read
     back with ``os.preadv`` into its own array and built by
-    ``simulate.path_maker``, so that every BLAS reduction stays in this
-    process and none runs beside a simulating one.  A write or read of
-    fewer bytes than a path's states raises ``OSError``; the memfd is not
-    sized in advance, so a slot left unwritten at its end reads short
-    rather than as zeros."""
+    ``simulate.path_maker``.  So every threaded ``left_point_sums``
+    reduction stays in this process, where its OpenBLAS thread count, and
+    with it every bit, is what it is without a child; and none runs beside
+    a simulating process, since numpy's OpenBLAS worker spins a core for
+    about 120 ms after each reduction (children that reduced their own
+    paths made a 16-path run slower than in-process on 2 vCPUs).  A write
+    or read of fewer bytes than a path's states raises ``OSError``; the
+    memfd is not sized in advance, so a slot left unwritten at its end
+    reads short rather than as zeros."""
     params = config.params
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
@@ -597,9 +586,10 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
         blocks = estimate.design_blocks(path)
         return blocks, (scaled_tail(path, b, path.Y)[1] <= TAIL_REL_TOL if is_super else True)
 
+    # every Q_T is checked before the first path phase
+    norms = [normalizer(cls, T, params) for T in config.horizons]
     for h_idx, T in enumerate(config.horizons):
-        delta = deltas[h_idx]
-        norm = normalizer(cls, T, params)
+        delta, norm = deltas[h_idx], norms[h_idx]
         kept = _path_phase(config, h_idx, keep)
         errs = []
         for r, rep in enumerate(kept):
@@ -686,15 +676,16 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
         per_horizon.append(summary)
         checks[f"abort_rate<{ABORT_RATE_MAX:g}[{tag}]"] = (n_abort / M) < ABORT_RATE_MAX
 
-    if is_super and len(per_horizon) > 1:
-        # a horizon with at most one estimate has no statistics: its NaN fails every check
+    if is_super:
+        # a horizon with at most one estimate has no statistics, and one
+        # horizon has nothing to compare: a NaN fails every such check
         med = [s.get("median_abs_b_err", math.nan) for s in per_horizon]
         iqr = [s.get("iqr_a_err", math.nan) for s in per_horizon]
-        checks["median_b_err_decreasing"] = all(
+        checks["median_b_err_decreasing"] = len(med) > 1 and all(
             med[i + 1] < med[i] for i in range(len(med) - 1)
         )
         checks[f"median_b_err_final<{SUPER_B_MEDIAN_TOL:g}"] = med[-1] < SUPER_B_MEDIAN_TOL
-        ratio = iqr[-1] / iqr[0]
+        ratio = iqr[-1] / iqr[0] if len(iqr) > 1 else math.nan
         checks["iqr_a_not_contracting"] = SUPER_IQR_RATIO[0] <= ratio <= SUPER_IQR_RATIO[1]
         checks[f"stabilization>={SUPER_STAB_MIN:g}"] = (
             per_horizon[-1].get("stabilization_rate", math.nan) >= SUPER_STAB_MIN

@@ -6,7 +6,8 @@ of freedom and noncentrality Y_t * exp(-b*dt) / c, where
 
     c = sigma_1^2 * (1 - exp(-b*dt)) / (4b),
 
-or sigma_1^2*dt/4 * phi1(-b*dt) at |b|*dt <= ``_matfun.SMALL_BH``.
+which is a~ = a * int_0^dt e^{-bu} du at a = sigma_1^2 / 4
+(``_matfun.cir_mean_coeffs``, which also gives its b -> 0 form).
 
 For df >= 1 the draw is decomposed as chi2(df-1) + (Z + sqrt(ncp))^2, which
 lets the chi-square and normal variates be drawn in vectorized blocks ahead
@@ -94,7 +95,7 @@ import numpy as np
 # its ~40 ms out of the first simulated path
 import numpy.random  # noqa: F401
 
-from ._matfun import SMALL_BH, cir_mean_coeffs, one_step_conditional_mean_coeffs, phi1
+from ._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
 from .errors import DimensionMismatchError, InvalidGridError
 from .model import ModelParams, validate  # noqa: F401  (bench/spans.py rebinds it)
 
@@ -209,10 +210,7 @@ def simulate_paths(
     n, d = params.n, params.d
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
     emb, a_t = cir_mean_coeffs(a, b, delta)
-    if abs(b) * delta > SMALL_BH:  # CIR scale c, as a~ in cir_mean_coeffs
-        c = sigma1 * sigma1 * (1.0 - emb) / (4.0 * b)
-    else:
-        c = sigma1 * sigma1 * delta / 4.0 * phi1(-b * delta)
+    c = cir_mean_coeffs(sigma1 * sigma1 / 4.0, b, delta)[1]  # the CIR scale: a~ at sigma1^2 / 4
     df = 4.0 * a / (sigma1 * sigma1)
     sq_delta = math.sqrt(delta)
     emth, m_t, k_t = one_step_conditional_mean_coeffs(

@@ -54,10 +54,26 @@ class TestNormalizer:
         ]
         assert np.allclose(nz.diag, want, rtol=1e-15)
 
-    @pytest.mark.parametrize("T", [0.0, -1.0])
+    # nan and inf gave a nan and an inf Q_T
+    @pytest.mark.parametrize("T", [0.0, -1.0, -0.0, math.nan, math.inf])
     def test_nonpositive_horizon(self, subcritical_params, T):
         with pytest.raises(InvalidGridError):
             normalizer(classify(subcritical_params), T, subcritical_params)
+
+    @pytest.mark.parametrize("T", [1000.0, 3000.0])
+    def test_supercritical_scaling_outside_the_float_range(self, supercritical_params, T):
+        # e^{(b - 2 lam_min) T / 2} raised OverflowError above T ~ 946, and
+        # 1 / e^{bT/2} ZeroDivisionError above T ~ 2980
+        p = supercritical_params
+        with pytest.raises(InvalidGridError, match="float range"):
+            normalizer(classify(p), T, p)
+
+    def test_supercritical_scaling_inside_the_float_range_keeps_its_bits(
+            self, supercritical_params):
+        p, T = supercritical_params, 900.0
+        ebt2 = math.exp(0.5 * p.b * T)
+        want = [T * ebt2, 1.0 / ebt2, T * ebt2, 1.0 / ebt2, math.exp(0.5 * (p.b + 2.0) * T)]
+        assert normalizer(classify(p), T, p).diag.tolist() == want
 
     def test_supercritical_outside_hypothesis(self):
         # lam_max(theta) > b: the displayed normalization does not apply

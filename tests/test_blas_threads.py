@@ -118,9 +118,6 @@ def test_counts_restored_after_an_error(monkeypatch, scipy_pool, kind):
 
 
 def _simulate_path(p):
-    # the one-step coefficients are kept per value; drop them so that
-    # this call computes them with scipy
-    _matfun._mean_coeffs_of.cache_clear()
     simulate_path(p, 1.0, 0.05, seed=(7, 0))
 
 

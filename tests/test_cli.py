@@ -240,6 +240,49 @@ seed = 707
     assert "FAIL  overall" in capsys.readouterr().out
 
 
+SUPER_CFG = """
+n = 1
+a = 1.0
+b = -0.5
+m = 0.5
+kappa = -0.2
+theta = -1.0
+rho = 1,0; 0.2,0.9
+y0 = 1.0
+x0 = 0.0
+regime = supercritical
+horizons = 12
+delta = 0.01
+replications = 20
+seed = 5
+"""
+
+
+def test_one_horizon_supercritical_run_fails(tmp_path, capsys):
+    # with stabilization_rate 0.2 the run printed PASS overall and exited 0
+    # on its abort-rate check alone
+    f = tmp_path / "super.cfg"
+    f.write_text(SUPER_CFG)
+    out_dir = str(tmp_path / "exp")
+    assert main(["experiment", "--config", str(f), "--out", out_dir]) == 1
+    with open(os.path.join(out_dir, "experiment.json")) as fh:
+        checks = json.load(fh)["checks"]
+    assert checks["median_b_err_decreasing"] is False
+    assert checks["iqr_a_not_contracting"] is False
+    assert checks["stabilization>=0.95"] is False
+    assert "FAIL  overall" in capsys.readouterr().out
+
+
+def test_supercritical_horizon_outside_the_float_range_exit_code(tmp_path, capsys):
+    # Q_T at T = 1000 overflows; the run used to end in an OverflowError
+    # traceback after simulating the first horizon
+    f = tmp_path / "super.cfg"
+    f.write_text(SUPER_CFG.replace("horizons = 12", "horizons = 10, 1000"))
+    assert main(["experiment", "--config", str(f), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Q_T at horizon 1000") and err.count("\n") == 1, err
+
+
 _CRITICAL_CHANGES = [("b = 1.0", "b = 0.0"), ("kappa = 0.5", "kappa = 0.0"),
                      ("theta = 2.0", "theta = 0.0"),
                      ("regime = subcritical", "regime = critical\nlimit_draws = 4")]

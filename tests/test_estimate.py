@@ -287,6 +287,17 @@ class TestGMap:
         assert abs(t.m[0] - (m_q1 - a * m_q2)) < 1e-12
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -0.0])
+def test_step_not_finite_and_positive_is_rejected(h):
+    # nan gave all-nan coefficients, inf nan m~ and k~ with RuntimeWarnings,
+    # and g_inverse at inf returned (0.0, 0.0, nan, nan, 0.0)
+    tilde = g_map(2.0, 1.0, [1.0], [0.5], [[2.0]], 0.02)
+    with pytest.raises(DimensionMismatchError):
+        g_map(2.0, 1.0, [1.0], [0.5], [[2.0]], h)
+    with pytest.raises(DimensionMismatchError):
+        g_inverse(tilde, h)
+
+
 class TestGInverse:
     def test_zero_fixed_point(self):
         t = TildeParams(a=0.0, b=0.0, m=np.zeros(2), kappa=np.zeros(2),

@@ -384,6 +384,21 @@ class TestRunExperiment:
         assert len(super_checks) == 4 and not any(super_checks.values())
         assert all("median_abs_b_err" not in s for s in rep.per_horizon)
 
+    def test_one_horizon_supercritical_run_records_every_check(self):
+        # one horizon has nothing to compare, so both comparisons fail; the
+        # run used to record its abort-rate check alone and pass
+        text = (SUPER_ONE_REP_CFG.replace("horizons = 15,25", "horizons = 15")
+                .replace("replications = 1", "replications = 4"))
+        rep = run_experiment(experiment_config_from_text(text))
+        s, checks = rep.per_horizon[0], rep.checks
+        assert sorted(checks) == sorted([
+            "abort_rate<0.01[T=15]", "median_b_err_decreasing", "median_b_err_final<0.05",
+            "iqr_a_not_contracting", "stabilization>=0.95"])
+        assert not checks["median_b_err_decreasing"] and not checks["iqr_a_not_contracting"]
+        assert checks["median_b_err_final<0.05"] == (s["median_abs_b_err"] < 0.05)
+        assert checks["stabilization>=0.95"] == (s["stabilization_rate"] >= 0.95)
+        assert not rep.passed
+
     def test_subcritical_run_with_one_replication_fails_its_checks(self):
         # one estimate has no mean, covariance, skewness or kurtosis; the run
         # used to pass on its abort-rate check alone

@@ -11,8 +11,8 @@ by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, a process
 is forked only by ``harness._in_child``, a memfd is made only by
 ``harness._path_phase``, a ``Classification`` is built only by
 ``model.classify``, and the |b| h bound of the one-step coefficients
-(``_matfun.SMALL_BH``) is read only in ``ad1n._matfun`` and
-``simulate.simulate_paths``, and ``numpy.polynomial`` and its
+(``_matfun.SMALL_BH``) and their b -> 0 form ``_matfun.phi1`` are read
+only in ``ad1n._matfun``, and ``numpy.polynomial`` and its
 Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``.  A
 second copy fails here."""
 
@@ -174,22 +174,19 @@ def test_classification_is_built_only_by_classify():
     _assert_only_in("model", "classify", _calls("model", "Classification"))
 
 
-def _reads_small_bh(node):
-    return (isinstance(node, ast.Name) and node.id == "SMALL_BH") or (
-        isinstance(node, ast.Attribute) and node.attr == "SMALL_BH")
+def _reads_small_bh_rule(node):
+    return (isinstance(node, ast.Name) and node.id in ("SMALL_BH", "phi1")) or (
+        isinstance(node, ast.Attribute) and node.attr in ("SMALL_BH", "phi1"))
 
 
-def test_small_bh_bound_is_read_in_matfun_and_simulate_paths():
-    # a~, the CIR scale c and W switch to their phi1 forms at one |b| h;
-    # a reader elsewhere would be a second switch that can disagree
+def test_small_bh_rule_is_read_only_in_matfun():
+    # a~, the CIR scale c (a~ at sigma1^2 / 4) and W switch to their phi1
+    # forms at one |b| h; a reader elsewhere would be a second switch that
+    # can disagree
     for name, text in _sources().items():
-        tree = ast.parse(text)
-        reads = {id(node) for node in ast.walk(tree) if _reads_small_bh(node)}
+        reads = [node for node in ast.walk(ast.parse(text)) if _reads_small_bh_rule(node)]
         if name == "_matfun.py":
             assert reads
-        elif name == "simulate.py":
-            owned = _in_function(tree, "simulate_paths", _reads_small_bh)
-            assert owned and reads <= owned
         else:
             assert not reads, name
 

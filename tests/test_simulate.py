@@ -57,19 +57,29 @@ class TestDeterminism:
                                _force_general=True)
             assert np.array_equal(p1.states, p2.states)
 
-    def test_set_up_kept_per_value(self, subcritical_params_n2):
+    def test_set_up_bits_do_not_depend_on_the_argument_form(
+            self, subcritical_params, subcritical_params_n2):
         import scipy.linalg
 
         from ad1n._matfun import one_step_conditional_mean_coeffs as coeffs
 
-        p = subcritical_params_n2
-        kept = coeffs(p.a, p.b, p.m, p.kappa, p.theta, 0.01)
-        assert coeffs(float(p.a), p.b, list(p.m), p.kappa.copy(), p.theta.copy(), 0.01) is kept
-        assert coeffs(p.a, p.b, p.m, p.kappa, p.theta, 0.02) is not kept
-        assert coeffs(p.a, -0.0, p.m, p.kappa, p.theta, 0.01) is not coeffs(
-            p.a, 0.0, p.m, p.kappa, p.theta, 0.01)
-        assert np.array_equal(kept[0], scipy.linalg.expm(-p.theta * 0.01))
-        assert not any(arr.flags.writeable for arr in kept)
+        def read_only(v):
+            v = np.array(v, dtype=float)
+            v.setflags(write=False)
+            return v
+
+        for p in (subcritical_params, subcritical_params_n2):
+            want = coeffs(p.a, p.b, p.m, p.kappa, p.theta, 0.01)
+            forms = [
+                (float(p.a), float(p.b), p.m.tolist(), p.kappa.tolist(), p.theta.tolist(), 0.01),
+                (np.float64(p.a), np.array(p.b), p.m.copy(), p.kappa.copy(), p.theta.copy(),
+                 np.float64(0.01)),
+                (p.a, p.b, *map(read_only, (p.m, p.kappa, p.theta)), 0.01),
+            ]
+            for args in forms:
+                got = coeffs(*args)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want], p.n
+            assert want[0].tobytes() == scipy.linalg.expm(-p.theta * 0.01).tobytes(), p.n
 
 
 class TestGrid:
