@@ -36,16 +36,15 @@ Y_t <= 1e-12 a fresh N(0, dt) increment is substituted.  The remaining
 coordinates dB^2..dB^d are independent N(0, dt).
 
 Y does not depend on X, so a path takes two passes over the grid.  The Y
-pass runs the CIR recursion on Python floats; dB^1, and for n = 1 the whole
-noise term, are then built over the time axis with numpy; the X pass runs the
-X recursion, on Python floats for n = 1 and with per-step matrix products for
-n > 1 (batching those over time changes the last bit).  When
-e^{-theta dt} == 1 (theta = 0, as in the critical limit process) the n = 1
-recursion only adds terms, and the X pass is one running sum
-(``np.add.accumulate``) over them, bit-equal to the float loop.  The float
-passes and the running sum walk the grid in chunks of ``CHUNK`` steps to
-bound memory, and every operation keeps the operand order of the formulas
-above.
+pass runs the CIR recursion on Python floats; dB^1 and the X step's input
+are then built over the time axis with numpy.  For n = 1 that input is the
+noise term and k~ Y_t, and the X pass adds them on Python floats in the
+operand order of the formula above; when e^{-theta dt} == 1 (theta = 0, as
+in the critical limit process) the recursion only adds terms, and the X
+pass is one running sum (``np.add.accumulate``), bit-equal to the float
+loop.  Both walk the grid in chunks of ``CHUNK`` steps to bound memory.
+For n > 1 the input is the whole c_t = m~ - k~ Y_t + sqrt(Y_t) rho_tilde dB,
+and the X pass takes one matrix-vector product a step, e^{-theta dt} X_t + c_t.
 
 :func:`simulate_paths` simulates many seeds at once, in batches of at
 most ``BATCH_PATHS`` paths whose Y rows, time-major (N+1, B), and one
@@ -192,7 +191,6 @@ def simulate_paths(
     horizon: float,
     delta: float,
     seeds: Iterable,
-    _force_general: bool = False,
 ) -> Iterator[Path]:
     """Simulate one path per seed on the grid k*delta, k = 0..floor(horizon/delta).
 
@@ -200,8 +198,7 @@ def simulate_paths(
     ``simulate_path(params, horizon, delta, seed)``.  The step constants
     are computed once for all seeds.  ``seeds`` is read one batch
     (``batch_width``) at a time, as the batch starts, so a generator may
-    hand them out as they are needed.  ``_force_general`` runs n = 1 paths
-    through the matrix X recursion (same output; tests compare the two).
+    hand them out as they are needed.
     """
     if not 0 < delta <= horizon < math.inf:
         raise InvalidGridError(f"need 0 < delta <= horizon < inf, got {delta:g} and {horizon:g}")
@@ -216,11 +213,9 @@ def simulate_paths(
     emth, m_t, k_t = one_step_conditional_mean_coeffs(
         a, b, params.m, params.kappa, params.theta, delta
     )
-    scalar_x = n == 1 and not _force_general
-    if scalar_x:
+    if n == 1:
         eth, mt0, kt0 = float(emth[0, 0]), float(m_t[0]), float(k_t[0])
         rj1, rjj = float(params.rho_J1[0]), float(params.rho_JJ[0, 0])
-    rho_JJ = params.rho_JJ
     new_path = path_maker(params, horizon, delta)
 
     def y_blocks(Y, rngs):
@@ -272,7 +267,7 @@ def simulate_paths(
         with np.errstate(divide="ignore", invalid="ignore"):
             dB1 /= sigma1 * sqrt_y
         np.copyto(dB1[:fresh1.size], fresh1, where=fresh[:fresh1.size])
-        if scalar_x:
+        if n == 1:
             # noise = sqrt Y_k (rj1 dB1 + rjj dB^J), in place
             dB1 *= rj1
             dB_J *= rjj
@@ -283,12 +278,15 @@ def simulate_paths(
                 _x_running_sum(states[:, 1], mt0, k_y, dB1)
             else:
                 _x_pass_scalar(states[:, 1], eth, mt0, k_y, dB1)
-        else:  # e^{-theta dt} X_t and rho_JJ dB^J_t stay per step
-            k_y, rj_dB1 = k_t * Yl[:, None], dB1[:, None] * params.rho_J1
-            x = states[0, 1:].copy()
+        else:  # c_k = m~ - k~ Y_k + sqrt Y_k (rho_J1 dB1_k + rho_JJ dB^J_k); einsum,
+            # as an (N, n) @ (n, n) matmul wakes numpy's spinning OpenBLAS worker
+            c_x = np.einsum("kj,ij->ki", dB_J, params.rho_JJ)
+            c_x += dB1[:, None] * params.rho_J1
+            c_x *= sqrt_y[:, None]
+            c_x += m_t - k_t * Yl[:, None]
+            x = states[0, 1:]
             for k in range(N):
-                x = emth @ x + m_t - k_y[k] + sqrt_y[k] * (rj_dB1[k] + rho_JJ @ dB_J[k])
-                states[k + 1, 1:] = x
+                states[k + 1, 1:] = x = emth @ x + c_x[k]
         return states
 
     def run(batch) -> Iterator[Path]:
@@ -340,16 +338,13 @@ def simulate_path(
     horizon: float,
     delta: float,
     seed,
-    _force_general: bool = False,
 ) -> Path:
     """Simulate (Y, X) on the grid k*delta, k = 0..floor(horizon/delta).
 
     Deterministic given (params, horizon, delta, seed).  ``seed`` may be a
     plain int or a (master_seed, stream_index) pair from :func:`substream`.
-    ``_force_general`` runs an n = 1 path through the matrix X pass (same
-    output; tests compare the two).
     """
-    return next(simulate_paths(params, horizon, delta, [seed], _force_general))
+    return next(simulate_paths(params, horizon, delta, [seed]))
 
 
 def _y_pass(Y, emb, c, df, rng):

@@ -14,6 +14,35 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _pipes_and_path_memfds():
+    """{fd: link target} of this process's open pipes and ``ad1n-paths``
+    memfds, or None where /proc/self/fd is missing."""
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except FileNotFoundError:
+        return None
+    out = {}
+    for fd in fds:
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own fd, closed by now
+            continue
+        if target.startswith("pipe:") or target.startswith("/memfd:ad1n-paths"):
+            out[fd] = target
+    return out
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Every test closes the pipes and path memfds it opens, whether it
+    returns or raises."""
+    before = _pipes_and_path_memfds()
+    yield
+    if before is not None:
+        left = _pipes_and_path_memfds().items() - before.items()
+        assert not left, f"left open: {sorted(left)}"
+
+
 @pytest.fixture
 def subcritical_params():
     """n = 1 reference point used across the estimation tests."""

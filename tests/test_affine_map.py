@@ -7,14 +7,16 @@ the X rows of rho map by P, and rho' is the Cholesky factor of the mapped
 rho rho^T.  Row by row, F' = [m' | kappa' | theta'] = P F T with
 T = [[1, 0, 0], [0, 1, 0], [P^-1 q, 0, P^-1]], so tau' = J tau with
 J = diag(I_2, P kron T^T), and each limit object of tau_hat - tau maps by
-J as well.  A kron-order or transpose slip in a layout breaks that map at
-order 1, far above rounding.
+J as well; the stationary moments of X' are those of P X + q.  A
+kron-order or transpose slip in a layout breaks that map at order 1, far
+above rounding.
 
 P is a signed permutation times a diagonal of entries +-1 or +-2 times
 I + E, ||E||_2 <= 3/4, so cond(P) <= 2 * 7.  Each tolerance is
 ``ROUNDING`` times eps times the condition number of the matrix that the
-mapped side solves (EG' for the sandwich, U2' for the limit draw), the
-size of the rounding error that solve can make.
+mapped side solves (EG' for the sandwich, U2' for the limit draw, the
+eigenvector matrix of theta' for the moments), the size of the rounding
+error that solve can make.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from hypothesis.extra.numpy import arrays
 from ad1n import ModelParams, classify
 from ad1n.asymptotics import critical_limit_functional, normalizer
 from ad1n.model import stack_tau, symmetric_cond
-from ad1n.moments import asymptotic_covariance
+from ad1n.moments import TildeFrame, asymptotic_covariance, stationary_x_moments
 from ad1n.simulate import simulate_critical_limit
 
 from conftest import random_subcritical
@@ -36,7 +38,8 @@ from conftest import random_subcritical
 SETTINGS = settings(max_examples=10, deadline=None, database=None)
 EPS = np.finfo(float).eps
 #: allowed error over eps * cond of the solved matrix; on 600 random P of
-#: cond <= 10 the largest ratio seen was 1.95
+#: cond <= 10 the largest ratio seen was 1.95, and on 3,000 the moments'
+#: largest, over the size of their terms, was 15.8
 ROUNDING = 32
 
 
@@ -124,6 +127,33 @@ def test_critical_limit_draw_maps_by_j(case):
     want = jacobian(P, q) @ critical_limit_functional(path, p.a, p.m).limit_draw()
     assert (rel_error(functional.limit_draw(), want)
             <= ROUNDING * EPS * symmetric_cond(functional.u2))
+
+
+def moments_of_mapped_x(moments, P, q):
+    """``stationary_x_moments`` of (Y, P X + q) from those of (Y, X)."""
+    ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = moments
+
+    def second(w_x, w_xx, w):  # E[w X'X'^T] from E[w X], E[w X X^T] and E[w]
+        return P @ w_xx @ P.T + np.outer(P @ w_x, q) + np.outer(q, P @ w_x) + w * np.outer(q, q)
+
+    return (ey, ey2, ey3, P @ ex + q, P @ eyx + ey * q, P @ ey2x + ey2 * q,
+            second(ex, exx, 1.0), second(eyx, eyxx, ey))
+
+
+@SETTINGS
+@given(affine_maps())
+def test_stationary_moments_map_by_p(case):
+    P, q = case
+    p = subcritical(P.shape[0])
+    p_mapped = mapped(p, P, q)
+    moments = stationary_x_moments(p)
+    want = moments_of_mapped_x(moments, P, q)
+    # the size of the terms summed into want, so that their cancellation is
+    # not taken for an error of the mapped side
+    scale = moments_of_mapped_x([np.abs(v) for v in moments], np.abs(P), np.abs(q))
+    tol = ROUNDING * EPS * np.linalg.cond(TildeFrame.from_params(p_mapped).P)
+    for got, w, s in zip(stationary_x_moments(p_mapped), want, scale):
+        assert np.max(np.abs(got - w)) <= tol * np.max(s)
 
 
 def regime_points(n):

@@ -25,7 +25,13 @@ indexed by hand in each stacking loop and the moment table had its own
 key-order loop, and re-pinned once since, when the sandwich covariance
 moved from scipy's Cholesky solves to numpy's LU solves (its last bits
 moved; ``test_moments`` holds it within 1e-13 of scipy's).  Every other
-value in that digest was unchanged.  ``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
+value in that digest was unchanged.  The three n = 2 simulation digests
+(``n2_exact``, ``critical_n2`` and ``test_n2_path_digest``) were re-pinned
+when the n >= 2 X step started to build its drift-and-noise input over the
+time axis before its per-step matrix products: X moved by at most 2.0e-15
+of max|X| on the n = 2 path and the CSV columns by at most 7.9e-14 of each
+column's largest entry, while Y and every n = 1 digest kept their bits.
+``test_digests_with_one_blas_thread`` reruns every digest test in a fresh
 process with OPENBLAS_NUM_THREADS=1.
 """
 
@@ -240,13 +246,13 @@ GOLDEN_CSV = {
     "small_df": (_SMALL_DF,
                  "4e03906121b712866055e9c48b882c5c01f770767a2139a841dc704ac9c8c707"),
     "n2_exact": (_N2_EXACT,
-                 "4cc2d1a16c62734bafb2cb138c50b600c3a682b6a594adf3446417eeb5d0ff4c"),
+                 "89b34725d1ddee457964131eb532238df5ae4eb9061a86aa548545b6de363fde"),
     "supercritical": (_SUPERCRITICAL,
                       "a07c83da2c90f629cbf292a3c4964dc5cfb8ecc85cbb88dc6a6f60581582c4e3"),
     "critical_many_draws": (_CRITICAL_MANY_DRAWS,
                             "32b48e093016e1f84adecd45b3f1f36c71277987405ae7c3be059f8103d2258b"),
     "critical_n2": (_CRITICAL_N2,
-                    "1e0af4098df3429a96a9c89700c1818ad40045887f948d786fd4ae7ff8fb90e3"),
+                    "f47ce26c962c0ae56569d5c3985f52451e465b82229bf2f79bd52b89d6167463"),
     "critical_small_df": (_CRITICAL_SMALL_DF,
                           "03a29b7fadebd8477391d6098e895d57c3f37f063e125c2beff8052d89956f28"),
     "critical_drifting_y": (_CRITICAL_DRIFTING_Y,
@@ -313,7 +319,7 @@ def test_gap_study_csv_digest():
 def test_n2_path_digest(subcritical_params_n2):
     path = simulate_path(subcritical_params_n2, 20.0, 0.02, seed=substream(404, 1))
     assert _sha(path.states.tobytes()) == (
-        "e47b55bca9048a5ba46bd3f8445447749ab67452045c64609eead5022e7585fc")
+        "884aeb2bd43d917c3ef845d656b037eb549870bd32f0626d9987ae048be9f638")
 
 
 def test_increment_moment_probe_digest(subcritical_params):

@@ -19,6 +19,7 @@ from ad1n import (
     write_path_csv,
 )
 from ad1n import simulate
+from ad1n._matfun import cir_mean_coeffs, one_step_conditional_mean_coeffs
 from ad1n.errors import DimensionMismatchError, InvalidGridError
 from ad1n.harness import ks_two_sample
 from ad1n.moments import TildeFrame, point_initial_moments, transient_moment
@@ -34,6 +35,49 @@ from ad1n.simulate import (
 )
 
 
+def _stepped_x(params, path):
+    """X of ``path`` rebuilt from the path's own Y and its redrawn normals by
+    the per-step recursion X_{k+1} = E X_k + m~ - k~ Y_k + sqrt Y_k (rho_J1
+    dB^1_k + rho_JJ dB^J_k), one matrix product a step.  The draws follow the
+    order of the module docstring: for df >= 1 the chi-square values (none at
+    df = 1) and the Y normals, then dB^J, then the fresh dB^1 (for df >= 1 its
+    used prefix; for df < 1 the whole block, before the per-step CIR draws)."""
+    N, n, delta = path.n_steps, path.n, path.delta
+    a, b, sigma1 = float(params.a), float(params.b), params.sigma1
+    df = 4.0 * a / (sigma1 * sigma1)
+    emb, a_t = cir_mean_coeffs(a, b, delta)
+    emth, m_t, k_t = one_step_conditional_mean_coeffs(a, b, params.m, params.kappa,
+                                                      params.theta, delta)
+    rng, sq_delta = generator(path.seed), math.sqrt(delta)
+    if df > 1.0:
+        rng.chisquare(df - 1.0, size=N)
+    if df >= 1.0:
+        rng.standard_normal(N)
+    dB_J = rng.standard_normal((N, n)) * sq_delta
+    Y, Yl = path.Y, path.Y[:-1]
+    fresh = ~(Yl > simulate.RECONSTRUCT_EPS)
+    used = np.flatnonzero(fresh)
+    size = N if df < 1.0 else (used[-1] + 1 if used.size else 0)
+    fresh1 = rng.standard_normal(size) * sq_delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dB1 = (Y[1:] - emb * Yl - a_t) / (sigma1 * np.sqrt(Yl))
+    np.copyto(dB1[:size], fresh1, where=fresh[:size])
+    X = np.empty((N + 1, n))
+    X[0] = x = params.x0
+    for k in range(N):
+        x = emth @ x + m_t - k_t * Yl[k] + math.sqrt(Yl[k]) * (
+            params.rho_J1 * dB1[k] + params.rho_JJ @ dB_J[k])
+        X[k + 1] = x
+    return X
+
+
+def _last_states(params, horizon, delta, master, M):
+    """Final states of the paths of seeds substream(master, r), r < M, from
+    one simulate_paths call (each path keeps its simulate_path bits)."""
+    seeds = [substream(master, r) for r in range(M)]
+    return np.array([path.states[-1] for path in simulate_paths(params, horizon, delta, seeds)])
+
+
 class TestDeterminism:
     def test_bit_identical_repeat(self, subcritical_params):
         p1 = simulate_path(subcritical_params, 5.0, 0.01, seed=substream(42, 3))
@@ -47,15 +91,33 @@ class TestDeterminism:
         assert not np.array_equal(p1.states, p2.states)
 
     def test_scalar_and_general_loops_agree(self, subcritical_params):
+        # the n = 1 float pass and running sum keep the stepped recursion's bits
         small_df = ModelParams(n=1, a=0.15, b=1.0, m=[0.5], kappa=[0.3], theta=[[1.5]],
                                rho=[[1.0, 0.0], [0.3, 0.8]], y0=0.5, x0=0.0)
         zero_start = ModelParams(n=1, a=2.0, b=0.0, m=[1.0], kappa=[0.0], theta=[[0.0]],
                                  rho=[[1.0, 0.0], [0.2, 0.9]], y0=0.0, x0=0.0)
-        for params in (subcritical_params, small_df, zero_start):
-            p1 = simulate_path(params, 3.0, 0.02, seed=substream(9, 0))
-            p2 = simulate_path(params, 3.0, 0.02, seed=substream(9, 0),
-                               _force_general=True)
-            assert np.array_equal(p1.states, p2.states)
+        theta0_drifting_y = ModelParams(n=1, a=2.0, b=0.5, m=[1.0], kappa=[0.5],
+                                        theta=[[0.0]], rho=[[1.0, 0.0], [0.2, 0.9]],
+                                        y0=1.0, x0=-0.5)
+        for params in (subcritical_params, small_df, zero_start, theta0_drifting_y):
+            path = simulate_path(params, 3.0, 0.02, seed=substream(9, 0))
+            assert path.X.tobytes() == _stepped_x(params, path).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("regime", ["subcritical", "critical", "supercritical"])
+    def test_matrix_loop_matches_the_stepped_recursion(self, n, regime):
+        # c_k is built over the time axis, so only the last bits may differ
+        tridiag = np.array([[2.0, 0.2, 0.0], [0.1, 1.5, 0.1], [0.0, 0.2, 1.0]])[:n, :n]
+        rho = np.tril(np.full((n + 1, n + 1), 0.15)) + np.diag(np.linspace(1.0, 0.7, n + 1))
+        b, theta, horizon = {"subcritical": (1.2, tridiag, 20.0),
+                             "critical": (0.0, np.zeros((n, n)), 500.0),
+                             "supercritical": (-0.05, -0.1 * tridiag, 30.0)}[regime]
+        params = ModelParams(n=n, a=2.0, b=b, m=np.linspace(1.0, -0.5, n),
+                             kappa=np.linspace(0.3, -0.2, n), theta=theta, rho=rho,
+                             y0=1.0, x0=np.linspace(0.5, -0.5, n))
+        path = simulate_path(params, horizon, 0.02, seed=substream(17, n))
+        want = _stepped_x(params, path)
+        assert np.max(np.abs(path.X - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_set_up_bits_do_not_depend_on_the_argument_form(
             self, subcritical_params, subcritical_params_n2):
@@ -98,8 +160,8 @@ class TestGrid:
 
 class TestYTransitions:
     def test_positivity(self, subcritical_params):
-        for r in range(10):
-            path = simulate_path(subcritical_params, 10.0, 0.05, seed=substream(5, r))
+        seeds = [substream(5, r) for r in range(10)]
+        for path in simulate_paths(subcritical_params, 10.0, 0.05, seeds):
             assert path.Y.min() >= 0.0
 
     def test_mean_reverting_mean(self):
@@ -107,10 +169,7 @@ class TestYTransitions:
         p = ModelParams(n=1, a=2.0, b=1.0, m=[0.0], kappa=[0.0], theta=[[1.0]],
                         rho=[[1.0, 0.0], [0.0, 1.0]], y0=1.0, x0=0.0)
         M = 2500
-        ys = np.array([
-            simulate_path(p, 2.0, 0.02, seed=substream(101, r)).Y[-1]
-            for r in range(M)
-        ])
+        ys = _last_states(p, 2.0, 0.02, 101, M)[:, 0]
         want = math.exp(-2.0) + 2.0 * (1.0 - math.exp(-2.0))
         se = ys.std(ddof=1) / math.sqrt(M)
         assert abs(ys.mean() - want) <= 3.0 * se
@@ -118,10 +177,7 @@ class TestYTransitions:
     def test_zero_reversion_mean(self, critical_params):
         # b = 0: E Y_t = a t + Y_0
         M = 1500
-        ys = np.array([
-            simulate_path(critical_params, 1.0, 0.01, seed=substream(55, r)).Y[-1]
-            for r in range(M)
-        ])
+        ys = _last_states(critical_params, 1.0, 0.01, 55, M)[:, 0]
         se = ys.std(ddof=1) / math.sqrt(M)
         assert abs(ys.mean() - 3.0) <= 3.0 * se
 
@@ -130,20 +186,14 @@ class TestYTransitions:
         init = point_initial_moments(p, float(p.y0), p.x0, 1)
         want = transient_moment(p, init, 1, [0], 2.0)
         M = 800
-        ys = np.array([
-            simulate_path(p, 2.0, 0.01, seed=substream(31, r)).Y[-1]
-            for r in range(M)
-        ])
+        ys = _last_states(p, 2.0, 0.01, 31, M)[:, 0]
         se = ys.std(ddof=1) / math.sqrt(M)
         assert abs(ys.mean() - want) <= 3.0 * se
 
     def test_critical_x_mean_is_linear(self, critical_params):
         # kappa = 0, theta = 0: E X_t = x0 + m t exactly
         M = 600
-        xs = np.array([
-            simulate_path(critical_params, 1.5, 0.01, seed=substream(32, r)).X[-1, 0]
-            for r in range(M)
-        ])
+        xs = _last_states(critical_params, 1.5, 0.01, 32, M)[:, 1]
         se = xs.std(ddof=1) / math.sqrt(M)
         assert abs(xs.mean() - 1.5) <= 3.0 * se
 
@@ -157,10 +207,7 @@ class TestYTransitions:
             for j in range(2)
         )
         M = 1200
-        xs = np.array([
-            simulate_path(p, 1.5, 0.01, seed=substream(13, r)).X[-1, 0]
-            for r in range(M)
-        ])
+        xs = _last_states(p, 1.5, 0.01, 13, M)[:, 1]
         se = xs.std(ddof=1) / math.sqrt(M)
         assert abs(xs.mean() - want) <= 3.0 * se
 
@@ -368,29 +415,31 @@ class TestBatches:
         # theta = 0 with b, kappa != 0: e^{-theta dt} = 1 and k~ Y != 0
         params = self._params("theta0_drifting_y", 1)
         seeds = [substream(78, 3 * j) for j in range(width)]
-        want = [simulate_path(params, 0.4, 0.02, s, _force_general=True).states.tobytes()
-                for s in seeds]
 
         def stepped(*args):
             raise AssertionError("e^{-theta dt} = 1 must take the running sum")
 
         monkeypatch.setattr(simulate, "_x_pass_scalar", stepped)
-        assert [p.states.tobytes() for p in simulate_paths(params, 0.4, 0.02, seeds)] == want
+        paths = list(simulate_paths(params, 0.4, 0.02, seeds))
+        assert [p.X.tobytes() for p in paths] == [_stepped_x(params, p).tobytes() for p in paths]
 
     @pytest.mark.parametrize("name", CASES)
-    @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
+    @pytest.mark.parametrize("n, stepped", [(1, False), (1, True), (2, False)])
     @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN + 3])
-    def test_batch_paths_equal_single_paths(self, name, n, force, width):
+    def test_batch_paths_equal_single_paths(self, name, n, stepped, width):
+        # stepped: each n = 1 path also keeps the stepped recursion's bits
         params = self._params(name, n)
         seeds = [substream(77, 5 * j + 1) for j in range(width)]
-        paths = list(simulate_paths(params, 0.4, 0.02, seeds, _force_general=force))
+        paths = list(simulate_paths(params, 0.4, 0.02, seeds))
         assert [p.seed for p in paths] == seeds
         for seed, got in zip(seeds, paths):
-            want = simulate_path(params, 0.4, 0.02, seed, _force_general=force)
+            want = simulate_path(params, 0.4, 0.02, seed)
             assert got.states.flags.c_contiguous
             assert got.states.tobytes() == want.states.tobytes()
             assert got.times.tobytes() == want.times.tobytes()
             assert (got.delta, got.params_hash) == (want.delta, want.params_hash)
+            if stepped:
+                assert got.X.tobytes() == _stepped_x(params, got).tobytes()
 
     def test_seeds_spanning_several_batches(self, monkeypatch, critical_params):
         width = LOCKSTEP_MIN + 2
@@ -426,21 +475,23 @@ class TestBatches:
         assert k + 1 == len(handed) == len(seeds)
 
     @pytest.mark.parametrize("name", CASES)
-    @pytest.mark.parametrize("n, force", [(1, False), (1, True), (2, False)])
-    def test_streamed_batch_paths_equal_single_paths(self, monkeypatch, name, n, force):
+    @pytest.mark.parametrize("n, stepped", [(1, False), (1, True), (2, False)])
+    def test_streamed_batch_paths_equal_single_paths(self, monkeypatch, name, n, stepped):
         # chunks of 7 steps: 27 paths of 20 steps fit their Y rows and one
-        # chunk of normal rows, and draw their normals in three chunks
+        # chunk of normal rows, and draw their normals in three chunks;
+        # stepped: each n = 1 path also keeps the stepped recursion's bits
         params = self._params(name, n)
         width, steps, chunk = LOCKSTEP_MIN + 3, 20, 7
         seeds = [substream(79, 2 * j) for j in range(width)]
-        want = [simulate_path(params, 0.4, 0.02, s, _force_general=force).states.tobytes()
-                for s in seeds]
+        want = [simulate_path(params, 0.4, 0.02, s).states.tobytes() for s in seeds]
         monkeypatch.setattr(simulate, "STREAM_CHUNK", chunk)
         monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * width * (steps + 1 + chunk))
         assert batch_width(steps) == width
-        got = list(simulate_paths(params, 0.4, 0.02, seeds, _force_general=force))
+        got = list(simulate_paths(params, 0.4, 0.02, seeds))
         assert [p.states.tobytes() for p in got] == want
         assert all(p.states.flags.c_contiguous for p in got)
+        if stepped:
+            assert [p.X.tobytes() for p in got] == [_stepped_x(params, p).tobytes() for p in got]
 
     def test_critical_limit_horizon_streams_in_lockstep(self, monkeypatch, critical_params):
         # the critical_limit benchmark's horizon: 40 paths of 10,000 steps
