@@ -41,11 +41,7 @@ from .harness import (
     write_report,
 )
 from .model import classify
-from .moments import (
-    TildeFrame,
-    asymptotic_covariance,
-    stationary_x_moments,
-)
+from .moments import asymptotic_covariance, stationary_x_moments
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .estimate import FLAVORS, estimate_path
 
@@ -105,7 +101,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_moments(args) -> int:
     raw = _read_config(args.config)
     params = params_from_config(raw)
-    frame = TildeFrame.from_params(params)
     ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = stationary_x_moments(params)
     report = asymptotic_covariance(params)
     _print_json(
@@ -120,7 +115,7 @@ def _cmd_moments(args) -> int:
                 "E[XX^T]": [[float(v) for v in row] for row in exx],
                 "E[YXX^T]": [[float(v) for v in row] for row in eyxx],
             },
-            "tilde_eigenvalues": [float(v) for v in frame.lam],
+            "tilde_eigenvalues": [float(v) for v in classify(params).eig_theta],
             "covariance": {
                 "EG": [[float(v) for v in row] for row in report.EG],
                 "EH": [[float(v) for v in row] for row in report.EH],

@@ -42,8 +42,9 @@ the martingale error term, assembled from E[Y], E[Y^2], E[Y^3], E[X],
 E[Y X], E[Y^2 X], E[X X^T], E[Y X X^T] with the diffusion loadings
 sigma_1^2, sigma_1 * rho_J1 and rho_tilde rho_tilde^T.  The block layout of
 both is owned by :func:`ad1n.model.gram_blocks` and
-:func:`ad1n.model.qv_matrix`.  The two solves with EG are numpy's LU
-solves, so the sandwich needs no scipy.
+:func:`ad1n.model.qv_matrix`.  The moments solve linear equations in X
+coordinates (no eigenbasis of theta, whose conditioning would cost
+digits), and every solve is numpy's LU, so the sandwich needs no scipy.
 
 The stationary law itself is pinned down by its Fourier-Laplace transform
 E exp(-lam*Y + i mu.X) = exp(a * int_0^inf Ks ds + i mu . theta^-1 m) with
@@ -189,23 +190,22 @@ def stationary_moment_table(params: ModelParams, max_order: int = MAX_ORDER) -> 
     return table
 
 
-def _moment_key(params: ModelParams, k: int, l) -> MomentKey:
-    """(k, l) as a table key, after the checks that l has one entry per X
-    coordinate and that the total order is at most MAX_ORDER."""
+def _moment_key(params: ModelParams, k: int, l) -> MomentKey | None:
+    """(k, l) as a table key, or None at a negative index, where every moment
+    is 0, once l has one entry per X coordinate and order <= MAX_ORDER."""
     l = tuple(int(v) for v in np.atleast_1d(l))
     if len(l) != params.n:
         raise DimensionMismatchError(f"l has {len(l)} entries, the model has n = {params.n}")
     if k + sum(l) > MAX_ORDER:
         raise OrderTooHighError(f"total order {k + sum(l)} exceeds {MAX_ORDER}")
-    return k, l
+    return (k, l) if min(k, *l) >= 0 else None
 
 
 def stationary_moment(params: ModelParams, k: int, l) -> float:
     """Stationary E[Y^k prod (Xt^i)^{l_i}] (tilde coordinates); 0 at a negative index."""
-    k, l = _moment_key(params, k, l)
-    order = k + sum(l)
-    table = stationary_moment_table(params, max_order=max(order, 0))
-    return float(table.get((k, l), 0.0))
+    key = _moment_key(params, k, l)
+    table = stationary_moment_table(params, max_order=k + sum(key[1]) if key else 0)
+    return float(table[key]) if key else 0.0
 
 
 def point_initial_moments(params: ModelParams, y0: float, x0, max_order: int = MAX_ORDER) -> MomentTable:
@@ -240,12 +240,14 @@ def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: fl
 
     ``initial`` maps (k, l) keys of total order <= k + sum(l) to the
     corresponding moments of (Y_0, Xt_0); see :func:`point_initial_moments`.
-    The time t must be finite and nonnegative.
+    The time t must be finite and nonnegative; the moment is 0 at a negative index.
     """
-    k, l = _moment_key(params, k, l)
+    target = _moment_key(params, k, l)
     if not 0.0 <= t < math.inf:
         raise InvalidGridError(f"t must be finite and nonnegative, got {t}")
-    order = k + sum(l)
+    if target is None:
+        return 0.0
+    order = k + sum(target[1])
     frame = TildeFrame.from_params(params)
     keys, pos, A = _transient_system(frame, float(params.a), float(params.b), params.n, order)
     v0 = np.empty(len(keys))
@@ -254,7 +256,7 @@ def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: fl
             raise MissingInitialMomentError(f"initial table lacks entry {key}")
         v0[pos[key]] = initial[key]
     v = expm(A * float(t)) @ v0
-    return float(v[pos[(k, l)]])
+    return float(v[pos[target]])
 
 
 def tilde_to_x_moment(frame: TildeFrame, table: MomentTable, k: int, l) -> float:
@@ -265,6 +267,8 @@ def tilde_to_x_moment(frame: TildeFrame, table: MomentTable, k: int, l) -> float
     """
     l = tuple(int(v) for v in np.atleast_1d(l))
     n = len(l)
+    if n != frame.lam.size:
+        raise DimensionMismatchError(f"l has {n} entries, the frame has n = {frame.lam.size}")
     Q = frame.P_inv
     poly: dict[MultiIndex, float] = {tuple([0] * n): 1.0}
     for i in range(n):
@@ -300,37 +304,37 @@ class CovarianceReport:
     cond_EG: float
 
 
-def _unit(n: int, i: int) -> MultiIndex:
-    return tuple(int(q == i) for q in range(n))
-
-
-def _pair(n: int, i: int, j: int) -> MultiIndex:
-    return tuple(int(q == i) + int(q == j) for q in range(n))
-
-
 def stationary_x_moments(params: ModelParams):
-    """Stationary moments of (Y, X) needed by the covariance assembly."""
-    frame = TildeFrame.from_params(params)
-    table = stationary_moment_table(params, max_order=3)
-    n = params.n
-    ey = table[(1, (0,) * n)]
-    ey2 = table[(2, (0,) * n)]
-    ey3 = table[(3, (0,) * n)]
-    ex = np.array([tilde_to_x_moment(frame, table, 0, _unit(n, i)) for i in range(n)])
-    eyx = np.array([tilde_to_x_moment(frame, table, 1, _unit(n, i)) for i in range(n)])
-    ey2x = np.array([tilde_to_x_moment(frame, table, 2, _unit(n, i)) for i in range(n)])
-    exx = np.empty((n, n))
-    eyxx = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            exx[i, j] = exx[j, i] = tilde_to_x_moment(frame, table, 0, _pair(n, i, j))
-            eyxx[i, j] = eyxx[j, i] = tilde_to_x_moment(frame, table, 1, _pair(n, i, j))
+    """E[Y], E[Y^2], E[Y^3], E[X], E[Y X], E[Y^2 X], E[X X^T] and E[Y X X^T]
+    of the stationary law, from Ito's formula on Y^k, Y^k X and Y^k X X^T:
+    linear equations in X coordinates, the last two Lyapunov equations in
+    theta, solved through its Kronecker sum with itself."""
+    _require_subcritical(params)
+    a, b, s1, n = float(params.a), float(params.b), params.sigma1, params.n
+    m, kappa, theta, rj = params.m, params.kappa, params.theta, params.rho_J1
+    eye = np.eye(n)
+    rr = params.rho_tilde @ params.rho_tilde.T
+    ey = a / b
+    c2 = 2.0 * a + s1 * s1
+    ey2 = c2 * ey / (2.0 * b)
+    ey3 = (a + s1 * s1) * ey2 / b
+    ex = np.linalg.solve(theta, m - kappa * ey)
+    eyx = np.linalg.solve(theta + b * eye, (m + s1 * rj) * ey - kappa * ey2 + a * ex)
+    ey2x = np.linalg.solve(theta + 2.0 * b * eye, (m + 2.0 * s1 * rj) * ey2 - kappa * ey3 + c2 * eyx)
+    kron_sum = np.kron(theta, eye) + np.kron(eye, theta)
+
+    def lyapunov(shift, half):
+        # s + s^T solves theta S + S theta^T + shift S = half + half^T
+        s = np.linalg.solve(kron_sum + shift * np.eye(n * n), half.ravel()).reshape(n, n)
+        return s + s.T
+
+    exx = lyapunov(0.0, np.outer(m, ex) - np.outer(kappa, eyx) + 0.5 * ey * rr)
+    eyxx = lyapunov(b, np.outer(m + s1 * rj, eyx) - np.outer(kappa, ey2x) + 0.5 * (ey2 * rr + a * exx))
     return ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx
 
 
 def asymptotic_covariance(params: ModelParams) -> CovarianceReport:
     """Sandwich covariance EG^-1 EH EG^-1 of the normalized error."""
-    _require_subcritical(params)
     ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx = stationary_x_moments(params)
     G1, G2 = gram_blocks(1.0, ey, ey2, ex, eyx, exx)
     EG = np.zeros((2 + len(G2) * params.n,) * 2)

@@ -24,8 +24,12 @@ The tau-layout and moment digest was pinned while the tau layout was still
 indexed by hand in each stacking loop and the moment table had its own
 key-order loop, and re-pinned once since, when the sandwich covariance
 moved from scipy's Cholesky solves to numpy's LU solves (its last bits
-moved; ``test_moments`` holds it within 1e-13 of scipy's).  Every other
-value in that digest was unchanged.  The three n = 2 simulation digests
+moved; ``test_moments`` holds it within 1e-13 of scipy's).  It was
+re-pinned again when the sandwich's stationary moments came to be solved
+from their X-coordinate equations instead of expanded from the tilde table
+through the inverse eigenvector matrix: the sandwich moved by at most
+1.5e-15 of its largest entry (n = 3).  Every other value in that digest was
+unchanged both times.  The three n = 2 simulation digests
 (``n2_exact``, ``critical_n2`` and ``test_n2_path_digest``) were re-pinned
 when the n >= 2 X step started to build its drift-and-noise input over the
 time axis before its per-step matrix products: X moved by at most 2.0e-15
@@ -404,4 +408,4 @@ def test_tau_layout_and_moment_digest():
             for t in (0.3, 2.0):
                 put(transient_moment(p, initial, k, l, t))
     assert h.hexdigest() == (
-        "7c9227f00695ca00d8d561099b371e7efbde01a484b89c4494edd75f7c2fa674")
+        "d921c8701afe698363a9ed2c714eaee29be34c890661c828b3c00dd08d0aad0b")

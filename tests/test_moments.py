@@ -149,6 +149,33 @@ class TestStationaryMoments:
         with pytest.raises(DimensionMismatchError):
             stationary_moment(subcritical_params, 1, [0, 0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_x_moments_match_the_tilde_route(self, n):
+        # the moment equations in X coordinates against the order-3 tilde
+        # table expanded through the inverse eigenvector matrix
+        rng = np.random.default_rng(30 + n)
+        for _ in range(10):
+            p = random_subcritical(rng, n)
+            frame = TildeFrame.from_params(p)
+            table = stationary_moment_table(p, 3)
+
+            def x(k, l):
+                return tilde_to_x_moment(frame, table, k, l)
+
+            want = (x(1, (0,) * n), x(2, (0,) * n), x(3, (0,) * n),
+                    *(np.array([x(k, _unit(n, i)) for i in range(n)]) for k in (0, 1, 2)),
+                    *(np.array([[x(k, _pair(n, i, j)) for j in range(n)] for i in range(n)])
+                      for k in (0, 1)))
+            for got, w in zip(moments.stationary_x_moments(p), want, strict=True):
+                assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("k, l", [(-1, [0]), (0, [-1]), (2, [-1])])
+    def test_negative_index_is_zero(self, subcritical_params, k, l):
+        # transient_moment raised a bare KeyError here
+        init = point_initial_moments(subcritical_params, 1.3, [0.4], 3)
+        assert stationary_moment(subcritical_params, k, l) == 0.0
+        assert transient_moment(subcritical_params, init, k, l, 1.0) == 0.0
+
     def test_moment_matrix_psd(self, subcritical_params_n2):
         from ad1n.moments import stationary_x_moments
 
@@ -250,6 +277,14 @@ class TestTildeConversion:
         frame = TildeFrame.from_params(subcritical_params_n2)
         with pytest.raises(IncompleteTableError):
             tilde_to_x_moment(frame, {}, 0, [1, 0])
+
+    @pytest.mark.parametrize("l", [[1, 0], []])
+    def test_index_of_the_wrong_length_is_a_dimension_error(self, subcritical_params, l):
+        # a longer l raised a bare IndexError, a shorter one IncompleteTableError
+        frame = TildeFrame.from_params(subcritical_params)
+        table = stationary_moment_table(subcritical_params, 2)
+        with pytest.raises(DimensionMismatchError):
+            tilde_to_x_moment(frame, table, 0, l)
 
     def test_full_table_conversion_shapes(self, subcritical_params_n2):
         frame = TildeFrame.from_params(subcritical_params_n2)

@@ -13,8 +13,9 @@ is forked only by ``harness._in_child``, a memfd is made only by
 ``model.classify``, and the |b| h bound of the one-step coefficients
 (``_matfun.SMALL_BH``) and their b -> 0 form ``_matfun.phi1`` are read
 only in ``ad1n._matfun``, and ``numpy.polynomial`` and its
-Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``.  A
-second copy fails here."""
+Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``, and
+the sandwich's stationary moments come from ``stationary_x_moments``' own
+X-coordinate solves, never from the tilde table.  A second copy fails here."""
 
 import ast
 import pathlib
@@ -212,3 +213,21 @@ def test_gauss_legendre_nodes_live_in_step_integrals():
             owned = _in_function(tree, "step_integrals", _reaches_gauss_legendre)
             assert owned
         assert reads <= owned, name
+
+
+#: the tilde-coordinate route to X moments: eigenbasis, table, expansion
+_TILDE_ROUTE = ("TildeFrame", "stationary_moment_table", "tilde_to_x_moment")
+
+
+def _names_tilde_route(node):
+    return (isinstance(node, ast.Name) and node.id in _TILDE_ROUTE) or (
+        isinstance(node, ast.Attribute) and node.attr in _TILDE_ROUTE)
+
+
+def test_sandwich_moments_skip_the_tilde_route():
+    # expanding tilde moments through the inverse eigenvector matrix of
+    # theta costs the sandwich digits with that matrix's condition number
+    tree = ast.parse(_sources()["moments.py"])
+    for function in ("stationary_x_moments", "asymptotic_covariance"):
+        assert _in_function(tree, function, lambda node: True), function
+        assert not _in_function(tree, function, _names_tilde_route), function
