@@ -42,15 +42,12 @@ from .estimate import (
 )
 from .moments import (
     CovarianceReport,
-    TildeFrame,
     asymptotic_covariance,
     point_initial_moments,
     riccati_cf,
     riccati_cf_batch,
     stationary_moment,
     stationary_moment_table,
-    tilde_to_x_moment,
-    tilde_to_x_moments,
     transient_moment,
 )
 from .asymptotics import (

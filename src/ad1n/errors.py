@@ -42,10 +42,6 @@ class MissingInitialMomentError(Ad1nError):
     """Initial moment table lacks an entry needed by the transient solver."""
 
 
-class IncompleteTableError(Ad1nError):
-    """Moment table lacks an entry needed by the coordinate conversion."""
-
-
 class SingularEGError(Ad1nError):
     """Limit design matrix is numerically singular (condition > 1e12)."""
 

@@ -11,8 +11,11 @@ subcritical    mean within 3 MC standard errors of zero per coordinate,
                and |excess kurtosis| < 0.5 (plus per-coordinate KS
                statistics against the sandwich-implied normal marginals,
                reported, not thresholded);
-critical       two-sample KS distance below 0.15 between the normalized
-               (a, b) errors and draws of the simulated limit functional;
+critical       two-sample KS distance below 0.15 between each normalized
+               coordinate of the error (CSV column err_i) and draws of the
+               simulated limit functional, whose law is that of
+               b = kappa = theta = 0: any other critical model fails its
+               ``critical_law_applies`` check;
 supercritical  median |b_hat - b| decreasing in the horizon and below 0.05
                at the largest one, interquartile range of a_hat - a not
                contracting (ratio within [0.5, 2]), and the exponentially
@@ -580,6 +583,9 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
     sandwich = None
     if config.regime == Regime.SUBCRITICAL:
         sandwich = asymptotic_covariance(params).sandwich
+    elif config.regime == Regime.CRITICAL:
+        # the limit draws follow the law of b = kappa = theta = 0 only
+        checks["critical_law_applies"] = not (b or np.any(params.kappa) or np.any(params.theta))
 
     def keep(path):
         # looked up on the module, so that a wrapper installed there sees it
@@ -658,8 +664,8 @@ def _experiment(config: ExperimentConfig, cls: Classification, join_limits) -> E
                     ks_two_sample(E[:, i], limit_sample[:, i]) for i in range(L)
                 ]
                 summary.update(ks_vs_limit=[float(v) for v in ks])
-            checks[f"ks_a<{CRITICAL_KS_TOL:g}[{tag}]"] = ks[0] < CRITICAL_KS_TOL
-            checks[f"ks_Tb<{CRITICAL_KS_TOL:g}[{tag}]"] = ks[1] < CRITICAL_KS_TOL
+            for i, v in enumerate(ks):
+                checks[f"ks_err_{i}<{CRITICAL_KS_TOL:g}[{tag}]"] = v < CRITICAL_KS_TOL
         elif is_super and n_ok > 1:
             taus = np.array([t for _, _, t in errs])
             b_err = np.abs(taus[:, 1] - truth[1])

@@ -1,35 +1,25 @@
 """Exact mixed moments, asymptotic covariance and the stationary transform.
 
-Moment recursions are evaluated in decoupled coordinates: with theta
-diagonalized as D = P theta P^-1 (D = diag(lambda)) the process Xt~ = P X
-has componentwise dynamics
+AD(1,n) is a polynomial process: its generator
 
-    dXt^i = (mt_i - kt_i * Y - lambda_i * Xt^i) dt + sqrt(Y) rc_i dB,
+    L f = (a - b Y) f_Y + (m - kappa Y - theta X) . grad_X f
+          + Y (sigma1^2 f_YY / 2 + sigma1 rho_J1 . grad_X f_Y
+               + tr(rho_tilde rho_tilde^T Hess_X f) / 2)
 
-where mt = P m, kt = P kappa and rc = P rho_tilde (rows rc_i).  The mixed
-moment f(k, l) = E[Y^k prod_i (Xt^i)^{l_i}] then satisfies a closed linear
-ODE system over all multi-indices of bounded total order: its time
-derivative is -(b*k + sum_j lambda_j l_j) f(k, l) plus source terms
-
-    (a*k + sigma1^2 k(k-1)/2)          * f(k-1, l)
-    l_p (mt_p + k sigma1 rc_{p,1})     * f(k, l - e_p)
-    -kt_p l_p                          * f(k+1, l - e_p)
-    ||rc_p||^2/2 * l_p (l_p - 1)       * f(k+1, l - 2 e_p)
-    (rc rc^T)_{ip}/2 * l_i l_p         * f(k+1, l - e_i - e_p),  i != p.
-
-:func:`_source_terms` emits no source at a negative index: it emits
-l - e_p only when l_p >= 1, l - 2 e_p only when l_p >= 2 and
-l - e_i - e_p only when l_i, l_p >= 1, and the coefficient of (k-1, l) is
-a*k + sigma1^2 k(k-1)/2, which is 0 at k = 0 and skipped.  So every source
-is a key of the table.  Stationary moments solve the same relations with
-the time derivative set to zero; subcriticality makes every divisor
-b*k + sum lambda_j l_j positive, and :func:`_index_set` orders the keys by
-ascending sum(l), then ascending k, so that each entry comes after
-everything it needs.  Every table and system here is built in that order.
-Transient moments integrate the assembled constant-coefficient system with
-a matrix exponential, :func:`ad1n._matfun.expm`, which hands every system
-it does not port to ``scipy.linalg`` through ``_matfun.scipy_call`` and
-loads scipy at that first call.
+maps the polynomials in (Y, X) of total degree <= D into themselves
+(Cuchiero, Keller-Ressel and Teichmann, Finance Stoch. 16 (2012);
+Filipovic and Larsson, Finance Stoch. 20 (2016)).  :func:`generator` is
+its matrix G on the monomials Y^k X^l, in the key order of
+:func:`_index_set` (ascending sum(l), then ascending k), which every table
+and system here follows.  The moments mu(t) = E[Y_t^k X_t^l] solve
+mu' = G^T mu.  Transient moments are expm(t G^T) mu(0), through
+:func:`ad1n._matfun.expm`, which hands every system it does not port to
+``scipy.linalg`` through ``_matfun.scipy_call`` and loads scipy at that
+first call.  Stationary moments solve G^T mu = 0 with E[1] = 1.  L keeps
+or lowers the total degree, so G is block triangular by degree and the
+solve runs one degree at a time; the block of degree d has the
+eigenvalues -(b k + lambda . l) over its keys (lambda the eigenvalues of
+theta), which subcriticality keeps off zero.
 
 The asymptotic covariance of sqrt(T) times the estimation error is the
 sandwich EG^-1 EH EG^-1, where EG is block diagonal with
@@ -70,7 +60,6 @@ import numpy as np
 from ._matfun import expm
 from .errors import (
     DimensionMismatchError,
-    IncompleteTableError,
     InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
@@ -89,32 +78,19 @@ MomentTable = dict
 
 @dataclass(frozen=True)
 class TildeFrame:
-    """Diagonalizing frame: P theta P^-1 = diag(lam), Xt = P X."""
+    """Diagonalizing frame of theta, P theta P^-1 = diag(lam), with m and
+    kappa mapped by P: the decay rates of :func:`riccati_cf` and the
+    supercritical sign condition read it."""
 
     P: np.ndarray
-    P_inv: np.ndarray
     lam: np.ndarray
     m_t: np.ndarray
     kappa_t: np.ndarray
-    rho_check: np.ndarray  # (n, d): P @ rho_tilde
-    sigma_check_sq: np.ndarray  # (n,): squared row norms of rho_check
-    sigma1: float
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "TildeFrame":
         lam, P = _try_real_eig(params.theta)
-        P_inv = np.linalg.inv(P)
-        rho_check = P @ params.rho_tilde
-        return cls(
-            P=P,
-            P_inv=P_inv,
-            lam=lam,
-            m_t=P @ params.m,
-            kappa_t=P @ params.kappa,
-            rho_check=rho_check,
-            sigma_check_sq=np.sum(rho_check**2, axis=1),
-            sigma1=params.sigma1,
-        )
+        return cls(P=P, lam=lam, m_t=P @ params.m, kappa_t=P @ params.kappa)
 
 
 def _multi_indices(n: int, total: int):
@@ -138,31 +114,34 @@ def _index_set(n: int, max_order: int) -> list[MomentKey]:
     return keys
 
 
-def _source_terms(frame: TildeFrame, a: float, k: int, l: MultiIndex):
-    """(coefficient, source index) pairs of the moment recursion row."""
-    n = len(l)
-    s1 = frame.sigma1
-    rr = frame.rho_check @ frame.rho_check.T
-    out = []
-    coef = a * k + 0.5 * s1 * s1 * k * (k - 1)
-    if coef != 0.0:
-        out.append((coef, (k - 1, l)))
-    for p in range(n):
-        lp = l[p]
-        if lp == 0:
-            continue
-        e_p = tuple(v - (q == p) for q, v in enumerate(l))
-        out.append((lp * (frame.m_t[p] + k * s1 * frame.rho_check[p, 0]), (k, e_p)))
-        out.append((-frame.kappa_t[p] * lp, (k + 1, e_p)))
-        if lp > 1:
-            e_pp = tuple(v - 2 * (q == p) for q, v in enumerate(l))
-            out.append((0.5 * frame.sigma_check_sq[p] * lp * (lp - 1), (k + 1, e_pp)))
-        for i in range(n):
-            if i == p or l[i] == 0:
-                continue
-            e_ip = tuple(v - (q == p) - (q == i) for q, v in enumerate(l))
-            out.append((0.5 * rr[i, p] * l[i] * lp, (k + 1, e_ip)))
-    return out
+def generator(params: ModelParams, order: int) -> np.ndarray:
+    """G, the generator's matrix on the monomials Y^k X^l of total degree
+    <= ``order``, keys in :func:`_index_set` order: column j holds the
+    coefficients of L(Y^k X^l) for the j-th key (k, l)."""
+    keys = _index_set(params.n, order)
+    pos = {key: i for i, key in enumerate(keys)}
+    a, b, s1 = float(params.a), float(params.b), params.sigma1
+    m, kappa, theta, rj = params.m, params.kappa, params.theta, params.rho_J1
+    rr = params.rho_tilde @ params.rho_tilde.T
+    unit = np.eye(params.n, dtype=int)
+    G = np.zeros((len(keys), len(keys)))
+    for j, (k, l) in enumerate(keys):
+        def put(coef, k_to, l_to):
+            G[pos[(k_to, tuple(l_to.tolist()))], j] += coef
+
+        l = np.array(l)
+        put(-b * k, k, l)
+        if k:
+            put(a * k + 0.5 * s1 * s1 * k * (k - 1), k - 1, l)
+        for p in np.flatnonzero(l):
+            lp = l - unit[p]
+            put(l[p] * (m[p] + k * s1 * rj[p]), k, lp)
+            put(-l[p] * kappa[p], k + 1, lp)
+            for q in range(params.n):
+                put(-l[p] * theta[p, q], k, lp + unit[q])
+                if lp[q]:
+                    put(0.5 * l[p] * lp[q] * rr[p, q], k + 1, lp - unit[q])
+    return G
 
 
 def _require_subcritical(params: ModelParams) -> Classification:
@@ -173,21 +152,20 @@ def _require_subcritical(params: ModelParams) -> Classification:
 
 
 def stationary_moment_table(params: ModelParams, max_order: int = MAX_ORDER) -> MomentTable:
-    """All stationary mixed moments E[Y^k prod (Xt^i)^{l_i}] up to total
-    order ``max_order``, in tilde coordinates."""
+    """All stationary mixed moments E[Y^k prod (X^i)^{l_i}] up to total order
+    ``max_order``: G^T mu = 0 with E[1] = 1, solved one total degree at a
+    time."""
     if max_order > MAX_ORDER:
         raise OrderTooHighError(f"max supported total order is {MAX_ORDER}")
     _require_subcritical(params)
-    frame = TildeFrame.from_params(params)
-    b, a = float(params.b), float(params.a)
     keys = _index_set(params.n, max_order)
-    table: MomentTable = dict.fromkeys(keys[:1], 1.0)
-    for k, l in keys[1:]:
-        rhs = 0.0
-        for coef, src in _source_terms(frame, a, k, l):
-            rhs += coef * table[src]
-        table[(k, l)] = rhs / (b * k + float(np.dot(frame.lam, l)))
-    return table
+    GT = generator(params, max_order).T
+    degree = np.array([k + sum(l) for k, l in keys])
+    mu = (degree == 0).astype(float)
+    for d in range(1, max_order + 1):
+        now, done = degree == d, degree < d
+        mu[now] = np.linalg.solve(GT[np.ix_(now, now)], -GT[np.ix_(now, done)] @ mu[done])
+    return dict(zip(keys, mu.tolist()))
 
 
 def _moment_key(params: ModelParams, k: int, l) -> MomentKey | None:
@@ -202,44 +180,26 @@ def _moment_key(params: ModelParams, k: int, l) -> MomentKey | None:
 
 
 def stationary_moment(params: ModelParams, k: int, l) -> float:
-    """Stationary E[Y^k prod (Xt^i)^{l_i}] (tilde coordinates); 0 at a negative index."""
+    """Stationary E[Y^k prod (X^i)^{l_i}]; 0 at a negative index."""
     key = _moment_key(params, k, l)
     table = stationary_moment_table(params, max_order=k + sum(key[1]) if key else 0)
     return float(table[key]) if key else 0.0
 
 
 def point_initial_moments(params: ModelParams, y0: float, x0, max_order: int = MAX_ORDER) -> MomentTable:
-    """Initial moment table of a deterministic start (y0, x0), tilde coords."""
+    """Initial moment table y0^k prod (x0^i)^{l_i} of a deterministic start (y0, x0)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (params.n,):
         raise DimensionMismatchError(f"x0 has {x0.size} entries, the model has n = {params.n}")
-    frame = TildeFrame.from_params(params)
-    x0t = frame.P @ x0
-    table: MomentTable = {}
-    for key in _index_set(params.n, max_order):
-        k, l = key
-        table[key] = float(y0**k * np.prod(x0t ** np.array(l)))
-    return table
-
-
-def _transient_system(frame: TildeFrame, a: float, b: float, n: int, max_order: int):
-    keys = _index_set(n, max_order)
-    pos = {key: i for i, key in enumerate(keys)}
-    A = np.zeros((len(keys), len(keys)))
-    for key in keys:
-        k, l = key
-        i = pos[key]
-        A[i, i] = -(b * k + float(np.dot(frame.lam, l)))
-        for coef, src in _source_terms(frame, a, k, l):
-            A[i, pos[src]] += coef
-    return keys, pos, A
+    return {(k, l): float(y0**k * np.prod(x0 ** np.array(l)))
+            for k, l in _index_set(params.n, max_order)}
 
 
 def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: float) -> float:
-    """E[Y_t^k prod (Xt_t^i)^{l_i}] from initial mixed moments at time 0.
+    """E[Y_t^k prod (X_t^i)^{l_i}], the (k, l) entry of expm(t G^T) mu(0).
 
     ``initial`` maps (k, l) keys of total order <= k + sum(l) to the
-    corresponding moments of (Y_0, Xt_0); see :func:`point_initial_moments`.
+    corresponding moments mu(0) of (Y_0, X_0); see :func:`point_initial_moments`.
     The time t must be finite and nonnegative; the moment is 0 at a negative index.
     """
     target = _moment_key(params, k, l)
@@ -248,49 +208,12 @@ def transient_moment(params: ModelParams, initial: MomentTable, k: int, l, t: fl
     if target is None:
         return 0.0
     order = k + sum(target[1])
-    frame = TildeFrame.from_params(params)
-    keys, pos, A = _transient_system(frame, float(params.a), float(params.b), params.n, order)
-    v0 = np.empty(len(keys))
+    keys = _index_set(params.n, order)
     for key in keys:
         if key not in initial:
             raise MissingInitialMomentError(f"initial table lacks entry {key}")
-        v0[pos[key]] = initial[key]
-    v = expm(A * float(t)) @ v0
-    return float(v[pos[target]])
-
-
-def tilde_to_x_moment(frame: TildeFrame, table: MomentTable, k: int, l) -> float:
-    """E[Y^k prod_i (X^i)^{l_i}] from a tilde-coordinate moment table.
-
-    Expands X = P^-1 Xt multilinearly; needs table entries of the same
-    total order.
-    """
-    l = tuple(int(v) for v in np.atleast_1d(l))
-    n = len(l)
-    if n != frame.lam.size:
-        raise DimensionMismatchError(f"l has {n} entries, the frame has n = {frame.lam.size}")
-    Q = frame.P_inv
-    poly: dict[MultiIndex, float] = {tuple([0] * n): 1.0}
-    for i in range(n):
-        for _ in range(l[i]):
-            new: dict[MultiIndex, float] = {}
-            for mono, coef in poly.items():
-                for j in range(n):
-                    key = tuple(v + (q == j) for q, v in enumerate(mono))
-                    new[key] = new.get(key, 0.0) + coef * Q[i, j]
-            poly = new
-    total = 0.0
-    for mono, coef in poly.items():
-        key = (k, mono)
-        if key not in table:
-            raise IncompleteTableError(f"tilde table lacks entry {key}")
-        total += coef * table[key]
-    return float(total)
-
-
-def tilde_to_x_moments(frame: TildeFrame, table: MomentTable) -> MomentTable:
-    """Convert a complete tilde-coordinate table to X-coordinate moments."""
-    return {key: tilde_to_x_moment(frame, table, key[0], key[1]) for key in table}
+    v = expm(generator(params, order).T * float(t)) @ np.array([initial[key] for key in keys])
+    return float(v[keys.index(target)])
 
 
 @dataclass

@@ -29,7 +29,11 @@ re-pinned again when the sandwich's stationary moments came to be solved
 from their X-coordinate equations instead of expanded from the tilde table
 through the inverse eigenvector matrix: the sandwich moved by at most
 1.5e-15 of its largest entry (n = 3).  Every other value in that digest was
-unchanged both times.  The three n = 2 simulation digests
+unchanged both times.  It was re-pinned a third time when the moment table
+and the transient moments moved from theta's eigenbasis to X coordinates,
+solved from the generator's matrix on the monomials Y^k X^l; with the old
+table and transient values put back, the rest of the digest gives the old
+digest.  The three n = 2 simulation digests
 (``n2_exact``, ``critical_n2`` and ``test_n2_path_digest``) were re-pinned
 when the n >= 2 X step started to build its drift-and-noise input over the
 time axis before its per-step matrix products: X moved by at most 2.0e-15
@@ -408,4 +412,4 @@ def test_tau_layout_and_moment_digest():
             for t in (0.3, 2.0):
                 put(transient_moment(p, initial, k, l, t))
     assert h.hexdigest() == (
-        "d921c8701afe698363a9ed2c714eaee29be34c890661c828b3c00dd08d0aad0b")
+        "3fcdaf00e41faaf46f5de837d54fdea24c041f3b8522e6514438e93392a106ec")

@@ -413,16 +413,29 @@ class TestRunExperiment:
     def test_critical_run_without_statistics_fails_its_ks_checks(
             self, monkeypatch, replications, draws_left):
         # one estimate, or no limit draw left, has no KS distance; the run
-        # used to leave both KS checks out
+        # used to leave the KS checks out
         if not draws_left:
             monkeypatch.setattr(harness, "_limit_draw", lambda path, params: None)
         text = TestLimitDrawFailures.CFG.replace("replications = 6",
                                                  f"replications = {replications}")
         rep = run_experiment(experiment_config_from_text(text))
         ks_checks = {k: v for k, v in rep.checks.items() if k.startswith("ks_")}
-        assert sorted(ks_checks) == ["ks_Tb<0.15[T=20]", "ks_a<0.15[T=20]"]
+        assert list(ks_checks) == [f"ks_err_{i}<0.15[T=20]" for i in range(5)]
         assert not any(ks_checks.values()) and not rep.passed
         assert "ks_vs_limit" not in rep.per_horizon[0]
+
+    @pytest.mark.parametrize("zero, moved", [(None, None), ("b = 0.0", "b = 0.5"),
+                                             ("kappa = 0.0", "kappa = 0.5"),
+                                             ("theta = 0.0", "theta = 1.0")],
+                             ids=["zero", "b", "kappa", "theta"])
+    def test_critical_law_applies_only_at_zero_b_kappa_and_theta(self, zero, moved):
+        # the limit draws simulate the b = kappa = theta = 0 process; every
+        # other critical model used to pass on the KS of (a, T b) alone
+        text = TestLimitDrawFailures.CFG
+        rep = run_experiment(experiment_config_from_text(text.replace(zero, moved) if zero else text))
+        assert rep.checks["critical_law_applies"] is (zero is None)
+        if zero:
+            assert not rep.passed
 
     def test_byte_identical_reruns(self):
         cfg = experiment_config_from_text(SUB_CFG)

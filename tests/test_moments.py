@@ -7,7 +7,6 @@ import scipy.integrate
 
 from ad1n import (
     ModelParams,
-    TildeFrame,
     asymptotic_covariance,
     point_initial_moments,
     riccati_cf,
@@ -16,13 +15,10 @@ from ad1n import (
     stationary_moment,
     stationary_moment_table,
     substream,
-    tilde_to_x_moment,
-    tilde_to_x_moments,
     transient_moment,
 )
 from ad1n.errors import (
     DimensionMismatchError,
-    IncompleteTableError,
     InvalidGridError,
     MissingInitialMomentError,
     NotSubcriticalError,
@@ -45,14 +41,17 @@ def _pair(n, i, j):
 def remark_chain(params):
     """Independent hand coding of the worked stationary-moment chain.
 
-    Returns the moments keyed like the table.  Written directly from the
-    special-case formulas, not through the generic recursion machinery.
+    Returns the X-coordinate moments keyed like the table.  Written directly
+    from the special-case formulas in theta's own eigenframe Xt = P X
+    (P theta P^-1 = diag(lam)), not through the generator, and mapped back
+    to X through P^-1.
     """
-    frame = TildeFrame.from_params(params)
+    lam, V = np.linalg.eig(params.theta)  # theta V = V diag(lam), P = V^-1
+    lam, V = lam.real, V.real
+    P = np.linalg.inv(V)
     a, b, s1 = float(params.a), float(params.b), params.sigma1
-    lam = frame.lam
-    mt, kt = frame.m_t, frame.kappa_t
-    rc = frame.rho_check
+    mt, kt = P @ params.m, P @ params.kappa
+    rc = P @ params.rho_tilde
     rr = rc @ rc.T
     n = params.n
     out = {}
@@ -72,37 +71,43 @@ def remark_chain(params):
         / (2 * b + lam[i])
         for i in range(n)
     ])
-    for i in range(n):
-        out[(0, _unit(n, i))] = ex[i]
-        out[(1, _unit(n, i))] = eyx[i]
-        out[(2, _unit(n, i))] = ey2x[i]
+    for k, first in enumerate((ex, eyx, ey2x)):
+        for i, v in enumerate(V @ first):
+            out[(k, _unit(n, i))] = v
     exx = np.empty((n, n))
+    eyxx = np.empty((n, n))
     for i in range(n):
-        exx[i, i] = (2 * mt[i] * ex[i] - 2 * kt[i] * eyx[i] + rr[i, i] * ey) / (2 * lam[i])
         for j in range(n):
-            if j != i:
-                exx[i, j] = (
-                    mt[i] * ex[j] + mt[j] * ex[i]
-                    - kt[i] * eyx[j] - kt[j] * eyx[i]
-                    + rr[i, j] * ey
-                ) / (lam[i] + lam[j])
-    for i in range(n):
-        for j in range(i, n):
-            out[(0, _pair(n, i, j))] = exx[i, j]
-    for i in range(n):
-        out[(1, _pair(n, i, i))] = (
-            a * exx[i, i] + 2 * (mt[i] + s1 * rc[i, 0]) * eyx[i]
-            - 2 * kt[i] * ey2x[i] + rr[i, i] * ey2
-        ) / (b + 2 * lam[i])
-        for j in range(i + 1, n):
-            out[(1, _pair(n, i, j))] = (
+            exx[i, j] = (
+                mt[i] * ex[j] + mt[j] * ex[i]
+                - kt[i] * eyx[j] - kt[j] * eyx[i]
+                + rr[i, j] * ey
+            ) / (lam[i] + lam[j])
+            eyxx[i, j] = (
                 a * exx[i, j]
                 + (mt[i] + s1 * rc[i, 0]) * eyx[j]
                 + (mt[j] + s1 * rc[j, 0]) * eyx[i]
                 - kt[i] * ey2x[j] - kt[j] * ey2x[i]
                 + rr[i, j] * ey2
             ) / (b + lam[i] + lam[j])
+    for k, second in enumerate((exx, eyxx)):
+        second = V @ second @ V.T
+        for i in range(n):
+            for j in range(i, n):
+                out[(k, _pair(n, i, j))] = second[i, j]
     return out
+
+
+def assert_eight_moments_match(params, table):
+    """``stationary_x_moments`` within 1e-13 of each moment's largest entry
+    in ``table``, which is keyed like the moment table."""
+    n = params.n
+    want = (table[(1, (0,) * n)], table[(2, (0,) * n)], table[(3, (0,) * n)],
+            *(np.array([table[(k, _unit(n, i))] for i in range(n)]) for k in (0, 1, 2)),
+            *(np.array([[table[(k, _pair(n, i, j))] for j in range(n)] for i in range(n)])
+              for k in (0, 1)))
+    for got, w in zip(moments.stationary_x_moments(params), want, strict=True):
+        assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 class TestStationaryMoments:
@@ -151,23 +156,47 @@ class TestStationaryMoments:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_x_moments_match_the_tilde_route(self, n):
-        # the moment equations in X coordinates against the order-3 tilde
-        # table expanded through the inverse eigenvector matrix
+        # the moment equations in X coordinates against the order-3 chain in
+        # theta's eigenframe, expanded through its inverse eigenvector matrix
         rng = np.random.default_rng(30 + n)
         for _ in range(10):
             p = random_subcritical(rng, n)
-            frame = TildeFrame.from_params(p)
-            table = stationary_moment_table(p, 3)
+            assert_eight_moments_match(p, remark_chain(p))
 
-            def x(k, l):
-                return tilde_to_x_moment(frame, table, k, l)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_4_table_matches_a_50_digit_solve(self, n):
+        # the degree-by-degree float solve against one 50-digit solve of the
+        # same G^T mu = 0, E[1] = 1 (0.007 / 0.06 / 0.5 s per model at n = 1 /
+        # 2 / 3); its order <= 3 entries against the eight moments the
+        # sandwich solves for on their own, and E[Y^4] against the CIR chain
+        # E[Y^k] = (a + (k - 1) sigma1^2 / 2) E[Y^(k-1)] / b
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(40 + n)
+        for _ in range({1: 5, 2: 5, 3: 2}[n]):
+            p = random_subcritical(rng, n)
+            table = stationary_moment_table(p, 4)
+            keys = list(table)
+            assert keys == moments._index_set(n, 4)
+            A = mpmath.matrix(moments.generator(p, 4).T.tolist())  # exact copies
+            e0 = [1] + [0] * (len(keys) - 1)
+            for j, v in enumerate(e0):  # row 0 of G^T is 0; it becomes E[1] = 1
+                A[0, j] = v
+            with mpmath.workdps(50):
+                exact = mpmath.lu_solve(A, mpmath.matrix(e0))
+            got = np.array(list(table.values()))
+            assert np.max(np.abs(got - np.array(exact.tolist(), dtype=float).ravel())) <= (
+                1e-14 * np.max(np.abs(got)))
+            assert_eight_moments_match(p, table)
+            ey4 = math.prod(p.a + j * p.sigma1**2 / 2 for j in range(4)) / p.b**4
+            assert table[(4, (0,) * n)] == pytest.approx(ey4, rel=1e-14)
 
-            want = (x(1, (0,) * n), x(2, (0,) * n), x(3, (0,) * n),
-                    *(np.array([x(k, _unit(n, i)) for i in range(n)]) for k in (0, 1, 2)),
-                    *(np.array([[x(k, _pair(n, i, j)) for j in range(n)] for i in range(n)])
-                      for k in (0, 1)))
-            for got, w in zip(moments.stationary_x_moments(p), want, strict=True):
-                assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
+    def test_ergodic_average_oracle_n2(self, subcritical_params_n2):
+        # E X^1_inf against a long-run time average
+        p = subcritical_params_n2
+        want = stationary_moment(p, 0, [1, 0])
+        path = simulate_path(p, 3000.0, 0.01, seed=substream(2024, 0))
+        avg = float(np.mean(path.X[:, 0]))
+        assert abs(avg - want) <= 0.03 * abs(want)
 
     @pytest.mark.parametrize("k, l", [(-1, [0]), (0, [-1]), (2, [-1])])
     def test_negative_index_is_zero(self, subcritical_params, k, l):
@@ -193,7 +222,37 @@ class TestStationaryMoments:
         assert np.linalg.eigvalsh(M).min() > -1e-10
 
 
+class TestGenerator:
+    def test_degree_one_columns_are_the_drift(self, subcritical_params_n2):
+        # L Y = a - b Y and L X_p = m_p - kappa_p Y - sum_q theta_pq X_q
+        p = subcritical_params_n2
+        keys = moments._index_set(2, 1)
+        G = moments.generator(p, 1)
+        assert keys == [(0, (0, 0)), (1, (0, 0)), (0, (1, 0)), (0, (0, 1))]
+        np.testing.assert_array_equal(G[:, 0], 0.0)
+        np.testing.assert_array_equal(G[:, 1], [p.a, -p.b, 0.0, 0.0])
+        for i in range(2):
+            np.testing.assert_array_equal(G[:, 2 + i], [p.m[i], -p.kappa[i], *-p.theta[i]])
+
+
 class TestTransientMoments:
+    def test_first_moments_solve_their_linear_ode(self, subcritical_params_n2):
+        # z = (1, E Y_t, E X_t) solves z' = A z with the drift's coefficients
+        import scipy.linalg
+
+        p = subcritical_params_n2
+        A = np.zeros((4, 4))
+        A[1, :2] = p.a, -p.b
+        A[2:, 0], A[2:, 1], A[2:, 2:] = p.m, -p.kappa, -p.theta
+        x0 = np.array([0.4, -1.1])
+        init = point_initial_moments(p, 1.3, x0, 1)
+        for t in (0.2, 1.5):
+            want = scipy.linalg.expm(A * t) @ np.array([1.0, 1.3, *x0])
+            got = [transient_moment(p, init, 1, [0, 0], t),
+                   transient_moment(p, init, 0, [1, 0], t),
+                   transient_moment(p, init, 0, [0, 1], t)]
+            np.testing.assert_allclose(got, want[1:], rtol=1e-13)
+
     def test_t_zero_returns_initial(self, subcritical_params):
         init = point_initial_moments(subcritical_params, 1.3, [0.4], 3)
         got = transient_moment(subcritical_params, init, 2, [1], 0.0)
@@ -261,46 +320,6 @@ class TestTransientMoments:
         init = point_initial_moments(subcritical_params, 1.0, [0.0], 1)
         with pytest.raises(InvalidGridError):
             transient_moment(subcritical_params, init, 1, [0], t)
-
-
-class TestTildeConversion:
-    def test_identity_frame(self, subcritical_params):
-        frame = TildeFrame.from_params(subcritical_params)
-        table = stationary_moment_table(subcritical_params, 2)
-        # n = 1 with theta = [[2.]]: P is the 1x1 identity
-        assert frame.P[0, 0] == pytest.approx(1.0)
-        assert tilde_to_x_moment(frame, table, 1, [1]) == pytest.approx(
-            table[(1, (1,))], rel=1e-14
-        )
-
-    def test_incomplete_table(self, subcritical_params_n2):
-        frame = TildeFrame.from_params(subcritical_params_n2)
-        with pytest.raises(IncompleteTableError):
-            tilde_to_x_moment(frame, {}, 0, [1, 0])
-
-    @pytest.mark.parametrize("l", [[1, 0], []])
-    def test_index_of_the_wrong_length_is_a_dimension_error(self, subcritical_params, l):
-        # a longer l raised a bare IndexError, a shorter one IncompleteTableError
-        frame = TildeFrame.from_params(subcritical_params)
-        table = stationary_moment_table(subcritical_params, 2)
-        with pytest.raises(DimensionMismatchError):
-            tilde_to_x_moment(frame, table, 0, l)
-
-    def test_full_table_conversion_shapes(self, subcritical_params_n2):
-        frame = TildeFrame.from_params(subcritical_params_n2)
-        table = stationary_moment_table(subcritical_params_n2, 2)
-        xt = tilde_to_x_moments(frame, table)
-        assert set(xt) == set(table)
-
-    def test_ergodic_average_oracle_n2(self, subcritical_params_n2):
-        # E X^1_inf from the conversion vs a long-run time average
-        p = subcritical_params_n2
-        frame = TildeFrame.from_params(p)
-        table = stationary_moment_table(p, 1)
-        want = tilde_to_x_moment(frame, table, 0, [1, 0])
-        path = simulate_path(p, 3000.0, 0.01, seed=substream(2024, 0))
-        avg = float(np.mean(path.X[:, 0]))
-        assert abs(avg - want) <= 0.03 * abs(want)
 
 
 class TestAsymptoticCovariance:
@@ -458,9 +477,7 @@ class TestRiccatiCf:
 
     def test_mu_second_derivative_matches_ex2(self, subcritical_params):
         p = subcritical_params
-        frame = TildeFrame.from_params(p)
-        table = stationary_moment_table(p, 2)
-        ex2 = tilde_to_x_moment(frame, table, 0, [2])
+        ex2 = stationary_moment(p, 0, [2])
         h = 1e-3
         vals = riccati_cf_batch(p, [0.0, 0.0, 0.0], [[h], [0.0], [-h]])
         fd = -(vals[0] - 2 * vals[1] + vals[2]).real / h**2

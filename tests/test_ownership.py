@@ -14,8 +14,9 @@ is forked only by ``harness._in_child``, a memfd is made only by
 (``_matfun.SMALL_BH``) and their b -> 0 form ``_matfun.phi1`` are read
 only in ``ad1n._matfun``, and ``numpy.polynomial`` and its
 Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``, and
-the sandwich's stationary moments come from ``stationary_x_moments``' own
-X-coordinate solves, never from the tilde table.  A second copy fails here."""
+theta's eigenframe ``TildeFrame`` is named only by ``moments._riccati_rk4``
+and ``ExperimentConfig.validate_for_limit_theorem``.  A second copy fails
+here."""
 
 import ast
 import pathlib
@@ -215,19 +216,20 @@ def test_gauss_legendre_nodes_live_in_step_integrals():
         assert reads <= owned, name
 
 
-#: the tilde-coordinate route to X moments: eigenbasis, table, expansion
-_TILDE_ROUTE = ("TildeFrame", "stationary_moment_table", "tilde_to_x_moment")
+def _names_tilde_frame(node):
+    return ((isinstance(node, ast.Name) and node.id == "TildeFrame")
+            or (isinstance(node, ast.Attribute) and node.attr == "TildeFrame")
+            or (isinstance(node, ast.alias) and node.name == "TildeFrame"))
 
 
-def _names_tilde_route(node):
-    return (isinstance(node, ast.Name) and node.id in _TILDE_ROUTE) or (
-        isinstance(node, ast.Attribute) and node.attr in _TILDE_ROUTE)
-
-
-def test_sandwich_moments_skip_the_tilde_route():
-    # expanding tilde moments through the inverse eigenvector matrix of
-    # theta costs the sandwich digits with that matrix's condition number
-    tree = ast.parse(_sources()["moments.py"])
-    for function in ("stationary_x_moments", "asymptotic_covariance"):
-        assert _in_function(tree, function, lambda node: True), function
-        assert not _in_function(tree, function, _names_tilde_route), function
+def test_tilde_frame_is_named_only_where_its_eigenbasis_is_read():
+    # every moment is solved in X coordinates; theta's eigenframe serves only
+    # riccati_cf's decay rates and the supercritical sign condition
+    owners = {"moments.py": "_riccati_rk4", "harness.py": "validate_for_limit_theorem"}
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        owned = set()
+        if name in owners:
+            owned = _in_function(tree, owners[name], _names_tilde_frame)
+            assert owned, name
+        assert {id(node) for node in ast.walk(tree) if _names_tilde_frame(node)} <= owned, name
