@@ -65,9 +65,11 @@ consecutive horizons in the order given), delta or gamma (step rule
 delta(T) = T^-gamma, gamma > 0; the step must lie in (0, T]), replications,
 seed, flavor, fine_delta (in (0, 1e-3]), limit_draws, horizon (single-path
 commands).  Any other key, a key given on two lines, a value that does not
-parse or lies outside its range, or a vector or matrix whose shape does not
-fit n, is a ``ConfigError`` naming the key; a model outside the admissible
-set is one listing every violation.
+parse or lies outside its range, a vector or matrix whose shape does not
+fit n, a step whose path numpy cannot index, or replications and
+limit_draws whose substream indices pass 2^64 - 1, is a ``ConfigError``
+naming the key; a model outside the admissible set is one listing every
+violation.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ import numpy as np
 from . import __version__, estimate
 from .asymptotics import TAIL_REL_TOL, critical_limit_functional, normalizer, scaled_tail
 from .errors import (Ad1nError, ConfigError, DimensionMismatchError, InadmissibleParamsError,
-                     RegimeMismatchError)
+                     InvalidGridError, RegimeMismatchError)
 from .estimate import estimate_path  # noqa: F401  (bench/spans.py rebinds it)
 from .model import Classification, ModelParams, Regime, classify, stack_tau, tau_length
 from .moments import asymptotic_covariance
@@ -205,10 +207,28 @@ class ExperimentConfig:
             raise ConfigError(f"horizons {self.horizons!r} must be strictly increasing")
         if not 0 < self.fine_delta <= 1e-3:  # the limit draws' grid rule
             raise ConfigError(f"fine_delta = {self.fine_delta!r} must be in (0, 1e-3]")
+        critical = self.regime == Regime.CRITICAL
+        grids = [("gamma" if self.delta is None else "delta", T, self.delta_for(T))
+                 for T in self.horizons]
+        if critical:
+            grids.append(("fine_delta", 1.0, self.fine_delta))
+        for key, T, delta in grids:
+            try:
+                grid_steps(T, delta, self.params.d)
+            except InvalidGridError as exc:
+                raise ConfigError(f"{key}: step {delta!r} on [0, {T!r}]: {exc}") from exc
         if self.limit_draws is not None and self.limit_draws < 1:
             raise ConfigError("limit_draws must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed {self.seed!r} is not in [0, 2^64)")
+        # every path and limit draw owns the Philox substream of its index
+        # (see _path_phase and _limit_phase), and the indices are in [0, 2^64)
+        paths = len(self.horizons) * self.replications
+        draws = (self.limit_draws or self.replications) if critical else 0
+        if paths + draws > 2**64:
+            key = "limit_draws" if paths < 2**64 and self.limit_draws else "replications"
+            raise ConfigError(f"{key}: {paths} paths and {draws} limit draws need substream "
+                              f"indices up to {paths + draws - 1}, past 2^64 - 1")
         cls = classify(self.params)
         if cls.regime != self.regime:
             raise RegimeMismatchError(
@@ -235,15 +255,12 @@ class ExperimentConfig:
         if self.regime == Regime.SUPERCRITICAL:
             # the supercritical limit law needs lam_max(theta) < b < 0 and
             # the sign condition mt_i * kt_i <= 0 in diagonalizing coords
-            from .moments import TildeFrame
-
             lam_max = float(cls.eig_theta[-1])
             if not (lam_max < self.params.b < 0):
                 raise ConfigError(
                     "supercritical runs need lam_max(theta) < b < 0"
                 )
-            frame = TildeFrame.from_params(self.params)
-            if np.any(frame.m_t * frame.kappa_t > 1e-12):
+            if np.any((cls.P @ self.params.m) * (cls.P @ self.params.kappa) > 1e-12):
                 raise ConfigError(
                     "supercritical runs need elementwise nonpositive products "
                     "of the transformed level and coupling vectors"
@@ -379,7 +396,7 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         except REP_FAILURES:
             return None
 
-    N = grid_steps(T, delta)
+    N = grid_steps(T, delta, params.d)
     if not (_FORKS and M > 1 and batch_width(N) == 1):
         # map holds no path past its keep, so a batch is freed early
         return list(map(kept, simulate_paths(params, T, delta, seeds)))

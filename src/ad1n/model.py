@@ -254,6 +254,7 @@ class Classification:
     regime: Regime
     b: float
     eig_theta: np.ndarray  # real parts, ascending
+    P: np.ndarray  # row transform with P theta P^-1 = diag(eig_theta)
 
 
 def classify(params: ModelParams) -> Classification:
@@ -267,7 +268,7 @@ def classify(params: ModelParams) -> Classification:
     other b with positive definite, negative definite or zero theta is
     SUPERCRITICAL, and any other theta UNSUPPORTED.
     """
-    w, _ = _try_real_eig(params.theta)
+    w, P = _try_real_eig(params.theta)
     b = float(params.b)
     scale = max(float(np.max(np.abs(w))) if w.size else 0.0, 1.0)
     zero_tol = EIG_ZERO_TOL * scale
@@ -282,7 +283,7 @@ def classify(params: ModelParams) -> Classification:
         regime = Regime.SUPERCRITICAL
     else:
         regime = Regime.UNSUPPORTED
-    return Classification(regime, b, w)
+    return Classification(regime, b, w, P)
 
 
 def tau_length(n: int) -> int:

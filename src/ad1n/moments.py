@@ -32,9 +32,11 @@ the martingale error term, assembled from E[Y], E[Y^2], E[Y^3], E[X],
 E[Y X], E[Y^2 X], E[X X^T], E[Y X X^T] with the diffusion loadings
 sigma_1^2, sigma_1 * rho_J1 and rho_tilde rho_tilde^T.  The block layout of
 both is owned by :func:`ad1n.model.gram_blocks` and
-:func:`ad1n.model.qv_matrix`.  The moments solve linear equations in X
-coordinates (no eigenbasis of theta, whose conditioning would cost
-digits), and every solve is numpy's LU, so the sandwich needs no scipy.
+:func:`ad1n.model.qv_matrix`.  The eight moments are entries of the
+stationary table at order 3, which :func:`stationary_x_moments` reads, so
+they solve the same degree blocks of G^T in X coordinates as every other
+moment: no eigenbasis of theta, whose conditioning would cost digits,
+enters, and every solve is numpy's LU, so the sandwich needs no scipy.
 
 The stationary law itself is pinned down by its Fourier-Laplace transform
 E exp(-lam*Y + i mu.X) = exp(a * int_0^inf Ks ds + i mu . theta^-1 m) with
@@ -66,31 +68,14 @@ from .errors import (
     OrderTooHighError,
     SingularEGError,
 )
-from .model import (COND_LIMIT, Classification, ModelParams, Regime, _try_real_eig,
-                    classify, gram_blocks, qv_matrix, symmetric_cond)
+from .model import (COND_LIMIT, Classification, ModelParams, Regime, classify, gram_blocks,
+                    qv_matrix, symmetric_cond)
 
 MAX_ORDER = 4
 
 MultiIndex = tuple[int, ...]
 MomentKey = tuple[int, MultiIndex]
 MomentTable = dict
-
-
-@dataclass(frozen=True)
-class TildeFrame:
-    """Diagonalizing frame of theta, P theta P^-1 = diag(lam), with m and
-    kappa mapped by P: the decay rates of :func:`riccati_cf` and the
-    supercritical sign condition read it."""
-
-    P: np.ndarray
-    lam: np.ndarray
-    m_t: np.ndarray
-    kappa_t: np.ndarray
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "TildeFrame":
-        lam, P = _try_real_eig(params.theta)
-        return cls(P=P, lam=lam, m_t=P @ params.m, kappa_t=P @ params.kappa)
 
 
 def _multi_indices(n: int, total: int):
@@ -229,30 +214,19 @@ class CovarianceReport:
 
 def stationary_x_moments(params: ModelParams):
     """E[Y], E[Y^2], E[Y^3], E[X], E[Y X], E[Y^2 X], E[X X^T] and E[Y X X^T]
-    of the stationary law, from Ito's formula on Y^k, Y^k X and Y^k X X^T:
-    linear equations in X coordinates, the last two Lyapunov equations in
-    theta, solved through its Kronecker sum with itself."""
-    _require_subcritical(params)
-    a, b, s1, n = float(params.a), float(params.b), params.sigma1, params.n
-    m, kappa, theta, rj = params.m, params.kappa, params.theta, params.rho_J1
-    eye = np.eye(n)
-    rr = params.rho_tilde @ params.rho_tilde.T
-    ey = a / b
-    c2 = 2.0 * a + s1 * s1
-    ey2 = c2 * ey / (2.0 * b)
-    ey3 = (a + s1 * s1) * ey2 / b
-    ex = np.linalg.solve(theta, m - kappa * ey)
-    eyx = np.linalg.solve(theta + b * eye, (m + s1 * rj) * ey - kappa * ey2 + a * ex)
-    ey2x = np.linalg.solve(theta + 2.0 * b * eye, (m + 2.0 * s1 * rj) * ey2 - kappa * ey3 + c2 * eyx)
-    kron_sum = np.kron(theta, eye) + np.kron(eye, theta)
+    of the stationary law, read off :func:`stationary_moment_table` at
+    order 3: E[Y^k] at key (k, 0), E[Y^k X_i] at (k, e_i) and E[Y^k X_i X_j]
+    at (k, e_i + e_j)."""
+    n = params.n
+    table = stationary_moment_table(params, 3)
+    unit = np.eye(n, dtype=int)
 
-    def lyapunov(shift, half):
-        # s + s^T solves theta S + S theta^T + shift S = half + half^T
-        s = np.linalg.solve(kron_sum + shift * np.eye(n * n), half.ravel()).reshape(n, n)
-        return s + s.T
+    def moment(k, *i):  # E[Y^k prod_i X_i]
+        return table[(k, tuple(unit[list(i)].sum(axis=0).tolist()))]
 
-    exx = lyapunov(0.0, np.outer(m, ex) - np.outer(kappa, eyx) + 0.5 * ey * rr)
-    eyxx = lyapunov(b, np.outer(m + s1 * rj, eyx) - np.outer(kappa, ey2x) + 0.5 * (ey2 * rr + a * exx))
+    ey, ey2, ey3 = (moment(k) for k in (1, 2, 3))
+    ex, eyx, ey2x = (np.array([moment(k, i) for i in range(n)]) for k in (0, 1, 2))
+    exx, eyxx = (np.array([[moment(k, i, j) for j in range(n)] for i in range(n)]) for k in (0, 1))
     return ey, ey2, ey3, ex, eyx, ey2x, exx, eyxx
 
 
@@ -306,7 +280,7 @@ def riccati_cf(params: ModelParams, lam: float, mu) -> complex:
 def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     """Vectorized :func:`riccati_cf` over a batch of (lam, mu) points, all
     on one grid; the coefficients are evaluated 4,096 steps at a time."""
-    _require_subcritical(params)
+    cls = _require_subcritical(params)
     a, b = float(params.a), float(params.b)
     lams = np.asarray(lams, dtype=float)
     B = lams.shape[0]
@@ -325,7 +299,7 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     # tail's closed form below is the whole integral: no RK4 step
     live = np.any(MU != 0.0, axis=0)
     if np.any(live):
-        K[live], integral[live] = _riccati_rk4(params, K[live], MU[:, live])
+        K[live], integral[live] = _riccati_rk4(params, cls, K[live], MU[:, live])
     # the tail's log runs along the segment 1 -> 1 - z, which meets the
     # branch cut only where z >= 1 is real: there K blows up
     alpha = 0.5 * params.sigma1 * params.sigma1
@@ -334,29 +308,30 @@ def riccati_cf_batch(params: ModelParams, lams, mus) -> np.ndarray:
     return np.exp(a * integral + 1j * (MU.T @ np.linalg.solve(params.theta, params.m)))
 
 
-def _riccati_rk4(params: ModelParams, K: np.ndarray, MU: np.ndarray):
+def _riccati_rk4(params: ModelParams, cls: Classification, K: np.ndarray, MU: np.ndarray):
     """K(t*) and the integral of K over [0, t*] for the points with K(0) =
-    ``K`` and mu the columns of ``MU`` (n, B), by RK4 on one graded grid."""
+    ``K`` and mu the columns of ``MU`` (n, B), by RK4 on one graded grid, in
+    theta's eigenbasis P theta P^-1 = diag(lam) from ``cls``."""
     b = float(params.b)
-    frame = TildeFrame.from_params(params)
+    P, lam = cls.P, cls.eig_theta
     s1 = params.sigma1
     # w(t) = e^{-t theta^T} mu = P^T (e^{-t lam} * v0), v0 = P^-T mu
-    V0 = np.linalg.solve(frame.P.T, MU)  # (n, B)
-    u_c1 = (frame.P @ params.rho_J1)[:, None] * V0  # c1(t) = sum_i u_i e^{-lam_i t}
-    u_c2 = frame.kappa_t[:, None] * V0
-    Mq = (frame.P @ params.rho_JJ) @ (frame.P @ params.rho_JJ).T  # q(t) quad form
+    V0 = np.linalg.solve(P.T, MU)  # (n, B)
+    u_c1 = (P @ params.rho_J1)[:, None] * V0  # c1(t) = sum_i u_i e^{-lam_i t}
+    u_c2 = (P @ params.kappa)[:, None] * V0
+    Mq = (P @ params.rho_JJ) @ (P @ params.rho_JJ).T  # q(t) quad form
 
     def coefficients(t):
         """Source term g and linear coefficient b - i s1 c1 at the times t."""
-        E = np.exp(-np.outer(t, frame.lam))  # (T, n)
+        E = np.exp(-np.outer(t, lam))  # (T, n)
         c1 = E @ u_c1
         W = E[:, :, None] * V0[None, :, :]  # (T, n, B)
         q = np.einsum("tib,ij,tjb->tb", W, Mq, W)
         return -1j * (E @ u_c2) - 0.5 * q - 0.5 * c1 * c1, b - 1j * s1 * c1
 
     alpha = 0.5 * s1 * s1
-    t_star = math.log(1.0 / np.finfo(float).eps) / frame.lam[0]
-    times = _riccati_grid(frame.lam, b, alpha * np.max(np.abs(K.real)), t_star)
+    t_star = math.log(1.0 / np.finfo(float).eps) / lam[0]
+    times = _riccati_grid(lam, b, alpha * np.max(np.abs(K.real)), t_star)
     steps = np.diff(times)
     nodes = np.sort(np.concatenate([times, times[:-1] + 0.5 * steps]))  # ends and midpoints
     integral = np.zeros(K.shape[0], dtype=complex)

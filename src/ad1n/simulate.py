@@ -203,8 +203,8 @@ def simulate_paths(
     if not 0 < delta <= horizon < math.inf:
         raise InvalidGridError(f"need 0 < delta <= horizon < inf, got {delta:g} and {horizon:g}")
 
-    N = grid_steps(horizon, delta)
     n, d = params.n, params.d
+    N = grid_steps(horizon, delta, d)
     a, b, sigma1 = float(params.a), float(params.b), params.sigma1
     emb, a_t = cir_mean_coeffs(a, b, delta)
     c = cir_mean_coeffs(sigma1 * sigma1 / 4.0, b, delta)[1]  # the CIR scale: a~ at sigma1^2 / 4
@@ -305,16 +305,20 @@ def simulate_paths(
         yield from run(batch)
 
 
-def grid_steps(horizon: float, delta: float) -> int:
-    """Steps N of the grid k*delta, k = 0..N, that a path on [0, horizon] takes."""
-    return int(math.floor(horizon / delta + 1e-9))
+def grid_steps(horizon: float, delta: float, d: int) -> int:
+    """Steps N of the grid k*delta, k = 0..N, that a path on [0, horizon] takes; an
+    InvalidGridError when its (N+1, d) float64 states pass numpy's size limit."""
+    steps = horizon / delta + 1e-9
+    if not 8.0 * d * (steps + 1.0) <= np.iinfo(np.intp).max:
+        raise InvalidGridError(f"a path of {steps:.3g} steps of {d} states is too large to index")
+    return int(math.floor(steps))
 
 
 def path_maker(params: ModelParams, horizon: float, delta: float):
     """``new_path(seed, states)``: the Path that ``simulate_paths(params,
     horizon, delta, ...)`` yields for ``seed``, around (N+1, d) ``states``.
     The paths of one maker share one read-only time grid."""
-    times = np.arange(grid_steps(horizon, delta) + 1) * delta
+    times = np.arange(grid_steps(horizon, delta, params.d) + 1) * delta
     times.flags.writeable = False
     params_hash = params.digest()
 

@@ -15,7 +15,7 @@ The drawn P is a signed permutation times a diagonal of entries +-1 or +-2
 times I + E, ||E||_2 <= 3/4, so cond(P) <= 2 * 7.  Each tolerance is
 ``ROUNDING`` times eps times the condition number of the matrix that the
 mapped side solves (EG' for the sandwich, U2' for the limit draw, the
-worst of theta' + k b I and the Kronecker sums for the moments), the size
+worst degree block of the mapped generator's G^T for the moments), the size
 of the rounding error that solve can make.  The drawn maps stay that well
 conditioned for the normalizer check, whose tolerance is a fixed 1e-12
 (0.85 of it at cond(P) up to 100).  The sandwich and the moments, whose
@@ -34,7 +34,8 @@ from hypothesis.extra.numpy import arrays
 from ad1n import ModelParams, classify
 from ad1n.asymptotics import critical_limit_functional, normalizer
 from ad1n.model import stack_tau, symmetric_cond
-from ad1n.moments import asymptotic_covariance, stationary_x_moments
+from ad1n.moments import (_index_set, asymptotic_covariance, generator,
+                          stationary_x_moments)
 from ad1n.simulate import simulate_critical_limit
 
 from conftest import random_subcritical
@@ -43,7 +44,7 @@ SETTINGS = settings(max_examples=10, deadline=None, database=None)
 EPS = np.finfo(float).eps
 #: allowed error over eps * cond of the solved matrix; on 600 random P of
 #: cond <= 10 the largest ratio seen was 1.95, and on 1,000 drawn maps the
-#: moments' largest, over the size of their terms, was 2.6 (1.1 on the
+#: moments' largest, over the size of their terms, was 2.2 (0.74 on the
 #: fixed maps of cond(P) up to 100)
 ROUNDING = 32
 
@@ -173,13 +174,12 @@ def moments_of_mapped_x(moments, P, q):
 
 
 def solved_cond(p: ModelParams) -> float:
-    """The largest condition number among the matrices that
-    ``stationary_x_moments`` solves: theta + k b I (k = 0, 1, 2) and the
-    Kronecker sum of theta with itself, plain and shifted by b I."""
-    eye = np.eye(p.n)
-    kron_sum = np.kron(p.theta, eye) + np.kron(eye, p.theta)
-    return max(np.linalg.cond(A) for A in (p.theta, p.theta + p.b * eye, p.theta + 2 * p.b * eye,
-                                           kron_sum, kron_sum + p.b * np.eye(p.n**2)))
+    """The largest condition number among the degree blocks of G^T (degrees 1
+    to 3) that ``stationary_moment_table`` solves for the moments that
+    ``stationary_x_moments`` reads."""
+    degree = np.array([k + sum(l) for k, l in _index_set(p.n, 3)])
+    GT = generator(p, 3).T
+    return max(np.linalg.cond(GT[np.ix_(degree == d, degree == d)]) for d in (1, 2, 3))
 
 
 def moments_ratio(P, q) -> float:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ad1n.cli import main
+from ad1n.harness import params_from_config, parse_config_text
+from ad1n.moments import asymptotic_covariance, stationary_x_moments
 
 MODEL_CFG = """
 n = 1
@@ -89,15 +91,6 @@ def test_simulate_deterministic_given_seed(cfg_file, tmp_path, capsys):
     with open(os.path.join(d2, "path.csv")) as fh:
         c2 = fh.read()
     assert c1 == c2
-
-
-def test_moments_command(cfg_file, capsys):
-    assert main(["moments", "--config", cfg_file]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["stationary"]["E[Y]"] == pytest.approx(2.0, rel=1e-12)
-    sandwich = np.array(out["covariance"]["sandwich"])
-    assert sandwich.shape == (5, 5)
-    assert np.allclose(sandwich, sandwich.T)
 
 
 def test_experiment_command(exp_file, tmp_path, capsys):
@@ -213,6 +206,27 @@ def test_seed_outside_uint64_exit_code(tmp_path, capsys, command, seed_args, cfg
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+
+
+CRITICAL_EXP_CFG = EXP_CFG.replace("b = 1.0", "b = 0.0").replace(
+    "kappa = 0.5", "kappa = 0.0").replace("theta = 2.0", "theta = 0.0").replace(
+    "regime = subcritical", "regime = critical").replace("flavor = exact", "flavor = discrete")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("experiment", EXP_CFG.replace("delta = 0.02", "delta = 1e-300")),
+    ("experiment", CRITICAL_EXP_CFG + "fine_delta = 1e-300\n"),
+    ("simulate", EXP_CFG.replace("delta = 0.02", "delta = 1e-300")),
+])
+def test_grid_that_cannot_be_indexed_exit_code(tmp_path, capsys, command, text):
+    # each died in np.arange with "Maximum allowed size exceeded" (exit 1),
+    # the fine_delta run re-raising it from its limit child
+    f = tmp_path / "big.cfg"
+    f.write_text(text)
+    assert main([command, "--config", str(f), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_supercritical_run_with_one_replication_writes_its_report(tmp_path, capsys):
@@ -337,6 +351,27 @@ rho = 1,0,0; 0.2,0.8,0; -0.1,0.15,0.7
 y0 = 1.5
 x0 = 0.5, -1.0
 """
+
+
+def test_moments_command(tmp_path, capsys):
+    # every stationary entry under its own name, and the covariance block,
+    # as the library computes them, at n = 1 and 2: a swapped pair of keys
+    # fails here
+    names = ["E[Y]", "E[Y^2]", "E[Y^3]", "E[X]", "E[YX]", "E[Y^2 X]", "E[XX^T]", "E[YXX^T]"]
+    for text in (MODEL_CFG, N2_MODEL_CFG):
+        f = tmp_path / "model.cfg"
+        f.write_text(text)
+        assert main(["moments", "--config", str(f)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        params = params_from_config(parse_config_text(text))
+        assert sorted(out["stationary"]) == sorted(names)
+        for name, want in zip(names, stationary_x_moments(params), strict=True):
+            assert np.array_equal(out["stationary"][name], want), name
+        report = asymptotic_covariance(params)
+        assert sorted(out["covariance"]) == ["EG", "EH", "cond_EG", "sandwich"]
+        for key, got in out["covariance"].items():
+            assert np.array_equal(got, getattr(report, key)), key
+        assert out["stationary"]["E[Y]"] == pytest.approx(params.a / params.b, rel=1e-12)
 
 
 @pytest.mark.parametrize("command, old, new", [

@@ -412,4 +412,4 @@ def test_tau_layout_and_moment_digest():
             for t in (0.3, 2.0):
                 put(transient_moment(p, initial, k, l, t))
     assert h.hexdigest() == (
-        "3fcdaf00e41faaf46f5de837d54fdea24c041f3b8522e6514438e93392a106ec")
+        "21e92a7bf1f441f55d47edfadeb03b19077a75095f4f7f78e35f675da9963004")

@@ -226,6 +226,31 @@ class TestConfigParsing:
             run_experiment(cfg)
         assert seen["started"] == 0
 
+    # each passed validation: replications = 10^20 built a 10^20-entry seed
+    # list, and a step of 1e-300 died in np.arange ("Maximum allowed size
+    # exceeded"), the fine_delta one in the limit child
+    @pytest.mark.parametrize("key, text", [
+        ("replications", SUB_CFG.replace("replications = 24", f"replications = {10**20}")),
+        ("replications", _CRITICAL.replace("replications = 3", f"replications = {2**63 + 1}")
+         .replace("limit_draws = 4\n", "")),
+        ("limit_draws", _CRITICAL.replace("limit_draws = 4", f"limit_draws = {2**64 - 2}")),
+        ("delta", SUB_CFG.replace("delta = 0.02", "delta = 1e-300")),
+        ("gamma", SUB_CFG.replace("delta = 0.02", "gamma = 200")),
+        ("fine_delta", _CRITICAL.replace("fine_delta = 0.001", "fine_delta = 1e-300")),
+    ])
+    def test_run_that_cannot_be_indexed_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            experiment_config_from_text(text).validate()
+
+    @pytest.mark.parametrize("text", [
+        _CRITICAL.replace("replications = 3", f"replications = {2**63}")
+        .replace("limit_draws = 4\n", ""),  # as many limit draws as replications
+        _CRITICAL.replace("limit_draws = 4", f"limit_draws = {2**64 - 3}"),
+    ])
+    def test_last_substream_index_accepted(self, text):
+        # the largest index, paths + limit draws - 1, is 2^64 - 1 in both
+        experiment_config_from_text(text).validate()
+
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
         # both used to end the run in an OverflowError from the generator
@@ -794,7 +819,7 @@ class TestPathPhaseChildren:
     CFG = experiment_config_from_text(LONG_CFG)
 
     def test_shape_of_the_rounds(self):
-        N = simulate.grid_steps(400, 0.02)
+        N = simulate.grid_steps(400, 0.02, 2)
         assert N >= 18_602 and simulate.batch_width(N) == 1
         assert simulate.BATCH_BYTES // (8 * (N + 1) * 2) == 11
 
@@ -959,7 +984,7 @@ class TestPathPhaseChildren:
                              r"a round of 22 paths wrote indices \[0, 1, 2, 3, 4, 5, 5, ")
 
     def test_short_write_makes_the_run_raise(self, monkeypatch):
-        size = 8 * (simulate.grid_steps(400, 0.02) + 1) * 2
+        size = 8 * (simulate.grid_steps(400, 0.02, 2) + 1) * 2
         pwrite = os.pwrite
 
         def short(fd, data, offset):  # the last float of path 5 is not written
@@ -970,7 +995,7 @@ class TestPathPhaseChildren:
         self._handover_fails(monkeypatch, OSError, f"wrote {size - 8} of {size} bytes of path 5")
 
     def test_short_read_makes_the_run_raise(self, monkeypatch):
-        size = 8 * (simulate.grid_steps(400, 0.02) + 1) * 2
+        size = 8 * (simulate.grid_steps(400, 0.02, 2) + 1) * 2
         preadv = os.preadv
 
         def short(fd, buffers, offset):  # the last float of each path is not read

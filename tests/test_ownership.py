@@ -14,9 +14,11 @@ is forked only by ``harness._in_child``, a memfd is made only by
 (``_matfun.SMALL_BH``) and their b -> 0 form ``_matfun.phi1`` are read
 only in ``ad1n._matfun``, and ``numpy.polynomial`` and its
 Gauss-Legendre nodes are reached only by ``_matfun.step_integrals``, and
-theta's eigenframe ``TildeFrame`` is named only by ``moments._riccati_rk4``
-and ``ExperimentConfig.validate_for_limit_theorem``.  A second copy fails
-here."""
+theta's eigenbasis is computed (``model._try_real_eig``) only by
+``model.validate`` and ``model.classify``, whose ``Classification``
+carries it, and the eight moments of the sandwich are read off
+``moments.stationary_moment_table`` with no solve of their own.  A second
+copy fails here."""
 
 import ast
 import pathlib
@@ -216,20 +218,28 @@ def test_gauss_legendre_nodes_live_in_step_integrals():
         assert reads <= owned, name
 
 
-def _names_tilde_frame(node):
-    return ((isinstance(node, ast.Name) and node.id == "TildeFrame")
-            or (isinstance(node, ast.Attribute) and node.attr == "TildeFrame")
-            or (isinstance(node, ast.alias) and node.name == "TildeFrame"))
-
-
-def test_tilde_frame_is_named_only_where_its_eigenbasis_is_read():
-    # every moment is solved in X coordinates; theta's eigenframe serves only
-    # riccati_cf's decay rates and the supercritical sign condition
-    owners = {"moments.py": "_riccati_rk4", "harness.py": "validate_for_limit_theorem"}
+def test_theta_eigenbasis_is_computed_only_by_validate_and_classify():
+    # classify hands P and the eigenvalues to every reader in its
+    # Classification; a second eigendecomposition would be a basis that a
+    # change to _try_real_eig's checks or fallback could leave behind
+    calls = _calls("model", "_try_real_eig")
     for name, text in _sources().items():
         tree = ast.parse(text)
         owned = set()
-        if name in owners:
-            owned = _in_function(tree, owners[name], _names_tilde_frame)
-            assert owned, name
-        assert {id(node) for node in ast.walk(tree) if _names_tilde_frame(node)} <= owned, name
+        if name == "model.py":
+            owned = _in_function(tree, "validate", calls) | _in_function(tree, "classify", calls)
+            assert len(owned) == 2
+        assert {id(node) for node in ast.walk(tree) if calls(node)} <= owned, name
+
+
+def _solves(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("linalg", "kron")
+
+
+def test_stationary_x_moments_reads_the_moment_table():
+    # the sandwich's moments are entries of the order-3 table; equations of
+    # their own would be a second derivation to keep in step with generator
+    tree = ast.parse(_sources()["moments.py"])
+    assert _in_function(tree, "stationary_x_moments",
+                        _calls("moments", "stationary_moment_table"))
+    assert not _in_function(tree, "stationary_x_moments", _solves)
