@@ -1,56 +1,23 @@
-"""Matrix integral helpers shared by the simulator and the estimators, the
-small matrix exponential behind them, and the one way in to scipy.
+"""Matrix functions on numpy, and the integrals of the exact one-step map
+that the simulator and the estimators share.  Nothing here imports scipy.
 
-An experiment takes matrix functions of small matrices only.  For an
-``n = 1`` model these are the exponentials of 1 x 1 matrices and of the
-2 x 2 one-step blocks [[c, h], [0, 0]] of ``expm_integral``, and
-:func:`expm` computes both without scipy, bit for bit what
-``scipy.linalg.expm`` returns, for every block that scipy takes at Pade
-order 9 or below without squaring (|c| up to about 2.1).  Every other
-matrix function (larger blocks, those of ``n >= 2`` models, and the
-exponentials of the transient moment systems) goes through
-:func:`scipy_call`, which imports ``scipy.linalg`` on first use.  So
-``import ad1n`` and every ``n = 1`` experiment whose blocks stay at order 9
-or below run without loading scipy.
-
-scipy links its own OpenBLAS, beside the one numpy links, and each keeps
-its own worker pool.  At these sizes a second scipy thread splits no work;
-it only spins on the core that numpy's threaded reductions over long paths
-need, and the two pools starve each other.  :func:`scipy_call` holds
-scipy's pool at one thread for each call and puts back the count it found;
-restoring the count does not wake the pool's workers.  numpy's pool stays
-as found: the last bits of those reductions depend on its count.
+:func:`expm` takes ``np.exp`` of a 1 x 1 matrix and a port of
+``scipy.linalg.expm`` on Python floats, bit for bit, for the one-step blocks
+[[c, h], [0, 0]] of ``n = 1`` models that scipy takes at Pade order 9 or
+below (|c| up to about 2.1), which keeps the pinned ``n = 1`` digests; every
+other matrix takes Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal.
+Appl. 26 (2005)).  :func:`logm` is ``np.log`` of a 1 x 1 matrix and inverse
+scaling and squaring otherwise (Higham, *Functions of Matrices*, 2008, ch. 11).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-
-def scipy_call(name: str, A) -> np.ndarray:
-    """``scipy.linalg.<name>(A)``, with scipy imported on first use and its
-    OpenBLAS pool held at one thread for the call; the count it had comes
-    back after, also when the call raises.  Holds nothing when scipy's BLAS
-    is not an OpenBLAS, and never touches numpy's pool."""
-    import scipy.linalg
-
-    fn = getattr(scipy.linalg, name)
-    pool = _scipy_openblas()
-    if pool is None:
-        return fn(A)
-    get, set_ = pool
-    found = get()
-    set_(1)
-    try:
-        return fn(A)
-    finally:
-        set_(found)
-
+from .errors import LogDomainError
 
 #: Largest entry modulus of a one-step block that :func:`expm` computes
 #: itself: A^8 of a larger one may overflow, and the ``Fraction`` arithmetic
@@ -59,39 +26,106 @@ STEP_BLOCK_MAX = 1e30
 
 
 def expm(A) -> np.ndarray:
-    """e^A of a small square matrix, bit for bit ``scipy.linalg.expm(A)``.
-
-    A 1 x 1 matrix is ``np.exp``, as in scipy.  A one-step block
-    [[c, h], [0, 0]] with finite entries of modulus at most
-    ``STEP_BLOCK_MAX`` runs :func:`_expm_step_block`; every other matrix
-    goes to :func:`scipy_call`."""
+    """e^A of a small square matrix, by the route the module describes."""
     A = np.asarray(A, dtype=float)
     if A.shape == (1, 1):
         return np.exp(A)
-    if (A.shape == (2, 2) and A[1, 0] == 0.0 and A[1, 1] == 0.0
-            and abs(A[0, 0]) <= STEP_BLOCK_MAX and abs(A[0, 1]) <= STEP_BLOCK_MAX):
-        return _expm_step_block(float(A[0, 0]), float(A[0, 1]))
-    return scipy_call("expm", A)
+    X = _expm_step_block(A) if A.shape == (2, 2) else None
+    return _expm_pade13(A) if X is None else X
 
 
 # scipy.linalg.expm is the scaling and squaring algorithm of Al-Mohy and
-# Higham, "A New Scaling and Squaring Algorithm for the Matrix Exponential",
-# SIAM J. Matrix Anal. Appl. 31 (2009): the Pade coefficients b_0..b_m, the
-# bounds theta_m on eta = max(||A^2k||^(1/2k)) up to which order m is used
-# unscaled, and the 1/c_m of the truncation-error bound behind ``_ell``.
-# Only the orders it picks without squaring below 13 are ported; a block
-# that needs order 13, scaled or not, goes to scipy.
+# Higham, SIAM J. Matrix Anal. Appl. 31 (2009): the Pade coefficients
+# b_0..b_m, the bounds theta_m on eta = max(||A^2k||^(1/2k)) up to which
+# order m is used unscaled, and the 1/c_m of the error bound behind ``_ell``.
+# ``_expm_pade13`` takes b_0..b_13 with theta_13 as a bound on ||A||_1.
 _PADE = {
     3: (120., 60., 12., 1.),
     5: (30240., 15120., 3360., 420., 30., 1.),
     7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
     9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
         2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+         33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
 }
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068}
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
 _ELL_C = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
           9: 5914384781877411840000.}
+
+
+def _expm_pade13(A: np.ndarray) -> np.ndarray:
+    """r_13(A / 2^s)^(2^s), s the least with ||A||_1 / 2^s <= theta_13; an
+    upper triangular A keeps its triangle and takes exp of its scaled
+    diagonal at each squaring (Al-Mohy and Higham (2009), sec. 2), so e^c =
+    inf or 0 there leaves no nan.  A non-finite entry gives all nan."""
+    norm = np.linalg.norm(A, 1)
+    if not norm < math.inf:
+        return np.full(A.shape, math.nan)
+    s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
+    b, I, S = _PADE[13], np.eye(len(A)), A * 2.0 ** -s
+    S2 = S @ S
+    S4 = S2 @ S2
+    S6 = S2 @ S4
+    U = S @ (S6 @ (b[13] * S6 + b[11] * S4 + b[9] * S2)
+             + b[7] * S6 + b[5] * S4 + b[3] * S2 + b[1] * I)
+    V = (S6 @ (b[12] * S6 + b[10] * S4 + b[8] * S2)
+         + b[6] * S6 + b[4] * S4 + b[2] * S2 + b[0] * I)
+    X = I + 2.0 * np.linalg.solve(V - U, U)  # (V - U)^-1 (V + U), keeping e^S - I's digits
+    triangular = not np.any(np.tril(A, -1))
+    for j in range(s - 1, -1, -1):
+        X = X @ X
+        if triangular:
+            X = np.triu(X)
+            np.fill_diagonal(X, np.exp(np.diag(A) * 2.0 ** -j))
+    return X
+
+
+#: (node, weight) of the 8-point Gauss-Legendre rule on [-1, 1], node > 0
+_GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
+                     (0.525532409916329, 0.3137066458778869),
+                     (0.7966664774136267, 0.22238103445337443),
+                     (0.9602898564975362, 0.10122853629037706))
+_SQRT_STEPS = 64  # iterations of one square root, and square roots of one logarithm
+
+
+def logm(A) -> np.ndarray:
+    """Principal logarithm of a real matrix: square roots until ||A^(1/2^k) -
+    I||_1 <= 0.25, then 2^k log(I + E) = 2^k int_0^1 E (I + tE)^-1 dt on the
+    8-point Gauss-Legendre rule (the [8/8] Pade approximant).  LogDomainError
+    for an eigenvalue on (-inf, 0] or square roots that do not converge."""
+    A = np.asarray(A, dtype=float)
+    eig = np.linalg.eigvals(A)
+    if np.any((eig.real <= 0) & (np.abs(eig.imag) <= 1e-12 * max(np.max(np.abs(eig)), 1e-300))):
+        raise LogDomainError("no real principal logarithm: an eigenvalue lies on (-inf, 0]")
+    if A.shape == (1, 1):
+        return np.log(A)
+    I = np.eye(len(A))
+    k = 0
+    while np.linalg.norm(A - I, 1) > 0.25:
+        if k == _SQRT_STEPS:
+            raise LogDomainError(f"{k} square roots left ||A - I||_1 above 0.25")
+        A = _sqrtm(A)
+        k += 1
+    E = A - I
+    return 2.0 ** (k - 1) * sum(w * np.linalg.solve(I + t * E, E) for x, w in _GAUSS_LEGENDRE_8
+                                for t in (0.5 - 0.5 * x, 0.5 + 0.5 * x))
+
+
+def _sqrtm(A: np.ndarray) -> np.ndarray:
+    """A^(1/2) by the product form of the Denman-Beavers iteration (Higham,
+    *Functions of Matrices*, sec. 6.3), whose M_k -> I."""
+    I = np.eye(len(A))
+    X = M = A
+    for _ in range(_SQRT_STEPS):
+        M_inv = np.linalg.inv(M)
+        X = X @ (I + M_inv) * 0.5
+        M = (I + 0.5 * (M + M_inv)) * 0.5
+        if np.linalg.norm(M - I, 1) <= len(A) * np.finfo(float).eps:
+            return X
+    raise LogDomainError(f"the square-root iteration did not converge in {_SQRT_STEPS} steps")
+
 
 # The port below works on upper-triangular 2 x 2 blocks (x, y, z) =
 # [[x, y], [0, z]] and rounds every operation as scipy's compiled expm and
@@ -197,9 +231,13 @@ def _pade_solve(U, V):
     return 1.0 + 2.0 * y00, 2.0 * y01, 1.0 + 2.0 * y11
 
 
-def _expm_step_block(c: float, h: float) -> np.ndarray:
-    """expm([[c, h], [0, 0]]) as ``scipy.linalg.expm`` computes it, on Python
-    floats up to Pade order 9 and by :func:`scipy_call` beyond."""
+def _expm_step_block(A: np.ndarray) -> np.ndarray | None:
+    """expm(A) as ``scipy.linalg.expm`` computes it, on Python floats, for a
+    one-step block A = [[c, h], [0, 0]] with finite entries of modulus up to
+    ``STEP_BLOCK_MAX`` that scipy takes at Pade order 9 or below; else None."""
+    c, h = float(A[0, 0]), float(A[0, 1])
+    if A[1, 0] or A[1, 1] or not (abs(c) <= STEP_BLOCK_MAX and abs(h) <= STEP_BLOCK_MAX):
+        return None
     if h == 0.0:
         return np.diag(np.exp(np.array([c, 0.0])))
     A = (c, h, 0.0)
@@ -209,7 +247,7 @@ def _expm_step_block(c: float, h: float) -> np.ndarray:
     A8 = _mul(A4, A4)
     m = _pade_order(c, h, A4, A6, A8)
     if m is None:
-        return scipy_call("expm", np.array([[c, h], [0.0, 0.0]]))
+        return None
     x00, x01, x11 = _pade_solve(*_pade_uv(A, (A2, A4, A6, A8), m))
     return np.array([[x00, x01], [0.0, x11]])
 
@@ -289,25 +327,3 @@ def one_step_conditional_mean_coeffs(a, b, m, kappa, theta, h: float):
                                     with_w=bool(np.any(kappa)))
     return emth, M @ m - float(a) * (EW @ kappa), K @ kappa
 
-
-@functools.cache
-def _scipy_openblas():
-    """(get, set) of the thread count of the OpenBLAS that scipy.linalg
-    links, or None when it is not an OpenBLAS (MKL, Accelerate, ...).
-
-    The symbols are looked up on a handle of scipy's own BLAS wrapper, which
-    sees only that library and what it links; numpy's OpenBLAS exports its
-    symbols with a ``64_`` suffix and cannot match."""
-    import scipy.linalg.cython_blas
-
-    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
-    for prefix in ("scipy_openblas_", "openblas_"):
-        try:
-            get = getattr(lib, prefix + "get_num_threads")
-            set_ = getattr(lib, prefix + "set_num_threads")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None

@@ -35,11 +35,8 @@ coefficients over a step h:
 
 and its inverse recovers b = -log(1 - b~)/h, theta = -logm(I - th~)/h and
 then a, kappa, m by solving the displayed integral relations at the
-recovered (b, theta).  Matrix exponentials use Pade scaling-and-squaring
-(:func:`ad1n._matfun.expm`) and the matrix logarithm its principal branch:
-np.log of the entry for n = 1, and for n >= 2 ``scipy.linalg.logm`` through
-:func:`ad1n._matfun.scipy_call`, which loads scipy at its first call and
-holds scipy's BLAS pool at one thread for each call.
+recovered (b, theta).  The matrix exponentials and the principal logarithm
+are numpy's (:mod:`ad1n._matfun`), so no estimate loads scipy.
 """
 
 from __future__ import annotations
@@ -49,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matfun import (cir_mean_coeffs, one_step_conditional_mean_coeffs, scipy_call,
-                      step_integrals)
+from ._matfun import cir_mean_coeffs, logm, one_step_conditional_mean_coeffs, step_integrals
 from .errors import (
     ConfigError,
     DegeneratePathError,
@@ -91,29 +87,17 @@ def g_map(a: float, b: float, m, kappa, theta, h: float) -> TildeParams:
 def g_inverse(tilde: TildeParams, h: float):
     """One-step regression coefficients -> drift fields (a, b, m, kappa, theta).
 
-    Raises LogDomainError when b~ >= 1 or I - theta~ has an eigenvalue on
-    the closed negative real axis, i.e. the regression output left the
-    neighborhood where the one-step map is invertible.
+    Raises LogDomainError when b~ >= 1 or I - theta~ has no real principal
+    logarithm (:func:`ad1n._matfun.logm`), i.e. the regression output left
+    the neighborhood where the one-step map is invertible.
     """
     if not 0 < h < math.inf:
         raise DimensionMismatchError(f"step h must be finite and positive, got {h:g}")
     if tilde.b >= 1.0:
         raise LogDomainError(f"b-tilde = {tilde.b:.6g} >= 1")
-    n = tilde.m.shape[0]
     b = -math.log1p(-tilde.b) / h
     a = tilde.a * b / tilde.b if tilde.b != 0.0 else tilde.a / h
-    A = np.eye(n) - np.atleast_2d(tilde.theta)
-    eig = np.linalg.eigvals(A)
-    scale = max(np.max(np.abs(eig)), 1e-300)
-    on_negative_axis = (eig.real <= 0) & (np.abs(eig.imag) <= 1e-12 * scale)
-    if np.any(on_negative_axis):
-        raise LogDomainError("I - theta-tilde has an eigenvalue on (-inf, 0]")
-    # for n = 1 scipy's logm reduces to np.log of the entry, bit for bit;
-    # calling it directly keeps scipy out of n = 1 runs
-    logA = np.log(A) if n == 1 else scipy_call("logm", A)
-    if np.max(np.abs(np.imag(logA))) > 1e-8 * max(1.0, np.max(np.abs(logA))):
-        raise LogDomainError("matrix logarithm left the real branch")
-    theta = -np.real(logA) / h
+    theta = -logm(np.eye(len(tilde.m)) - np.atleast_2d(tilde.theta)) / h
     try:
         _, K, M, EW = step_integrals(b, theta, h)
         kappa = np.linalg.solve(K, tilde.kappa)

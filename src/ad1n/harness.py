@@ -43,11 +43,8 @@ parent and one forked child side by side, in rounds that ``_path_phase``
 describes.  Where ``_FORKS`` is false, everything runs in-process at the
 same points.  A critical limit draw whose limit functional is singular has
 a row with aborted=1, is left out of the KS sample, and
-``limit_abort_rate`` bounds the share of such draws.  An ``n = 1`` run
-whose one-step blocks stay at Pade order 9 or below never loads scipy; any
-other run loads it at its first scipy matrix function, and
-``_matfun.scipy_call`` holds scipy's OpenBLAS pool at one thread for each
-such call, so that they do not starve numpy's threaded reductions.
+``limit_abort_rate`` bounds the share of such draws.  Every matrix
+function of a run is numpy's (``ad1n._matfun``), so no run loads scipy.
 
 Replication r of horizon index h owns the Philox substream
 (seed, h*replications + r); limit-functional draw j owns substream
@@ -55,7 +52,7 @@ Replication r of horizon index h owns the Philox substream
 limit draws are simulated side by side in batches
 (``simulate.simulate_paths``), which leaves every path's bits as they are
 alone, and are kept, estimated and recorded in index order.  So reruns
-with the same configuration are byte-identical.
+with the same configuration are byte-identical.  A key is made as its batch starts.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Vectors
 are comma lists; matrices are semicolon-separated rows of comma lists.
@@ -388,7 +385,7 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
     T = config.horizons[h_idx]
     delta = config.delta_for(T)
     M = config.replications
-    seeds = [substream(config.seed, h_idx * M + r) for r in range(M)]
+    seeds = (substream(config.seed, h_idx * M + r) for r in range(M))
 
     def kept(path):
         try:
@@ -426,8 +423,7 @@ def _path_phase(config: ExperimentConfig, h_idx: int, keep) -> list:
         return wrote
 
     out = []
-    for lo in range(0, M, 2 * K):
-        rnd = seeds[lo:lo + 2 * K]
+    while rnd := list(itertools.islice(seeds, 2 * K)):
         fd = os.memfd_create("ad1n-paths")
         try:
             queue, w = os.pipe()
@@ -481,7 +477,7 @@ def _limit_phase(config: ExperimentConfig) -> list:
     params = config.params
     M = config.replications
     base = len(config.horizons) * M
-    seeds = [substream(config.seed, base + j) for j in range(config.limit_draws or M)]
+    seeds = (substream(config.seed, base + j) for j in range(config.limit_draws or M))
     paths = simulate_critical_limits(params, seeds, fine_delta=config.fine_delta)
     # map holds no path past its draw, so one batch is alive at a time
     return list(map(_limit_draw, paths, itertools.repeat(params)))

@@ -13,9 +13,8 @@ its matrix G on the monomials Y^k X^l, in the key order of
 :func:`_index_set` (ascending sum(l), then ascending k), which every table
 and system here follows.  The moments mu(t) = E[Y_t^k X_t^l] solve
 mu' = G^T mu.  Transient moments are expm(t G^T) mu(0), through
-:func:`ad1n._matfun.expm`, which hands every system it does not port to
-``scipy.linalg`` through ``_matfun.scipy_call`` and loads scipy at that
-first call.  Stationary moments solve G^T mu = 0 with E[1] = 1.  L keeps
+:func:`ad1n._matfun.expm`, numpy's Pade-13 scaling and squaring.
+Stationary moments solve G^T mu = 0 with E[1] = 1.  L keeps
 or lowers the total degree, so G is block triangular by degree and the
 solve runs one degree at a time; the block of degree d has the
 eigenvalues -(b k + lambda . l) over its keys (lambda the eigenvalues of

@@ -494,7 +494,8 @@ def write_path_csv(path: Path, csv_file: str, sidecar: dict | None = None) -> No
 
 
 def read_path_csv(csv_file: str) -> Path:
-    """Read a path written by :func:`write_path_csv` (sidecar optional)."""
+    """Read a path written by :func:`write_path_csv` (sidecar optional).  A
+    sidecar ``delta`` off the time column's step is an InvalidGridError."""
     import json
     import os
 
@@ -508,7 +509,8 @@ def read_path_csv(csv_file: str) -> Path:
         raise InvalidGridError("path file must contain at least two rows")
     steps = np.diff(times)
     delta = float(steps[0])
-    if np.max(np.abs(steps - delta)) > 1e-12 * max(abs(times[-1]), 1.0):
+    tol = 1e-12 * max(abs(times[-1]), 1.0)
+    if np.max(np.abs(steps - delta)) > tol:
         raise InvalidGridError("path grid is not uniform")
     seed: object = None
     params_hash = ""
@@ -519,7 +521,9 @@ def read_path_csv(csv_file: str) -> Path:
         seed = meta.get("seed")
         if isinstance(seed, list):
             seed = tuple(seed)
-        delta = float(meta.get("delta", delta))
+        delta, grid = float(meta.get("delta", delta)), delta  # the grid's exact step
+        if not abs(delta - grid) <= tol:
+            raise InvalidGridError(f"sidecar delta {delta:.17g} is not the grid step {grid:.17g}")
         params_hash = meta.get("params_hash", "")
     return Path(delta=delta, times=times, states=states, seed=seed,
                 params_hash=params_hash)
@@ -571,7 +575,7 @@ def increment_moment_probe(
     def increments(path):
         return [np.sum(np.abs(path.states[i1] - path.states[i0])) ** q for i0, i1 in idx]
 
-    seeds = [substream(seed, r) for r in range(replications)]
+    seeds = (substream(seed, r) for r in range(replications))
     # map keeps no path once its row is made, so a batch is freed early
     samples = np.array(list(map(increments, simulate_paths(params, horizon, delta, seeds))))
     out = []

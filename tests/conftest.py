@@ -97,3 +97,28 @@ def random_subcritical(rng: np.random.Generator, n: int) -> ModelParams:
         m=rng.normal(size=n), kappa=rng.normal(scale=0.5, size=n),
         theta=theta, rho=rho, y0=1.0, x0=np.zeros(n),
     )
+
+
+class FirstPath(Exception):
+    """Raised by the ``keys_at_first_path`` spy at the first path."""
+
+
+def keys_at_first_path(monkeypatch, keys_module, paths_module) -> list:
+    """Count the substream keys made through ``keys_module.substream``, and
+    make ``paths_module.simulate_paths`` raise FirstPath once it has its
+    first path; the returned list then holds the count at that path."""
+    made, seen = [], []
+    substream, simulate_paths = keys_module.substream, paths_module.simulate_paths
+
+    def counting(*args):
+        made.append(args)
+        return substream(*args)
+
+    def stop_at_first(*args):
+        next(simulate_paths(*args))
+        seen.append(len(made))
+        raise FirstPath
+
+    monkeypatch.setattr(keys_module, "substream", counting)
+    monkeypatch.setattr(paths_module, "simulate_paths", stop_at_first)
+    return seen

@@ -5,6 +5,7 @@ tightening the config parser past a workload must fail here, not only in a
 benchmark run, and so must a change that moves a CSV digest pinned in
 ``bench/digests.json``.  These tests only read ``bench/``."""
 
+import ctypes
 import importlib
 import json
 import pathlib
@@ -12,12 +13,25 @@ import pathlib
 import pytest
 
 from ad1n import experiment_config_from_text, run_experiment
-from test_blas_threads import _numpy_pool
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 #: the pinned CSV digests, per workload and seed
 PINS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+
+
+def _numpy_pool():
+    """Reader of numpy's OpenBLAS thread count, or one that reads None when
+    numpy's BLAS does not export it."""
+    import numpy._core._multiarray_umath as umath
+
+    try:
+        get = ctypes.CDLL(umath.__file__).scipy_openblas_get_num_threads64_
+    except AttributeError:
+        return lambda: None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
 
 #: numpy's OpenBLAS thread count a pin holds at, for the pins that depend on
 #: it: subcritical_clt's 25,000-step reductions sum in another order on one

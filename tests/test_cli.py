@@ -81,6 +81,21 @@ def test_estimate_path_without_x_column_exit_code(tmp_path, capsys):
     assert err.startswith("error: path file needs columns t, Y, X1..Xn") and err.count("\n") == 1
 
 
+def test_estimate_with_a_sidecar_delta_off_the_grid_exit_code(cfg_file, tmp_path, capsys):
+    # the sidecar's delta used to override the time column's step and
+    # rescale every estimate
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "sim")]) == 0
+    csv_file = capsys.readouterr().out.strip()
+    with open(csv_file + ".json") as fh:
+        meta = json.load(fh)
+    meta["delta"] *= 2.0
+    with open(csv_file + ".json", "w") as fh:
+        json.dump(meta, fh)
+    assert main(["estimate", "--path", csv_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sidecar delta 0.04") and err.count("\n") == 1
+
+
 def test_simulate_deterministic_given_seed(cfg_file, tmp_path, capsys):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["simulate", "--config", cfg_file, "--out", d1, "--seed", "5"])

@@ -30,6 +30,7 @@ from ad1n.errors import (
     SingularBlocksError,
 )
 from ad1n import estimate as estimate_module
+from ad1n import _matfun
 from ad1n.model import COND_LIMIT, drift_design_row
 
 from conftest import random_subcritical
@@ -320,6 +321,26 @@ class TestGInverse:
             assert np.max(np.abs(k2 - kap)) < 1e-10
             assert np.max(np.abs(th2 - th)) < 1e-10
 
+    #: worst |tau back - tau| / max|tau| per (n, h) over the set below when
+    #: scipy computed the n >= 2 matrix functions
+    ROUND_TRIP_AT_SCIPY = {(2, 0.02): 3.52e-14, (2, 0.1): 1.47e-14, (2, 1.0): 5.14e-14,
+                           (3, 0.02): 2.10e-12, (3, 0.1): 2.56e-13, (3, 1.0): 1.42e-12}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_round_trip_no_worse_than_with_scipy(self, n):
+        rng = np.random.default_rng(70 + n)
+        worst = dict.fromkeys((0.02, 0.1, 1.0), 0.0)
+        for _ in range(40):
+            a, b = rng.uniform(0.1, 3.0), rng.uniform(-1.0, 2.0)
+            m, kappa = rng.normal(size=n), rng.normal(size=n)
+            th = rng.normal(scale=0.5, size=(n, n)) + np.diag(rng.uniform(0.5, 2.5, n))
+            tau = stack_drift_fields(a, b, m, kappa, th)
+            for h in worst:
+                back = stack_drift_fields(*g_inverse(g_map(a, b, m, kappa, th, h), h))
+                worst[h] = max(worst[h], np.max(np.abs(back - tau)) / np.max(np.abs(tau)))
+        for h, err in worst.items():
+            assert err <= self.ROUND_TRIP_AT_SCIPY[n, h], (h, err)
+
     def test_log_domain_error(self):
         t = TildeParams(a=0.1, b=1.5, m=np.zeros(1), kappa=np.zeros(1),
                         theta=np.zeros((1, 1)))
@@ -388,11 +409,11 @@ def test_matrix_functions_match_eigendecomposition():
         th = np.diag(rng.uniform(0.5, 2.0, size=3)) + rng.uniform(-0.1, 0.1, (3, 3))
         w, v = np.linalg.eig(th)
         expm_eig = (v * np.exp(w)) @ np.linalg.inv(v)
-        assert np.max(np.abs(scipy.linalg.expm(th) - expm_eig.real)) < 1e-10
+        assert np.max(np.abs(_matfun.expm(th) - expm_eig.real)) < 1e-10
         A = np.eye(3) + 0.3 * th
         logm_eig = (np.linalg.eig(A)[1] * np.log(np.linalg.eig(A)[0])) @ \
             np.linalg.inv(np.linalg.eig(A)[1])
-        assert np.max(np.abs(scipy.linalg.logm(A) - logm_eig.real)) < 1e-9
+        assert np.max(np.abs(_matfun.logm(A) - logm_eig.real)) < 1e-9
 
 
 def test_tilde_regression_vs_scaled_solve():

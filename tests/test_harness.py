@@ -29,7 +29,8 @@ from ad1n.harness import (
     skewness,
 )
 from ad1n.simulate import STREAM_CHUNK
-from test_golden import _CRITICAL
+from conftest import FirstPath, keys_at_first_path
+from test_golden import _CRITICAL, _CRITICAL_N2, _N2_EXACT
 
 SUB_CFG = """
 # reference subcritical point
@@ -143,6 +144,66 @@ def test_n1_run_loads_no_scipy(kind):
     # scipy: importing scipy.linalg alone costs ~0.3 s and ~28 MB, and
     # scipy.stats, scipy.special and scipy.sparse more on top
     assert _modules_after_small_run(*SMALL_N1_RUNS[kind]) == []
+
+
+_N3_EXACT = """\
+n = 3
+a = 2.5
+b = 1.2
+m = 1.0, 0.25, -0.5
+kappa = 0.3, 0.05, -0.2
+theta = 2.0, 0.2, 0.0; 0.1, 1.5, 0.1; 0.0, 0.2, 1.0
+rho = 1,0,0,0; 0.15,0.9,0,0; 0.15,0.15,0.8,0; 0.15,0.15,0.15,0.7
+y0 = 1.0
+x0 = 0.5, 0.0, -0.5
+regime = subcritical
+horizons = 5
+delta = 0.02
+replications = 3
+seed = 31
+flavor = exact
+"""
+
+#: small n >= 2 runs: the exact flavor's logm at n = 2 and 3, and the
+#: n = 2 exponentials of a critical run's estimation and limit paths
+SMALL_N23_RUNS = {
+    "n2_exact": (_N2_EXACT.replace("horizons = 20", "horizons = 5"), "ks_vs_sandwich_normal"),
+    "n3_exact": (_N3_EXACT, "ks_vs_sandwich_normal"),
+    "critical_n2": (_CRITICAL_N2, "ks_vs_limit"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_N23_RUNS))
+def test_n2_and_n3_runs_load_no_scipy(kind):
+    # every matrix function is numpy's at any n
+    assert _modules_after_small_run(*SMALL_N23_RUNS[kind]) == []
+
+
+def test_n2_transient_moment_loads_no_scipy():
+    code = (
+        "import sys, ad1n\n"
+        "p = ad1n.ModelParams(n=2, a=2.0, b=1.5, m=[2.0, -1.5], kappa=[0.2, 0.1],\n"
+        "                     theta=[[2.0, 0.3], [0.1, 1.2]],\n"
+        "                     rho=[[1, 0, 0], [0.2, 0.8, 0], [-0.1, 0.15, 0.7]])\n"
+        "initial = ad1n.point_initial_moments(p, 1.5, [0.5, -1.0], 2)\n"
+        "assert ad1n.transient_moment(p, initial, 1, [1, 0], 0.5) != 0.0\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert _in_fresh_interpreter(code, "") == []
+
+
+def test_n2_run_without_scipy():
+    # a process in which scipy cannot be imported runs an n = 2 exact
+    # experiment to the end
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ad1n\n"
+        "report = ad1n.run_experiment(ad1n.experiment_config_from_text(sys.stdin.read()))\n"
+        "assert report.rows and not any(r.aborted for r in report.rows)\n"
+        "print('ran')\n"
+    )
+    assert _in_fresh_interpreter(code, SMALL_N23_RUNS["n2_exact"][0]) == ["ran"]
 
 
 @pytest.mark.parametrize("kappa", ["0.0", "0.5"])
@@ -1099,6 +1160,38 @@ def _mapped_regions():
 #: two inadmissible models: rho not lower triangular, and a negative
 #: diagonal entry of rho
 INADMISSIBLE_RHO = ["rho = 1,0.5; 0.2,0.9", "rho = -1,0; 0.2,0.9"]
+
+
+class TestKeysMadeAsPathsStart:
+    """A horizon's substream keys, and the limit draws', are made one batch
+    or one round at a time, so no list of all of them is built; each run
+    below stops at its first path."""
+
+    M = 10**6
+
+    def _first_path(self, monkeypatch, run, paths_module=harness):
+        seen = keys_at_first_path(monkeypatch, harness, paths_module)
+        with pytest.raises(FirstPath):
+            run()
+        return seen
+
+    def test_lockstep_path_phase(self, monkeypatch):
+        cfg = experiment_config_from_text(
+            SUB_CFG.replace("replications = 24", f"replications = {self.M}"))
+        seen = self._first_path(monkeypatch, lambda: harness._path_phase(cfg, 0, len))
+        assert seen == [simulate.batch_width(simulate.grid_steps(40, 0.02, 2))]
+
+    def test_path_by_path_rounds(self, monkeypatch):
+        cfg = experiment_config_from_text(
+            LONG_CFG.replace("replications = 25", f"replications = {self.M}"))
+        seen = self._first_path(monkeypatch, lambda: harness._path_phase(cfg, 0, len))
+        assert seen == [22 if harness._FORKS else 1]  # a round of 2 x 11 paths
+
+    def test_limit_phase(self, monkeypatch):
+        cfg = experiment_config_from_text(
+            _CRITICAL.replace("limit_draws = 4", f"limit_draws = {self.M}"))
+        seen = self._first_path(monkeypatch, lambda: harness._limit_phase(cfg), simulate)
+        assert seen == [simulate.batch_width(1000)]
 
 
 class TestInadmissibleModel:

@@ -6,9 +6,8 @@ augmented-block integrals of the one-step map are called only inside
 ``model.stack_drift_fields`` and read only by ``model.unstack_tau``, and
 the moment key order is spelled out only by ``moments._index_set``, and
 the admission check runs only inside ``ad1n.model``, where the
-``ModelParams`` constructor calls ``validate``, and scipy is imported only
-by ``_matfun.scipy_call`` and ``_matfun._scipy_openblas``, a process
-is forked only by ``harness._in_child``, a memfd is made only by
+``ModelParams`` constructor calls ``validate``, no module imports scipy,
+a process is forked only by ``harness._in_child``, a memfd is made only by
 ``harness._path_phase``, a ``Classification`` is built only by
 ``model.classify``, and the |b| h bound of the one-step coefficients
 (``_matfun.SMALL_BH``) and their b -> 0 form ``_matfun.phi1`` are read
@@ -112,19 +111,11 @@ def _imports_scipy(node):
     return any(name == "scipy" or name.startswith("scipy.") for name in names)
 
 
-def test_scipy_is_reached_only_through_scipy_call():
-    # _matfun.scipy_call holds scipy's BLAS pool around each call, and
-    # _scipy_openblas finds that pool; any other import of scipy would call
-    # it unheld, or load it into an n = 1 run
+def test_no_module_imports_scipy():
+    # every matrix function is numpy's (_matfun), and scipy is a test
+    # dependency only; an import of it would load it into every run
     for name, text in _sources().items():
-        tree = ast.parse(text)
-        owned = set()
-        if name == "_matfun.py":
-            for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name in ("scipy_call", "_scipy_openblas"):
-                    owned |= {id(node) for node in ast.walk(fn) if _imports_scipy(node)}
-            assert owned
-        assert {id(node) for node in ast.walk(tree) if _imports_scipy(node)} <= owned, name
+        assert not any(_imports_scipy(node) for node in ast.walk(ast.parse(text))), name
 
 
 def _calls(module, name):

@@ -34,6 +34,8 @@ from ad1n.simulate import (
     generator,
 )
 
+from conftest import FirstPath, keys_at_first_path
+
 
 def _stepped_x(params, path):
     """X of ``path`` rebuilt from the path's own Y and its redrawn normals by
@@ -121,8 +123,7 @@ class TestDeterminism:
 
     def test_set_up_bits_do_not_depend_on_the_argument_form(
             self, subcritical_params, subcritical_params_n2):
-        import scipy.linalg
-
+        from ad1n._matfun import expm
         from ad1n._matfun import one_step_conditional_mean_coeffs as coeffs
 
         def read_only(v):
@@ -141,7 +142,7 @@ class TestDeterminism:
             for args in forms:
                 got = coeffs(*args)
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want], p.n
-            assert want[0].tobytes() == scipy.linalg.expm(-p.theta * 0.01).tobytes(), p.n
+            assert want[0].tobytes() == expm(-p.theta * 0.01).tobytes(), p.n
 
 
 class TestGrid:
@@ -294,6 +295,14 @@ class TestCriticalLimit:
 
 
 class TestIncrementProbe:
+    def test_keys_are_made_a_batch_at_a_time(self, monkeypatch, subcritical_params):
+        # a list of every replication's key used to come before the first path
+        seen = keys_at_first_path(monkeypatch, simulate, simulate)
+        with pytest.raises(FirstPath):
+            increment_moment_probe(subcritical_params, 2.0, [(0.0, 0.5)], delta=0.01,
+                                   replications=10**6, seed=4)
+        assert seen == [simulate.batch_width(50)]
+
     def test_zero_lag_is_zero(self, subcritical_params):
         out = increment_moment_probe(
             subcritical_params, 2.0, [(0.5, 0.5)], delta=0.01,
@@ -371,6 +380,22 @@ class TestPathCsv:
         assert back.delta == path.delta
         assert back.seed == (8, 2)
         assert back.params_hash == path.params_hash
+
+    def test_sidecar_delta_off_the_grid_is_rejected(self, tmp_path, subcritical_params):
+        # a sidecar delta of 0.02 on a 0.01 grid used to halve every estimate
+        path = simulate_path(subcritical_params, 1.0, 0.01, seed=substream(8, 3))
+        f = str(tmp_path / "path.csv")
+        write_path_csv(path, f, sidecar={"delta": 0.02})
+        with pytest.raises(InvalidGridError, match="sidecar delta"):
+            read_path_csv(f)
+
+    def test_sidecar_delta_on_the_grid_is_taken_exactly(self, tmp_path, subcritical_params):
+        # within the grid's uniformity tolerance the sidecar's step wins
+        path = simulate_path(subcritical_params, 1.0, 0.01, seed=substream(8, 4))
+        f = str(tmp_path / "path.csv")
+        step = float(np.nextafter(0.01, 1.0))
+        write_path_csv(path, f, sidecar={"delta": step})
+        assert read_path_csv(f).delta == step
 
     def test_file_without_x_column_is_rejected(self, tmp_path):
         # a t,Y file used to read as an n = 0 path
