@@ -131,17 +131,26 @@ def test_generator_system_matches_mpmath(subcritical_params_n2):
     assert _rel(_matfun.expm(A), _mp(mpmath.expm, A)) <= 1e-14
 
 
-def test_refused_blocks_give_what_scipy_gives():
-    # blocks the port refuses: nan in gives nan out, e^(2e30) overflows to
-    # inf without a nan beside it, and e^(-2e30) underflows to 0
+#: blocks the port refuses: nan in gives nan out, e^(2e30) overflows to
+#: inf without a nan beside it, and e^(-2e30) underflows to 0
+REFUSED = {
+    "nan": [[np.nan, 0.1], [0.0, 0.0]],
+    "2e30": [[2e30, 1.0], [0.0, 0.0]],
+    "-2e30": [[-2e30, 1.0], [0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_refused_blocks_give_what_scipy_gives(name):
+    M = np.array(REFUSED[name])
     with np.errstate(all="ignore"):
-        got = _matfun.expm(np.array([[np.nan, 0.1], [0.0, 0.0]]))
-    assert np.isnan(got[0]).all()
-    huge = np.array([[2e30, 1.0], [0.0, 0.0]])
-    with np.errstate(all="ignore"):
-        assert np.array_equal(_matfun.expm(huge), scipy.linalg.expm(huge))
-        got = _matfun.expm(np.array([[-2e30, 1.0], [0.0, 0.0]]))
-    assert np.allclose(got, [[0.0, 5e-31], [0.0, 1.0]], rtol=1e-14, atol=0.0)
+        got, want = _matfun.expm(M), scipy.linalg.expm(M)
+    if name == "nan":
+        assert np.isnan(got[0]).all() and np.isnan(want[0]).all()
+    elif name == "2e30":
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, [[0.0, 5e-31], [0.0, 1.0]], rtol=1e-14, atol=0.0)
 
 
 def test_logm_matches_mpmath_no_worse_than_scipy():
